@@ -273,9 +273,9 @@ def check_splitting(seed: int) -> tuple[bool, str]:
 def check_cover_diagram(seed: int) -> tuple[bool, str]:
     diagram = cover_diagram(build("moebius"))
     results = diagram.check_relations(64)
-    if not all(results.values()):
-        failed = sorted(k for k, v in results.items() if not v)
-        return False, f"failed relations: {failed}"
+    failed = [f"{k} at ({p[0]}, {p[1]})pi" for k, p in sorted(results.items()) if p is not None]
+    if failed:
+        return False, f"failed relations: {', '.join(failed)}"
     if not diagram.prime.orientable or diagram.prime.boundary_components:
         return False, "X' is not closed orientable"
     return True, "all relations hold exactly on the 64x64 grid; tau34 fixed point free"

@@ -10,6 +10,7 @@ signatures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -198,20 +199,34 @@ class Multivector:
         return " + ".join(parts)
 
 
+@functools.cache
+def _product_signs(sig: Signature) -> dict[int, int]:
+    """Memo of e_A e_B = sign * e_(A xor B), filled lazily.
+
+    The key packs (A, B) as A << 12 | B (n <= 12), which takes half the
+    memory of a tuple key.
+    """
+    return {}
+
+
+def _blade_sign(sig: Signature, a: int, b: int) -> int:
+    """Reordering sign of blades a, b, negated once per shared e_i with e_i^2 = -1."""
+    sign = _reorder_sign(a, b)
+    return -sign if ((a & b) >> sig.p).bit_count() & 1 else sign
+
+
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Clifford product with e_i e_j = -e_j e_i (i != j) and e_i^2 = metric."""
     a._check_same(b)
     sig = a.signature
+    signs = _product_signs(sig)
     out: dict[int, float] = {}
     for ma, ca in a.coefficients.items():
         for mb, cb in b.coefficients.items():
-            sign = _reorder_sign(ma, mb)
-            common = ma & mb
-            i = 0
-            while common >> i:
-                if common >> i & 1 and sig.metric(i) < 0:
-                    sign = -sign
-                i += 1
+            key = ma << 12 | mb
+            sign = signs.get(key)
+            if sign is None:
+                sign = signs[key] = _blade_sign(sig, ma, mb)
             mask = ma ^ mb
             out[mask] = out.get(mask, 0.0) + sign * ca * cb
     return Multivector(sig, out)

@@ -1,17 +1,25 @@
 """Surface models: fundamental polygons, involutions, double covers, doubles.
 
-Flat models live on the square [0, 2pi]^2 with coordinates stored as exact
-rationals in units of pi; all identifications are exact modular arithmetic.
-The sphere is a two-disc clutching model whose geometry is only ever queried
-on the equator.  Families beyond the base cases (sigma_g, N_{g,1}, N_{g,2}
-with g >= 1) carry combinatorial gluing words only.
+Flat models live on the square [0, 2pi]^2.  Points are given in units of pi
+as exact rationals, and every map is computed on an integer lattice: a
+`Lattice` holds int64 coordinate arrays with an explicit period (the number
+of lattice units in 2pi), so the identifications are exact modular
+arithmetic over a whole grid at once.  The sphere is a two-disc clutching
+model whose geometry is only ever queried on the equator.  Families beyond
+the base cases (sigma_g, N_{g,1}, N_{g,2} with g >= 1) carry combinatorial
+gluing words only.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from . import pin2
 from .homology import GluingWord, PolygonComplex
@@ -26,6 +34,58 @@ FAMILY_ONLY = "family-only"
 
 def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+class Lattice(NamedTuple):
+    """Points as int64 coordinate arrays; `period` lattice units make 2pi."""
+
+    x: np.ndarray
+    y: np.ndarray
+    period: int
+
+
+def _halve(a: np.ndarray) -> np.ndarray:
+    """Exact half of each coordinate; an odd one has no half on the lattice."""
+    if (a % 2).any():
+        raise ValueError("halving an odd lattice coordinate")
+    return a // 2
+
+
+def _units(c: Fraction, period: int) -> int:
+    """A constant in units of pi as a whole number of lattice units."""
+    v = c * (period // 2)
+    if v.denominator != 1:
+        raise ValueError(f"{c}pi is not on the lattice of period {period}")
+    return v.numerator
+
+
+# lifted coordinates stay below this, so the kernels' sums and doublings fit int64
+_LIFT_LIMIT = 2 ** 56
+
+
+def _exact(kernel):
+    """Let a lattice kernel also take and return one point in units of pi.
+
+    The point is lifted onto the lattice whose half period (pi) is twice the
+    common denominator of its coordinates and of the owner's shifts (its
+    `denominator`, if it has one).  No map halves a coordinate twice, so every
+    halving is exact, and the image maps back to Fractions.
+    """
+
+    @functools.wraps(kernel)
+    def on_point(self, p):
+        if isinstance(p, Lattice):
+            return kernel(self, p)
+        x, y = frac(p[0]), frac(p[1])
+        half = 2 * math.lcm(x.denominator, y.denominator, getattr(self, "denominator", 1))
+        if max(abs(x), abs(y), 1) * half > _LIFT_LIMIT:
+            raise ValueError(f"point {p} is too large for the int64 lattice")
+        lifted = Lattice(np.array([(x * half).numerator], np.int64),
+                         np.array([(y * half).numerator], np.int64), 2 * half)
+        q = kernel(self, lifted)
+        return (Fraction(int(q.x[0]), half), Fraction(int(q.y[0]), half))
+
+    return on_point
 
 
 # identification rules for the second coordinate wrap, per model
@@ -53,34 +113,29 @@ class SurfaceModel:
     def euler_characteristic(self) -> int:
         return self.complex.euler_characteristic()
 
-    def is_flat(self) -> bool:
-        return self.model_kind == FLAT_SQUARE
-
-    def reduce(self, p: Point) -> Point:
-        """Canonical representative of a point modulo the identifications."""
+    @_exact
+    def reduce(self, p: Lattice) -> Lattice:
+        """Canonical representatives of points modulo the identifications."""
         if self.model_kind != FLAT_SQUARE:
             raise ValueError(f"{self.name} has no square coordinates")
-        x, y = frac(p[0]), frac(p[1])
+        x, y, period = p
         if self.y_wrap == WRAP_STRAIGHT:
-            y %= 2
+            y = y % period
         elif self.y_wrap == WRAP_FLIP_OTHER:
-            k = y // 2
-            y %= 2
-            if k % 2:
-                x = -x
-        elif not 0 <= y <= 2:
+            x = np.where(y // period % 2 == 1, -x, x)
+            y = y % period
+        elif not ((0 <= y) & (y <= period)).all():
             raise ValueError(f"{self.name}: y out of range")
         if self.x_wrap == WRAP_STRAIGHT:
-            x %= 2
+            x = x % period
         elif self.x_wrap == WRAP_FLIP_OTHER:
-            k = x // 2
-            x %= 2
-            if k % 2:
-                y = 2 - y if self.y_wrap == WRAP_NONE else (-y) % 2
-        elif not 0 <= x <= 2:
+            flipped = period - y if self.y_wrap == WRAP_NONE else -y % period
+            y = np.where(x // period % 2 == 1, flipped, y)
+            x = x % period
+        elif not ((0 <= x) & (x <= period)).all():
             raise ValueError(f"{self.name}: x out of range")
         # edge representatives: the wrapped coordinate's seam is taken at 0
-        return (x, y)
+        return Lattice(x, y, period)
 
     def same_point(self, p: Point, q: Point) -> bool:
         return self.reduce(p) == self.reduce(q)
@@ -116,18 +171,26 @@ class Involution:
     def is_equatorial(self) -> bool:
         return self.matrix is None
 
-    def apply_raw(self, p: Point) -> Point:
+    @property
+    def denominator(self) -> int:
+        """Common denominator of the shift, in units of pi."""
+        return 1 if self.shift is None else math.lcm(*(c.denominator for c in self.shift))
+
+    @_exact
+    def apply_raw(self, p: Lattice) -> Lattice:
+        x, y, period = p
         if self.is_equatorial:
             # on the equator z = e^{i theta}: theta -> theta + pi
-            return (p[0] + 1, p[1])
-        m, c = self.matrix, self.shift
-        x, y = frac(p[0]), frac(p[1])
-        return (m[0][0] * x + m[0][1] * y + c[0], m[1][0] * x + m[1][1] * y + c[1])
+            return Lattice(x + period // 2, y, period)
+        (a, b), (c, d) = self.matrix
+        sx, sy = (_units(s, period) for s in self.shift)
+        return Lattice(a * x + b * y + sx, c * x + d * y + sy, period)
 
-    def apply(self, p: Point) -> Point:
+    @_exact
+    def apply(self, p: Lattice) -> Lattice:
         q = self.apply_raw(p)
         if self.is_equatorial:
-            return (q[0] % 2, q[1])
+            return Lattice(q.x % q.period, q.y, q.period)
         return self.domain.reduce(q)
 
     def orthogonal_part(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -269,6 +332,21 @@ def _family_cover_model(x: SurfaceModel) -> SurfaceModel:
     return build(f"sigma({genus})")
 
 
+def _theta_half(torus: SurfaceModel, p: Lattice) -> Lattice:
+    """Cylinder square (u periodic, v in [0, 2pi]) onto {x in [0, pi]} in T^2: (v/2, u)."""
+    u, v, period = p
+    return torus.reduce(Lattice(_halve(v), u, period))
+
+
+def _shear_half(klein: SurfaceModel, p: Lattice) -> Lattice:
+    """Moebius square onto the region of K^2 between the fixed circles of tau2: (u/2 + v/2, u)."""
+    u, v, period = p
+    return klein.reduce(Lattice(_halve(u) + _halve(v), u, period))
+
+
+_EMBEDDINGS = {"theta-half": _theta_half, "shear-half": _shear_half}
+
+
 @dataclass(frozen=True)
 class Double:
     """Closed double of a surface with boundary, with the boundary-fixing involution."""
@@ -276,18 +354,12 @@ class Double:
     half: SurfaceModel
     total: SurfaceModel
     tau: Involution
-    # the embedding marker: half -> total
+    # the embedding half -> total, a key of _EMBEDDINGS
     embed_name: str
 
-    def embed(self, p: Point) -> Point:
-        u, v = frac(p[0]), frac(p[1])
-        if self.half.name == "cyl":
-            # cylinder square (u periodic, v in [0, 2pi]) onto {x in [0, pi]} in T^2
-            return self.total.reduce((v / 2, u))
-        if self.half.name == "moebius":
-            # moebius square onto the region between the fixed circles of tau2
-            return self.total.reduce((u / 2 + v / 2, u))
-        raise ValueError("no embedding for this model")
+    @_exact
+    def embed(self, p: Lattice) -> Lattice:
+        return _EMBEDDINGS[self.embed_name](self.total, p)
 
 
 def double(x: SurfaceModel) -> Double:
@@ -328,120 +400,128 @@ class CoverDiagram:
     tau3: Involution
     tau4: Involution
 
-    def tau34(self, p: Point) -> Point:
+    @property
+    def denominator(self) -> int:
+        """Common denominator of the four involutions' shifts, in units of pi."""
+        return math.lcm(*(t.denominator for t in (self.tau1, self.tau2, self.tau3, self.tau4)))
+
+    @_exact
+    def tau34(self, p: Lattice) -> Lattice:
         return self.master.reduce(self.tau3.apply_raw(self.tau4.apply_raw(p)))
 
     # -- projections ---------------------------------------------------------
 
-    def pi3(self, p: Point) -> Point:
+    @_exact
+    def pi3(self, p: Lattice) -> Lattice:
         """T^2 -> Cyl (fold x into [0, pi]); cylinder coords (u, v) = (y, 2x)."""
-        x, y = self.master.reduce(p)
-        if x > 1:
-            x = 2 - x
-        return self.tilde.reduce((y, 2 * x))
+        x, y, period = self.master.reduce(p)
+        x = np.where(x > period // 2, period - x, x)
+        return self.tilde.reduce(Lattice(y, 2 * x, period))
 
-    def pi1(self, p: Point) -> Point:
+    @_exact
+    def pi1(self, p: Lattice) -> Lattice:
         """Cyl -> M^2, the quotient by tau1(u, v) = (u + pi, 2pi - v)."""
-        u, v = self.tilde.reduce(p)
-        if u < 1:
-            return self.base.reduce((2 * u, v))
-        return self.base.reduce((2 * u - 2, 2 - v))
+        u, v, period = self.tilde.reduce(p)
+        first = u < period // 2
+        return self.base.reduce(Lattice(np.where(first, 2 * u, 2 * u - period),
+                                        np.where(first, v, period - v), period))
 
-    def pi4(self, p: Point) -> Point:
+    @_exact
+    def pi4(self, p: Lattice) -> Lattice:
         """T^2 -> K^2, the quotient by tau4; chart (x, y) -> (x + y, 2y) on y in [0, pi)."""
-        x, y = self.master.reduce(p)
-        if y >= 1:
-            x, y = self.master.reduce(self.tau4.apply_raw((x, y)))
-        return self.half_double.reduce((x + y, 2 * y))
+        q = self.master.reduce(p)
+        r = self.master.reduce(self.tau4.apply_raw(q))
+        upper = q.y >= q.period // 2
+        x, y = np.where(upper, r.x, q.x), np.where(upper, r.y, q.y)
+        return self.half_double.reduce(Lattice(x + y, 2 * y, q.period))
 
-    def pi4_section(self, p: Point) -> Point:
-        """A section of pi4 landing in the y in [0, 1) fundamental domain."""
-        big_x, big_y = self.half_double.reduce(p)
-        return self.master.reduce((big_x - big_y / 2, big_y / 2))
+    @_exact
+    def pi4_section(self, p: Lattice) -> Lattice:
+        """A section of pi4 landing in the y in [0, pi) fundamental domain."""
+        big_x, big_y, period = self.half_double.reduce(p)
+        half_y = _halve(big_y)
+        return self.master.reduce(Lattice(big_x - half_y, half_y, period))
 
-    def pi2(self, p: Point) -> Point:
+    @_exact
+    def pi2(self, p: Lattice) -> Lattice:
         """K^2 -> M^2, induced by pi1 after pi3 through any pi4 preimage."""
         return self.pi1(self.pi3(self.pi4_section(p)))
 
-    def pi34(self, p: Point) -> Point:
+    @_exact
+    def pi34(self, p: Lattice) -> Lattice:
         """T^2 -> X' = T^2 / tau34; chart (x, y) -> (2x, y - x)."""
-        x, y = self.master.reduce(p)
-        return self.prime.reduce((2 * x, y - x))
+        x, y, period = self.master.reduce(p)
+        return self.prime.reduce(Lattice(2 * x, y - x, period))
 
-    def pi34_section(self, p: Point) -> Point:
-        xp, yp = self.prime.reduce(p)
-        return self.master.reduce((xp / 2, yp + xp / 2))
+    @_exact
+    def pi34_section(self, p: Lattice) -> Lattice:
+        xp, yp, period = self.prime.reduce(p)
+        half_x = _halve(xp)
+        return self.master.reduce(Lattice(half_x, yp + half_x, period))
 
-    def tau_prime(self, p: Point) -> Point:
+    @_exact
+    def tau_prime(self, p: Lattice) -> Lattice:
         """The involution on X' induced by tau3 (equivalently tau4)."""
         return self.pi34(self.tau3.apply(self.pi34_section(p)))
 
-    def pi_prime(self, p: Point) -> Point:
+    @_exact
+    def pi_prime(self, p: Lattice) -> Lattice:
         """X' -> X."""
         return self.pi1(self.pi3(self.pi34_section(p)))
 
-    def embed_tilde(self, p: Point) -> Point:
+    @_exact
+    def embed_tilde(self, p: Lattice) -> Lattice:
         """X~ = Cyl into the master torus: (u, v) -> (v/2, u)."""
-        u, v = self.tilde.reduce(p)
-        return self.master.reduce((v / 2, u))
+        return _theta_half(self.master, self.tilde.reduce(p))
 
-    def embed_base(self, p: Point) -> Point:
+    @_exact
+    def embed_base(self, p: Lattice) -> Lattice:
         """X = M^2 into X^d = K^2, between the fixed circles of tau2."""
-        u, v = p
-        return self.half_double.reduce((frac(u) / 2 + frac(v) / 2, frac(u)))
+        return _shear_half(self.half_double, p)
 
     # -- relation checks ------------------------------------------------------
 
-    def grid(self, n: int):
-        step = Fraction(2, n)
-        for i in range(n):
-            for j in range(n):
-                yield (i * step, j * step)
+    def check_relations(self, n: int = 64) -> dict[str, Point | None]:
+        """Verify the diagram identities exactly at the n x n grid points (2i/n, 2j/n)pi.
 
-    def check_relations(self, n: int = 64) -> dict[str, bool]:
-        """Verify the diagram identities exactly on an n x n rational grid."""
-        results = {
-            "pi1_pi3_eq_pi2_pi4": True,
-            "tau3_tau4_commute": True,
-            "tau4_restricts_to_tau1": True,
-            "pi4_restricts_to_pi1": True,
-            "tau34_fixed_point_free": True,
-            "tau2_involution": True,
-            "tau_prime_involution": True,
-            "pi_prime_compatible": True,
+        Each relation maps to None when it holds at every grid point, and
+        otherwise to its first counterexample in (i, j) order, in units of pi.
+        """
+        if n < 1:
+            raise ValueError(f"the grid needs n >= 1, got {n}")
+        # units of pi/(2n): the grid step 2pi/n is 4 units, so halvings stay exact
+        period = 4 * n
+        i, j = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        p = Lattice(4 * i, 4 * j, period)
+
+        def differ(a: Lattice, b: Lattice) -> np.ndarray:
+            return (a.x != b.x) | (a.y != b.y)
+
+        base = self.pi1(self.pi3(p))
+        tau34 = self.tau34(p)
+        embedded = self.embed_tilde(p)  # the grid read as cylinder points (u, v)
+        k2 = self.half_double.reduce(p)
+        prime = self.prime.reduce(p)
+        failures = {
+            "pi1_pi3_eq_pi2_pi4": differ(base, self.pi2(self.pi4(p))),
+            "tau3_tau4_commute": differ(
+                tau34, self.master.reduce(self.tau4.apply_raw(self.tau3.apply_raw(p)))),
+            "tau4_restricts_to_tau1": differ(
+                self.master.reduce(self.tau4.apply_raw(embedded)),
+                self.embed_tilde(self.tau1.apply(p))),
+            # pi4 on the embedded cylinder equals pi1 into the embedded copy of X
+            "pi4_restricts_to_pi1": differ(self.pi4(embedded), self.embed_base(self.pi1(p))),
+            "tau34_fixed_point_free": ~differ(tau34, self.master.reduce(p)),
+            "tau2_involution": differ(
+                self.half_double.reduce(self.tau2.apply_raw(self.tau2.apply_raw(k2))), k2),
+            "tau_prime_involution": differ(self.tau_prime(self.tau_prime(prime)), prime),
+            "pi_prime_compatible": differ(self.pi_prime(self.pi34(p)), base),
         }
-        for p in self.grid(n):
-            if self.pi1(self.pi3(p)) != self.pi2(self.pi4(p)):
-                results["pi1_pi3_eq_pi2_pi4"] = False
-            a = self.master.reduce(self.tau3.apply_raw(self.tau4.apply_raw(p)))
-            b = self.master.reduce(self.tau4.apply_raw(self.tau3.apply_raw(p)))
-            if a != b:
-                results["tau3_tau4_commute"] = False
-            if self.tau34(p) == self.master.reduce(p):
-                results["tau34_fixed_point_free"] = False
-            if self.pi_prime(self.pi34(p)) != self.pi1(self.pi3(p)):
-                results["pi_prime_compatible"] = False
-        for p in self.grid(n):
-            u, v = p
-            if v > 2:
-                continue
-            # tau4 restricted to the embedded cylinder equals tau1
-            lhs = self.master.reduce(self.tau4.apply_raw(self.embed_tilde((u, v))))
-            rhs = self.embed_tilde(self.tau1.apply((u, v)))
-            if lhs != rhs:
-                results["tau4_restricts_to_tau1"] = False
-            # pi4 restricted to the embedded cylinder equals pi1 into the
-            # embedded copy of X inside X^d
-            lhs2 = self.pi4(self.embed_tilde((u, v)))
-            if lhs2 != self.embed_base(self.pi1((u, v))):
-                results["pi4_restricts_to_pi1"] = False
-        for p in self.grid(n):
-            q = self.half_double.reduce(p)
-            if self.half_double.reduce(self.tau2.apply_raw(self.tau2.apply_raw(q))) != q:
-                results["tau2_involution"] = False
-            r = self.prime.reduce(p)
-            if self.tau_prime(self.tau_prime(r)) != r:
-                results["tau_prime_involution"] = False
+        results = {}
+        for name, bad in failures.items():
+            k = int(bad.argmax())
+            results[name] = ((Fraction(int(p.x[k]), 2 * n), Fraction(int(p.y[k]), 2 * n))
+                             if bad[k] else None)
         return results
 
 

@@ -21,3 +21,22 @@ def test_suite_is_deterministic():
     first = [(r.name, r.passed, r.detail) for r in run_all(SEED)]
     second = [(r.name, r.passed, r.detail) for r in run_all(SEED)]
     assert first == second
+
+
+def test_cover_diagram_failure_names_relation_and_point(monkeypatch):
+    import dataclasses
+
+    from pincover import acceptance
+    from pincover.surface import Involution, cover_diagram
+
+    def broken(x):
+        d = cover_diagram(x)
+        tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (0, 0), d.master, True, True)
+        return dataclasses.replace(d, tau4=tau4)
+
+    monkeypatch.setattr(acceptance, "cover_diagram", broken)
+    passed, detail = acceptance.check_cover_diagram(SEED)
+    assert not passed
+    assert detail == ("failed relations: pi1_pi3_eq_pi2_pi4 at (0, 33/32)pi,"
+                      " pi4_restricts_to_pi1 at (1, 1/32)pi,"
+                      " tau34_fixed_point_free at (0, 0)pi, tau4_restricts_to_tau1 at (0, 0)pi")

@@ -92,6 +92,27 @@ def test_associativity_random():
             assert ((a * b) * c).approx_eq(a * (b * c), tol=1e-9 * 100)
 
 
+def termwise_product(a, b):
+    """The product with every blade sign recomputed from its definition, pair by pair."""
+    sig = a.signature
+    out = {}
+    for ma, ca in a.coefficients.items():
+        for mb, cb in b.coefficients.items():
+            swaps = sum(1 for i in range(sig.n) for j in range(i) if ma >> i & 1 and mb >> j & 1)
+            squares = math.prod(sig.metric(i) for i in range(sig.n) if (ma & mb) >> i & 1)
+            sign = (-1) ** swaps * squares
+            out[ma ^ mb] = out.get(ma ^ mb, 0.0) + sign * ca * cb
+    return Multivector(sig, out)
+
+
+@pytest.mark.parametrize("sig", [Signature(3, 0), Signature(0, 3), Signature(2, 3)])
+def test_memoized_product_is_bit_identical_to_termwise(sig):
+    rng = np.random.default_rng(sig.n + sig.p)
+    for _ in range(50):
+        a, b = random_multivector(rng, sig), random_multivector(rng, sig)
+        assert geometric_product(a, b).coefficients == termwise_product(a, b).coefficients
+
+
 def test_vector_anticommutator_is_twice_bilinear_form():
     rng = np.random.default_rng(11)
     for sig in (Signature(4, 0), Signature(0, 4)):

@@ -1,10 +1,14 @@
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pincover import pin2
 from pincover.pin2 import angle
 from pincover.surface import (
+    Involution,
+    Lattice,
     build,
     cover_diagram,
     double,
@@ -33,6 +37,14 @@ def test_build_sphere_and_cylinder():
     assert cyl.same_point((0, F(1, 2)), (2, F(1, 2)))
     with pytest.raises(ValueError):
         cyl.reduce((0, 3))
+
+
+def test_moebius_seam_flips_the_other_coordinate():
+    moebius = build("moebius")
+    # (0, y) ~ (2pi, 2pi - y), boundary points included
+    assert moebius.reduce((2, 0)) == (0, 2)
+    assert moebius.reduce((-F(1, 2), F(1, 3))) == (F(3, 2), F(5, 3))
+    assert moebius.same_point((0, F(1, 3)), (2, 2 - F(1, 3)))
 
 
 def test_build_families():
@@ -125,7 +137,7 @@ def test_jacobian_of_shear_raises():
 def test_cover_diagram_relations():
     diagram = cover_diagram(build("moebius"))
     results = diagram.check_relations(16)
-    assert all(results.values()), results
+    assert all(v is None for v in results.values()), results
 
 
 def test_cover_diagram_tau34_formula():
@@ -149,3 +161,64 @@ def test_cover_diagram_prime_node():
     # tau' is an involution covering X
     p = (F(3, 8), F(5, 8))
     assert diagram.pi_prime(diagram.tau_prime(p)) == diagram.pi_prime(p)
+
+
+# each relation of check_relations read at one point through the Fraction-point
+# maps: True when it fails there
+SCALAR_FAILS = {
+    "pi1_pi3_eq_pi2_pi4": lambda d, p: d.pi1(d.pi3(p)) != d.pi2(d.pi4(p)),
+    "tau3_tau4_commute": lambda d, p: (
+        d.master.reduce(d.tau3.apply_raw(d.tau4.apply_raw(p)))
+        != d.master.reduce(d.tau4.apply_raw(d.tau3.apply_raw(p)))),
+    "tau4_restricts_to_tau1": lambda d, p: (
+        d.master.reduce(d.tau4.apply_raw(d.embed_tilde(p))) != d.embed_tilde(d.tau1.apply(p))),
+    "pi4_restricts_to_pi1": lambda d, p: d.pi4(d.embed_tilde(p)) != d.embed_base(d.pi1(p)),
+    "tau34_fixed_point_free": lambda d, p: d.tau34(p) == d.master.reduce(p),
+    "tau2_involution": lambda d, p: (
+        d.half_double.reduce(d.tau2.apply_raw(d.tau2.apply_raw(d.half_double.reduce(p))))
+        != d.half_double.reduce(p)),
+    "tau_prime_involution": lambda d, p: (
+        d.tau_prime(d.tau_prime(d.prime.reduce(p))) != d.prime.reduce(p)),
+    "pi_prime_compatible": lambda d, p: d.pi_prime(d.pi34(p)) != d.pi1(d.pi3(p)),
+}
+
+
+def test_mutated_tau4_is_caught_with_counterexamples():
+    diagram = cover_diagram(build("moebius"))
+    tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (0, 0), diagram.master, True, True)
+    broken = dataclasses.replace(diagram, tau4=tau4)
+    results = broken.check_relations(16)
+    assert set(SCALAR_FAILS) == set(results)
+    flagged = {name for name, p in results.items() if p is not None}
+    assert flagged == {"pi1_pi3_eq_pi2_pi4", "tau34_fixed_point_free",
+                       "tau4_restricts_to_tau1", "pi4_restricts_to_pi1"}
+    for name in flagged:
+        p = results[name]
+        assert all(isinstance(c, Fraction) and (8 * c).denominator == 1 for c in p)  # grid step 1/8
+        assert SCALAR_FAILS[name](broken, p), (name, p)
+
+
+@pytest.mark.parametrize("n", [1, 7, 256])
+def test_cover_diagram_relations_grid_sizes(n):
+    results = cover_diagram(build("moebius")).check_relations(n)
+    assert all(v is None for v in results.values()), results
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_cover_diagram_rejects_empty_grid(n):
+    with pytest.raises(ValueError):
+        cover_diagram(build("moebius")).check_relations(n)
+
+
+def test_odd_lattice_halving_raises():
+    diagram = cover_diagram(build("moebius"))
+    odd = Lattice(np.array([3], np.int64), np.array([3], np.int64), 8)
+    for halving in (diagram.pi4_section, diagram.pi34_section, diagram.embed_tilde,
+                    diagram.embed_base, double(build("cyl")).embed, double(build("moebius")).embed):
+        with pytest.raises(ValueError, match="odd"):
+            halving(odd)
+
+
+def test_point_too_large_for_the_lattice_raises():
+    with pytest.raises(ValueError, match="too large"):
+        build("t2").reduce((2 ** 60, 0))
