@@ -124,6 +124,8 @@ def cmd_moebius(args) -> Report:
 def cmd_pinors(args) -> Report:
     if args.action != "check":
         raise UsageError("pinors supports the 'check' action")
+    if args.grid <= 0 or args.grid % 2:
+        raise UsageError(f"--grid must be positive and even, got {args.grid}")
     kind = _kind(args.kind)
     if args.surface != "t2":
         raise UsageError("pinor grids are modelled on t2 (the Klein deck involution)")

@@ -43,10 +43,6 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def transpose(a: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def mat_det(a: list[list[int]]) -> int:
     """Exact determinant by fraction-free elimination (Bareiss)."""
     n = len(a)
@@ -88,10 +84,8 @@ def smith_normal_form(a: list[list[int]]):
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, q):  # row dst += q * row src
-        for j in range(cols):
-            d[dst][j] += q * d[src][j]
-        for j in range(rows):
-            u[dst][j] += q * u[src][j]
+        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, q):
         for row in d:
@@ -100,12 +94,17 @@ def smith_normal_form(a: list[list[int]]):
             row[dst] += q * row[src]
 
     def pivot_at(t):
+        # smallest |entry|, first in row-major order; no entry is below 1, so
+        # the first unit entry is the one the full scan would pick
         best = None
         for i in range(t, rows):
+            row = d[i]
             for j in range(t, cols):
-                e = d[i][j]
+                e = row[j]
                 if e and (best is None or abs(e) < best[0]):
                     best = (abs(e), i, j)
+                    if best[0] == 1:
+                        return best
         return best
 
     t = 0
@@ -163,16 +162,10 @@ def smith_normal_form(a: list[list[int]]):
     return u, d, v
 
 
-def snf_diagonal(a: list[list[int]]) -> list[int]:
-    _, d, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
-
-
-def solve_integer(a: list[list[int]], b: list[list[int]]):
-    """X with a*X = b over the integers, or None if no solution exists."""
-    u, d, v = smith_normal_form(a)
-    rows = len(a)
-    cols = len(a[0]) if a else 0
+def _back_substitute(snf, b: list[list[int]]):
+    """X with a*X = b, given snf = (U, D, V) = smith_normal_form(a), or None."""
+    u, d, v = snf
+    rows, cols = len(u), len(v)
     ub = mat_mul(u, b)
     k = len(b[0]) if b else 0
     y = zeros(cols, k)
@@ -189,12 +182,22 @@ def solve_integer(a: list[list[int]], b: list[list[int]]):
     return mat_mul(v, y)
 
 
+def solve_integer(a: list[list[int]], b: list[list[int]]):
+    """X with a*X = b over the integers, or None if no solution exists."""
+    return _back_substitute(smith_normal_form(a), b)
+
+
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra (dense uint8 arrays)
+# GF(2) linear algebra (dense uint8 arrays; rows packed into Python ints)
 
 
 def gf2(a) -> np.ndarray:
     return (np.asarray(a, dtype=np.int64) % 2).astype(np.uint8)
+
+
+def _bits(vec) -> int:
+    """A GF(2) vector as a Python int: bit j is entry j."""
+    return int.from_bytes(np.packbits(gf2(vec), bitorder="little").tobytes(), "little")
 
 
 def gf2_row_reduce(a: np.ndarray):
@@ -371,14 +374,11 @@ class PolygonComplex:
                     index[r] = len(roots)
                     roots.append(r)
         self.vertex_count = len(roots)
+        self.edge_index = {name: i for i, name in enumerate(self.edges)}
         self.edge_ends = {
             name: (index[find(occs[0][0])], index[find(occs[0][1])])
             for name, occs in ends.items()
         }
-
-    @property
-    def edge_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.edges)}
 
     def d1(self) -> list[list[int]]:
         """Vertices x edges boundary matrix."""
@@ -468,7 +468,10 @@ class H1Basis:
 
     Generators are ordered free part first, then torsion (orders in the
     divisibility chain).  ``coordinates`` maps an integer 1-chain in the kernel
-    of d1 to its (free, torsion) coordinate vector.
+    of d1 to its (free, torsion) coordinate vector.  Each lattice is factored
+    once per basis: the Smith form of the kernel lattice serves the d2 solve
+    and every ``coordinates`` call, and the generator matrix is built on the
+    first ``representative`` call.
     """
 
     def __init__(self, d1: list[list[int]], d2: list[list[int]]):
@@ -483,8 +486,10 @@ class H1Basis:
         kernel = [[v1[i][j] for j in kernel_cols] for i in range(n_edges)]
         self._kernel = kernel
         self._k = len(kernel_cols)
+        self._kernel_snf = smith_normal_form(kernel)
+        self._generators = None
 
-        x = solve_integer(kernel, d2)
+        x = _back_substitute(self._kernel_snf, d2)
         if x is None:
             raise ValueError("image of d2 does not lie in the kernel of d1")
         ux, dx, vx = smith_normal_form(x)
@@ -497,10 +502,12 @@ class H1Basis:
         self.torsion_indices = [i for i, o in enumerate(self.orders) if o > 1]
         self.free_rank = len(self.free_indices)
         self.torsion = tuple(self.orders[i] for i in self.torsion_indices)
+        self.rank_d1 = rank1
+        # d2 = K * x and K has full column rank, so rank d2 = rank x
+        self.rank_d2 = sum(1 for o in self.orders if o)
 
     def coordinates(self, chain: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        col = [[c] for c in chain]
-        y = solve_integer(self._kernel, col)
+        y = _back_substitute(self._kernel_snf, [[c] for c in chain])
         if y is None:
             raise ValueError("chain is not a 1-cycle")
         c = mat_mul(self._ux, y)
@@ -510,25 +517,18 @@ class H1Basis:
 
     def representative(self, index: int) -> list[int]:
         """1-chain representing the index-th generator (free first, then torsion)."""
-        order = self.free_indices + self.torsion_indices
-        i = order[index]
-        inv = solve_integer(self._ux, identity(self._k))
-        return [sum(self._kernel[r][j] * inv[j][i] for j in range(self._k))
-                for r in range(len(self._kernel))]
+        if self._generators is None:
+            inv = solve_integer(self._ux, identity(self._k))
+            self._generators = mat_mul(self._kernel, inv)  # columns: K * ux^{-1}
+        i = (self.free_indices + self.torsion_indices)[index]
+        return [row[i] for row in self._generators]
 
 
 def homology_groups(cx: PolygonComplex) -> GradedGroups:
-    d1 = cx.d1()
-    d2 = cx.d2()
-    n0, n1, n2 = cx.vertex_count, len(cx.edges), len(cx.faces)
-    rank1 = len(snf_diagonal(d1)) if n1 else 0
-    basis = H1Basis(d1, d2)
-    h0 = (n0 - rank1, ())
-    h1 = (basis.free_rank, basis.torsion)
-    diag2 = snf_diagonal(d2)
-    rank2 = len(diag2)
-    h2 = (n2 - rank2, ())
-    return GradedGroups(h0, h1, h2)
+    basis = H1Basis(cx.d1(), cx.d2())
+    return GradedGroups((cx.vertex_count - basis.rank_d1, ()),
+                        (basis.free_rank, basis.torsion),
+                        (len(cx.faces) - basis.rank_d2, ()))
 
 
 def z2_betti(cx: PolygonComplex) -> tuple[int, int, int]:
@@ -596,8 +596,6 @@ class InducedMaps:
     image_index_z2: int                # [H1(base, Z2) : Im pi_*]
     b1_mod2_base: int
     b1_mod2_total: int
-    base_edges: list[str]
-    total_basis_size: int
 
     @property
     def splitting_k(self) -> int:
@@ -611,36 +609,40 @@ def h1_z2_basis(cx: PolygonComplex):
     Returns (cycle_space basis rows, project) where project maps a cycle
     vector to coordinates in a fixed basis of H1.
     """
-    d1 = gf2(cx.d1())
-    d2 = gf2(cx.d2())
-    cycles = gf2_nullspace(d1)  # rows
-    n = len(cx.edges)
-    # quotient by image of d2: keep the cycle rows independent modulo the image
-    img = d2.T
-    reduced, pivots = gf2_row_reduce(img) if img.size else (np.zeros((0, n), np.uint8), [])
-    basis_rows = []
-    current = reduced[: len(pivots)].copy() if len(pivots) else np.zeros((0, n), np.uint8)
-    piv = list(pivots)
-    for row in cycles:
-        vec = row.copy()
-        for r, c in enumerate(piv):
-            if vec[c]:
-                vec ^= current[r]
-        if vec.any():
-            current, piv = gf2_row_reduce(np.vstack([current, vec]))
-            current = current[: len(piv)]
-            basis_rows.append(row.copy())
-    basis = np.array(basis_rows, np.uint8) if basis_rows else np.zeros((0, n), np.uint8)
+    cycles = gf2_nullspace(gf2(cx.d1()))  # rows
+    image = gf2(cx.d2()).T
+    # One echelon of [image; basis] rows as bit-packed ints, each stored under
+    # its lowest set bit (its pivot).  A row's tag has bit i set when basis
+    # row i is in the sum that made it; image rows carry tag 0.
+    echelon: dict[int, tuple[int, int]] = {}
+
+    def reduce(vec: int, tag: int) -> tuple[int, int]:
+        while vec:
+            row = echelon.get(vec & -vec)
+            if row is None:
+                break
+            vec ^= row[0]
+            tag ^= row[1]
+        return vec, tag
+
+    for row in image:
+        vec, _ = reduce(_bits(row), 0)
+        if vec:
+            echelon[vec & -vec] = (vec, 0)
+    kept = []  # cycle rows independent of the image and of the earlier kept rows
+    for i, row in enumerate(cycles):
+        vec, tag = reduce(_bits(row), 1 << len(kept))
+        if vec:
+            echelon[vec & -vec] = (vec, tag)
+            kept.append(i)
+    basis = cycles[kept]
 
     def project(cycle_vec: np.ndarray) -> np.ndarray:
         """Coordinates of [cycle] in the chosen basis."""
-        target = gf2(cycle_vec)
-        # solve basis^T x + img^T y = target
-        a = np.concatenate([basis.T, img.T], axis=1) if img.size else basis.T
-        sol = gf2_solve(a, target)
-        if sol is None:
+        vec, tag = reduce(_bits(cycle_vec), 0)
+        if vec:
             raise ValueError("vector is not a cycle")
-        return sol[: basis.shape[0]]
+        return np.array([(tag >> i) & 1 for i in range(len(kept))], np.uint8)
 
     return basis, project
 
@@ -694,6 +696,4 @@ def induced_maps(cover: CoverData) -> InducedMaps:
         image_index_z2=2 ** (dim_base - image_rank),
         b1_mod2_base=dim_base,
         b1_mod2_total=dim_total,
-        base_edges=list(base.edges),
-        total_basis_size=dim_total,
     )

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pincover.cli import main
 
 
@@ -85,6 +87,13 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "homology", "nowhere")
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", ["0", "-2", "3"])
+def test_pinors_grid_must_be_positive_and_even(capsys, grid):
+    code, out, err = run(capsys, "pinors", "check", "t2", "--grid", grid)
+    assert code == 2 and out == ""
+    assert "--grid must be positive and even" in err
 
 
 def test_verify_passes_and_prints_one_line_per_criterion(capsys):

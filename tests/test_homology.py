@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pincover import homology
 from pincover.homology import (
     GluingWord,
+    H1Basis,
     PolygonComplex,
+    gf2,
+    h1_z2_basis,
     homology_groups,
+    identity,
     induced_maps,
     mat_det,
     mat_mul,
@@ -90,6 +97,29 @@ def test_solve_integer():
     x = solve_integer(a, b)
     assert mat_mul(a, x) == b
     assert solve_integer(a, [[1], [0]]) is None
+
+
+def int_matrices(max_rows=6, max_cols=6, bound=9):
+    return st.integers(1, max_rows).flatmap(lambda rows: st.integers(1, max_cols).flatmap(
+        lambda cols: st.lists(st.lists(st.integers(-bound, bound), min_size=cols,
+                                       max_size=cols), min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_snf_properties(a):
+    check_snf(a)  # U*a*V = D, |det U| = |det V| = 1, divisibility chain, D >= 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(), st.data())
+def test_solve_integer_round_trip(a, data):
+    x = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2),
+                           min_size=len(a[0]), max_size=len(a[0])))
+    b = mat_mul(a, x)
+    solution = solve_integer(a, b)
+    assert solution is not None
+    assert mat_mul(a, solution) == b
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +276,114 @@ def test_splitting_bookkeeping(g):
                              (n_g2_word(g) if g else K2, 2 * g + 1)):
         maps = induced_maps(orientation_double_cover_complex(word))
         assert maps.splitting_k == expected_k
+
+
+def family_words(max_g):
+    """Name -> word of sigma_g (g >= 1), N_{g,1} and N_{g,2} (g >= 0), for g <= max_g."""
+    words = {f"sigma({g})": sigma_word(g) for g in range(1, max_g + 1)}
+    for g in range(max_g + 1):
+        words[f"n({g},1)"] = n_g1_word(g) if g else RP2
+        words[f"n({g},2)"] = n_g2_word(g) if g else K2
+    return words
+
+
+FAMILIES_TO_8 = family_words(8)
+NONORIENTABLE_TO_6 = {name: word for name, word in family_words(6).items()
+                      if not word.is_orientable_word()}
+
+
+@pytest.mark.parametrize("word", FAMILIES_TO_8.values(), ids=list(FAMILIES_TO_8))
+def test_coordinates_of_representatives_are_unit_vectors(word):
+    cx = PolygonComplex.from_word(word)
+    basis = H1Basis(cx.d1(), cx.d2())
+    n = basis.free_rank + len(basis.torsion)
+    for i in range(n):
+        free, tors = basis.coordinates(basis.representative(i))
+        assert list(free + tors) == [int(j == i) for j in range(n)]
+
+
+@pytest.mark.parametrize("word", [K2, RP2, T2, n_g2_word(2)], ids=["k2", "rp2", "t2", "n22"])
+def test_z2_projection_of_cycles_and_boundaries(word):
+    for cx in (PolygonComplex.from_word(word), orientation_double_cover_complex(word).total):
+        basis, project = h1_z2_basis(cx)
+        boundaries = gf2(cx.d2()).T
+        for i, row in enumerate(basis):
+            unit = [int(j == i) for j in range(len(basis))]
+            assert project(row).tolist() == unit
+            assert project(row ^ boundaries[0]).tolist() == unit
+        assert not project(boundaries.sum(axis=0) % 2).any()
+
+
+@pytest.mark.parametrize("word", [K2, RP2, n_g2_word(2)], ids=["k2", "rp2", "n22"])
+def test_non_cycles_raise(word):
+    # the cover has two vertices, so some of its edges are not cycles, mod 2 too
+    cx = orientation_double_cover_complex(word).total
+    _, project = h1_z2_basis(cx)
+    basis = H1Basis(cx.d1(), cx.d2())
+    d1 = gf2(cx.d1())
+    non_cycles = [e for e in range(len(cx.edges)) if d1[:, e].any()]
+    assert non_cycles
+    for e in non_cycles:
+        chain = [int(j == e) for j in range(len(cx.edges))]
+        with pytest.raises(ValueError, match="not a cycle"):
+            project(np.array(chain))
+        with pytest.raises(ValueError, match="not a 1-cycle"):
+            basis.coordinates(chain)
+
+
+def reference_push_z(cover):
+    """pi_* in canonical bases, with a fresh solve_integer (and SNF) per call."""
+
+    def basis_of(cx):
+        d1, d2 = cx.d1(), cx.d2()
+        _, dd1, v1 = smith_normal_form(d1)
+        n_edges = len(d2)
+        rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
+        kernel = [row[rank1:] for row in v1]
+        ux, dx, _ = smith_normal_form(solve_integer(kernel, d2))
+        k = len(kernel[0])
+        orders = [dx[i][i] if i < min(len(dx), len(dx[0])) else 0 for i in range(k)]
+        order = ([i for i in range(k) if orders[i] == 0]
+                 + [i for i in range(k) if orders[i] > 1])
+        return kernel, ux, orders, order
+
+    base_k, base_ux, base_orders, base_order = basis_of(cover.base)
+    total_k, total_ux, _, total_order = basis_of(cover.total)
+    base_idx = {name: i for i, name in enumerate(cover.base.edges)}
+    columns = []
+    for i in total_order:
+        inv = solve_integer(total_ux, identity(len(total_ux)))
+        chain = [sum(row[j] * inv[j][i] for j in range(len(inv))) for row in total_k]
+        pushed = [0] * len(cover.base.edges)
+        for name, c in zip(cover.total.edges, chain):
+            pushed[base_idx[cover.edge_map[name]]] += c
+        coords = mat_mul(base_ux, solve_integer(base_k, [[c] for c in pushed]))
+        columns.append([coords[r][0] % base_orders[r] if base_orders[r] else coords[r][0]
+                        for r in base_order])
+    return [list(row) for row in zip(*columns)] if columns else [[] for _ in base_order]
+
+
+@pytest.mark.parametrize("word", NONORIENTABLE_TO_6.values(), ids=list(NONORIENTABLE_TO_6))
+def test_push_z_matches_per_call_reference(word):
+    cover = orientation_double_cover_complex(word)
+    assert induced_maps(cover).push_z == reference_push_z(cover)
+
+
+def test_snf_calls_of_induced_maps_do_not_grow_with_genus(monkeypatch):
+    calls = []
+    original = homology.smith_normal_form
+
+    def counting(a):
+        calls.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counting)
+    counts = []
+    for g in (4, 16):
+        calls.clear()
+        induced_maps(orientation_double_cover_complex(n_g2_word(g)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_word_validation():
