@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from . import pin2
 from .characteristic import w1
 from .clifford import (
@@ -66,6 +64,8 @@ def _klein_deck():
 
 
 def _random_orthogonal(rng, n):
+    import numpy as np
+
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     return q * np.sign(np.diag(r))
 
@@ -211,6 +211,8 @@ def _family_names():
 
 
 def check_homology(seed: int) -> tuple[bool, str]:
+    import numpy as np
+
     for name in _family_names():
         model = build(name)
         h1 = homology_groups(PolygonComplex.from_word(model.word)).h1
@@ -285,6 +287,8 @@ def check_cover_diagram(seed: int) -> tuple[bool, str]:
 
 
 def check_property_suites(seed: int) -> tuple[bool, str]:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst = {}
 

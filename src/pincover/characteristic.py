@@ -13,36 +13,39 @@ reversing seam" into an exact GF(2) solve; w2 is the Euler characteristic mod
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .homology import PolygonComplex, b1_mod2, gf2_solve
+from .homology import PolygonComplex, b1_mod2, solve_rows
 from .surface import SurfaceModel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _occurrence_positions(word, letter):
     return [i for i, (name, _) in enumerate(word.word) if name == letter]
 
 
-def chord_gram_matrix(model: SurfaceModel) -> tuple[list[str], np.ndarray]:
+def chord_gram_matrix(model: SurfaceModel) -> tuple[list[str], list[int]]:
     """Z2 intersection form in the chord basis, one chord per letter.
 
     Off-diagonal entries count interleavings of occurrence pairs; diagonal
-    entries record same-exponent (one-sided) letters.
+    entries record same-exponent (one-sided) letters.  Row i is bit-packed:
+    bit j is the entry of letters i and j.
     """
     word = model.word
     letters = word.letters
-    n = len(letters)
     pos = {g: _occurrence_positions(word, g) for g in letters}
-    gram = np.zeros((n, n), dtype=np.uint8)
+    gram = [0] * len(letters)
     for i, g in enumerate(letters):
-        gram[i, i] = 1 if word.same_exponent(g) else 0
-        for j in range(i + 1, n):
-            h = letters[j]
-            a1, a2 = pos[g]
-            b1, b2 = pos[h]
-            crossed = (a1 < b1 < a2 < b2) or (b1 < a1 < b2 < a2)
-            gram[i, j] = gram[j, i] = 1 if crossed else 0
+        a1, a2 = pos[g]
+        if word.same_exponent(g):
+            gram[i] |= 1 << i
+        for j in range(i + 1, len(letters)):
+            b1, b2 = pos[letters[j]]
+            if (a1 < b1 < a2 < b2) or (b1 < a1 < b2 < a2):
+                gram[i] |= 1 << j
+                gram[j] |= 1 << i
     return letters, gram
 
 
@@ -68,41 +71,43 @@ class Z2Cocycle:
         return all(v == 0 for v in self.bits.values())
 
     def vector(self, letters) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.bits[g] for g in letters], dtype=np.uint8)
+
+
+def _seam_solution(model: SurfaceModel) -> tuple[list[str], int, int]:
+    """(letters, eps, v), bit-packed by letter, with G v = eps for the chord form G.
+
+    eps marks the one-sided letters, whose edges cross an orientation-reversing
+    seam.  The chords are dual to the edge loops, so v is the seam-crossing
+    cocycle evaluated on the edge-loop basis.
+    """
+    _require_closed(model)
+    word = model.word
+    letters = word.letters
+    eps = sum(1 << i for i, g in enumerate(letters) if word.same_exponent(g))
+    if not eps:
+        return letters, 0, 0
+    _, gram = chord_gram_matrix(model)
+    v = solve_rows(gram, eps, len(letters))
+    if v is None:
+        raise ValueError("degenerate intersection form")
+    return letters, eps, v
 
 
 def w1(model: SurfaceModel) -> Z2Cocycle:
     """First Stiefel-Whitney class: 1 on the generators whose loops reverse orientation."""
-    _require_closed(model)
-    word = model.word
-    letters = word.letters
-    eps = np.array([1 if word.same_exponent(g) else 0 for g in letters], np.uint8)
-    if not eps.any():
-        return Z2Cocycle({g: 0 for g in letters})
-    if not _single_vertex(model):
+    letters, eps, v = _seam_solution(model)
+    if eps and not _single_vertex(model):
         raise ValueError("w1 needs a one-vertex polygon model")
-    _, gram = chord_gram_matrix(model)
-    # the chords are dual to the edge loops, so solving G v = eps evaluates
-    # the seam-crossing cocycle on the edge-loop basis
-    v = gf2_solve(gram, eps)
-    if v is None:
-        raise ValueError("degenerate intersection form")
-    return Z2Cocycle({g: int(v[i]) for i, g in enumerate(letters)})
+    return Z2Cocycle({g: v >> i & 1 for i, g in enumerate(letters)})
 
 
 def w1_cup_w1(model: SurfaceModel) -> int:
     """<w1 cup w1, [X]> via the intersection form."""
-    _require_closed(model)
-    word = model.word
-    letters = word.letters
-    eps = np.array([1 if word.same_exponent(g) else 0 for g in letters], np.uint8)
-    if not eps.any():
-        return 0
-    _, gram = chord_gram_matrix(model)
-    v = gf2_solve(gram, eps)
-    if v is None:
-        raise ValueError("degenerate intersection form")
-    return int(eps @ v) % 2
+    _, eps, v = _seam_solution(model)
+    return (eps & v).bit_count() % 2
 
 
 def w2(model: SurfaceModel) -> int:

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from . import acceptance, pin2
+from . import pin2
 from .characteristic import obstructions
 from .homology import PolygonComplex, b1_mod2, homology_groups, induced_maps, \
     orientation_double_cover_complex
@@ -140,6 +138,8 @@ def cmd_pinors(args) -> Report:
               "structure": xi.label, "sign": args.sign,
               "grid": args.grid, "seed": args.seed}
     results: dict = {"lift": lift.as_dict()}
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     s = PinorField.random(args.grid, rng)
     if lift.square == 1:
@@ -158,6 +158,8 @@ def cmd_pinors(args) -> Report:
 
 
 def cmd_verify(args):
+    from . import acceptance
+
     results = acceptance.run_all(args.seed)
     lines = []
     for r in results:

@@ -13,8 +13,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TOL = 1e-9
 
@@ -86,6 +88,8 @@ class Multivector:
 
     @classmethod
     def from_vector(cls, sig: Signature, v) -> "Multivector":
+        import numpy as np
+
         v = np.asarray(v, dtype=float)
         if v.shape != (sig.n,):
             raise ValueError("vector length must equal n")
@@ -99,9 +103,6 @@ class Multivector:
     def coefficient(self, mask: int) -> float:
         return self.coefficients.get(mask, 0.0)
 
-    def grades(self) -> set[int]:
-        return {m.bit_count() for m in self.coefficients}
-
     def grade_part(self, k: int) -> "Multivector":
         return Multivector(
             self.signature,
@@ -113,6 +114,8 @@ class Multivector:
         return self.coefficients.get(0, 0.0)
 
     def vector_part(self) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros(self.signature.n)
         for i in range(self.signature.n):
             out[i] = self.coefficients.get(1 << i, 0.0)
@@ -268,6 +271,8 @@ def twisted_adjoint(u: Multivector | PinElement, v: Multivector) -> Multivector:
 
 def orthogonal_matrix(u: Multivector | PinElement) -> np.ndarray:
     """Matrix of the twisted adjoint action on basis vectors (columnwise)."""
+    import numpy as np
+
     value = u.value if isinstance(u, PinElement) else u
     sig = value.signature
     cols = [
@@ -279,6 +284,8 @@ def orthogonal_matrix(u: Multivector | PinElement) -> np.ndarray:
 
 def is_pin_element(u: Multivector | PinElement, tol: float = TOL) -> bool:
     """Check u maps vectors to vectors and u * reverse(u) = +-1."""
+    import numpy as np
+
     value = u.value if isinstance(u, PinElement) else u
     sig = value.signature
     s = geometric_product(value, value.reverse())
@@ -307,6 +314,8 @@ def lift_orthogonal(M, sig: Signature) -> tuple[PinElement, PinElement]:
     Each step reflects away the column deviating most from the identity (ties:
     lowest index), so the factorization is deterministic.
     """
+    import numpy as np
+
     if sig.p != 0 and sig.q != 0:
         raise ValueError("lift_orthogonal expects signature (n, 0) or (0, n)")
     M = np.asarray(M, dtype=float)

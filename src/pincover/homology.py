@@ -11,8 +11,10 @@ transcribed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # exact integer matrices (lists of python ints)
@@ -162,105 +164,137 @@ def smith_normal_form(a: list[list[int]]):
     return u, d, v
 
 
-def _back_substitute(snf, b: list[list[int]]):
-    """X with a*X = b, given snf = (U, D, V) = smith_normal_form(a), or None."""
-    u, d, v = snf
-    rows, cols = len(u), len(v)
-    ub = mat_mul(u, b)
-    k = len(b[0]) if b else 0
-    y = zeros(cols, k)
-    for i in range(rows):
-        di = d[i][i] if i < min(rows, cols) else 0
-        for j in range(k):
+def _sparse(a: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """Rows of a matrix as (column, value) pairs of its nonzero entries."""
+    return [[(j, e) for j, e in enumerate(row) if e] for row in a]
+
+
+def _sparse_mul(a: list[list[tuple[int, int]]], b: list[list[int]]) -> list[list[int]]:
+    """a * b for a given as sparse rows."""
+    out = zeros(len(a), len(b[0]) if b else 0)
+    for row, acc in zip(a, out):
+        for j, e in row:
+            for c, x in enumerate(b[j]):
+                acc[c] += e * x
+    return out
+
+
+def _factor(a: list[list[int]]):
+    """(U, diagonal, V) of smith_normal_form(a), with U and V as sparse rows.
+
+    The unimodular factors of the lattices here are near-permutations (about
+    one nonzero entry per row), so products with them cost their nonzeros.
+    """
+    u, d, v = smith_normal_form(a)
+    return _sparse(u), [d[i][i] for i in range(min(len(u), len(v)))], _sparse(v)
+
+
+def _back_substitute(factors, b: list[list[int]]):
+    """X with a*X = b, given factors = _factor(a), or None."""
+    u, diag, v = factors
+    ub = _sparse_mul(u, b)
+    y = zeros(len(v), len(b[0]) if b else 0)
+    for i, row in enumerate(ub):
+        di = diag[i] if i < len(diag) else 0
+        for j, e in enumerate(row):
             if di == 0:
-                if ub[i][j] != 0:
+                if e != 0:
                     return None
             else:
-                if ub[i][j] % di != 0:
+                if e % di != 0:
                     return None
-                y[i][j] = ub[i][j] // di
-    return mat_mul(v, y)
+                y[i][j] = e // di
+    return _sparse_mul(v, y)
 
 
 def solve_integer(a: list[list[int]], b: list[list[int]]):
     """X with a*X = b over the integers, or None if no solution exists."""
-    return _back_substitute(smith_normal_form(a), b)
+    return _back_substitute(_factor(a), b)
 
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra (dense uint8 arrays; rows packed into Python ints)
+# GF(2) linear algebra on bit-packed rows: a row is a Python int whose bit j is
+# column j, so elimination XORs whole rows at once (the M4RI idiom).  numpy is
+# imported only by the functions that return arrays.
+
+
+def pack_rows(matrix) -> list[int]:
+    """Rows of an integer matrix (nested lists or an array), read mod 2, as ints."""
+    return [sum(1 << j for j, e in enumerate(row) if e % 2) for row in matrix]
+
+
+def _array(rows: list[int], cols: int) -> np.ndarray:
+    import numpy as np
+
+    return np.array([[r >> j & 1 for j in range(cols)] for r in rows],
+                    np.uint8).reshape(len(rows), cols)
 
 
 def gf2(a) -> np.ndarray:
+    import numpy as np
+
     return (np.asarray(a, dtype=np.int64) % 2).astype(np.uint8)
 
 
-def _bits(vec) -> int:
-    """A GF(2) vector as a Python int: bit j is entry j."""
-    return int.from_bytes(np.packbits(gf2(vec), bitorder="little").tobytes(), "little")
+def gf2_row_reduce(a):
+    """Reduced row echelon form over GF(2) and its pivot columns (ascending).
 
-
-def gf2_row_reduce(a: np.ndarray):
-    m = gf2(a).copy()
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = np.nonzero(m[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        others = np.nonzero(m[:, c])[0]
-        for i in others:
-            if i != r:
-                m[i, :] ^= m[r, :]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    Bit-packed rows (a list of ints) reduce to the nonzero reduced rows, one
+    per pivot.  A 0/1 array goes through the same elimination and comes back
+    as a uint8 array of its shape, zero rows last.
+    """
+    if not (isinstance(a, list) and all(isinstance(row, int) for row in a)):
+        m = gf2(a)
+        reduced, pivots = gf2_row_reduce(pack_rows(m))
+        return _array(reduced + [0] * (len(m) - len(reduced)), m.shape[1]), pivots
+    rows: dict[int, int] = {}  # pivot bit -> reduced row
+    for vec in a:
+        for bit, row in rows.items():
+            if vec & bit:
+                vec ^= row
+        if vec:
+            low = vec & -vec
+            for bit, row in rows.items():
+                if row & low:
+                    rows[bit] = row ^ vec
+            rows[low] = vec
+    bits = sorted(rows)
+    return [rows[b] for b in bits], [b.bit_length() - 1 for b in bits]
 
 
 def gf2_rank(a) -> int:
-    m = gf2(a)
-    if m.size == 0:
-        return 0
-    return len(gf2_row_reduce(m)[1])
+    return len(gf2_row_reduce(pack_rows(a))[1])
+
+
+def nullspace_rows(rows: list[int], cols: int) -> list[int]:
+    """A basis of the right nullspace, one vector per free column (ascending)."""
+    reduced, pivots = gf2_row_reduce(rows)
+    pivot_set = set(pivots)
+    return [1 << f | sum(1 << p for row, p in zip(reduced, pivots) if row >> f & 1)
+            for f in range(cols) if f not in pivot_set]
+
+
+def solve_rows(rows: list[int], rhs: int, cols: int) -> int | None:
+    """x with rows . x = rhs over GF(2), bit i of rhs for row i, or None."""
+    reduced, pivots = gf2_row_reduce([row | (rhs >> i & 1) << cols
+                                      for i, row in enumerate(rows)])
+    if pivots and pivots[-1] == cols:
+        return None
+    return sum((row >> cols & 1) << p for row, p in zip(reduced, pivots))
 
 
 def gf2_nullspace(a) -> np.ndarray:
     """Rows form a basis of the right nullspace."""
     m = gf2(a)
-    if m.size == 0:
-        return np.eye(m.shape[1] if m.ndim == 2 else 0, dtype=np.uint8)
-    reduced, pivots = gf2_row_reduce(m)
-    cols = m.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = np.zeros(cols, dtype=np.uint8)
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            if reduced[r, f]:
-                vec[c] = 1
-        basis.append(vec)
-    return np.array(basis, dtype=np.uint8) if basis else np.zeros((0, cols), np.uint8)
+    cols = m.shape[1] if m.ndim == 2 else 0
+    return _array(nullspace_rows(pack_rows(m), cols), cols)
 
 
 def gf2_solve(a, b):
     """x with a @ x = b over GF(2), or None."""
     m = gf2(a)
-    rhs = gf2(b).reshape(-1, 1)
-    aug = np.concatenate([m, rhs], axis=1)
-    reduced, pivots = gf2_row_reduce(aug)
-    if m.shape[1] in pivots:
-        return None
-    x = np.zeros(m.shape[1], dtype=np.uint8)
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r, -1]
-    return x
+    x = solve_rows(pack_rows(m), pack_rows([b])[0], m.shape[1])
+    return None if x is None else _array([x], m.shape[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +520,14 @@ class H1Basis:
         kernel = [[v1[i][j] for j in kernel_cols] for i in range(n_edges)]
         self._kernel = kernel
         self._k = len(kernel_cols)
-        self._kernel_snf = smith_normal_form(kernel)
+        self._kernel_factors = _factor(kernel)
         self._generators = None
 
-        x = _back_substitute(self._kernel_snf, d2)
+        x = _back_substitute(self._kernel_factors, d2)
         if x is None:
             raise ValueError("image of d2 does not lie in the kernel of d1")
         ux, dx, vx = smith_normal_form(x)
-        self._ux = ux
+        self._ux = _sparse(ux)
         # new kernel basis K' = K * ux^{-1}; coordinates of z: ux * solve(K, z)
         diag = [dx[i][i] if i < min(len(dx), len(dx[0]) if dx else 0) else 0
                 for i in range(self._k)]
@@ -507,10 +541,10 @@ class H1Basis:
         self.rank_d2 = sum(1 for o in self.orders if o)
 
     def coordinates(self, chain: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        y = _back_substitute(self._kernel_snf, [[c] for c in chain])
+        y = _back_substitute(self._kernel_factors, [[c] for c in chain])
         if y is None:
             raise ValueError("chain is not a 1-cycle")
-        c = mat_mul(self._ux, y)
+        c = _sparse_mul(self._ux, y)
         free = tuple(c[i][0] for i in self.free_indices)
         tors = tuple(c[i][0] % self.orders[i] for i in self.torsion_indices)
         return free, tors
@@ -518,7 +552,11 @@ class H1Basis:
     def representative(self, index: int) -> list[int]:
         """1-chain representing the index-th generator (free first, then torsion)."""
         if self._generators is None:
-            inv = solve_integer(self._ux, identity(self._k))
+            ux = zeros(self._k, self._k)
+            for row, dense in zip(self._ux, ux):
+                for j, e in row:
+                    dense[j] = e
+            inv = solve_integer(ux, identity(self._k))
             self._generators = mat_mul(self._kernel, inv)  # columns: K * ux^{-1}
         i = (self.free_indices + self.torsion_indices)[index]
         return [row[i] for row in self._generators]
@@ -532,10 +570,8 @@ def homology_groups(cx: PolygonComplex) -> GradedGroups:
 
 
 def z2_betti(cx: PolygonComplex) -> tuple[int, int, int]:
-    d1 = gf2(cx.d1()) if cx.edges else np.zeros((cx.vertex_count, 0), np.uint8)
-    d2 = gf2(cx.d2()) if cx.faces and cx.edges else np.zeros((len(cx.edges), len(cx.faces)), np.uint8)
-    r1 = gf2_rank(d1)
-    r2 = gf2_rank(d2)
+    r1 = gf2_rank(cx.d1())
+    r2 = gf2_rank(cx.d2())
     n0, n1, n2 = cx.vertex_count, len(cx.edges), len(cx.faces)
     return n0 - r1, n1 - r1 - r2, n2 - r2
 
@@ -606,48 +642,38 @@ class InducedMaps:
 def h1_z2_basis(cx: PolygonComplex):
     """Projection of edge space onto an H1(.,Z2) coordinate system.
 
-    Returns (cycle_space basis rows, project) where project maps a cycle
-    vector to coordinates in a fixed basis of H1.
+    Returns (basis rows, project).  The basis rows are the cycles, in
+    nullspace order, that the boundaries and the earlier cycles do not span;
+    project maps a cycle vector to its coordinates in that basis.
     """
-    cycles = gf2_nullspace(gf2(cx.d1()))  # rows
-    image = gf2(cx.d2()).T
-    # One echelon of [image; basis] rows as bit-packed ints, each stored under
-    # its lowest set bit (its pivot).  A row's tag has bit i set when basis
-    # row i is in the sum that made it; image rows carry tag 0.
-    echelon: dict[int, tuple[int, int]] = {}
+    n = len(cx.edges)
+    cycles = nullspace_rows(pack_rows(cx.d1()), n)
+    top = n + len(cycles) - 1
+    # One echelon of [boundaries; cycles], cycle i tagged with bit top - i above
+    # the edge columns.  Rows pivoting on a tag are the relations among the
+    # cycles modulo the boundaries, and the pivot of each is its latest cycle:
+    # exactly the cycles that the boundaries and the earlier cycles span.
+    reduced, pivots = gf2_row_reduce(pack_rows(zip(*cx.d2()))
+                                     + [c | 1 << top - i for i, c in enumerate(cycles)])
+    spanned = {top - p for p in pivots if p >= n}
+    kept = [i for i in range(len(cycles)) if i not in spanned]
 
-    def reduce(vec: int, tag: int) -> tuple[int, int]:
-        while vec:
-            row = echelon.get(vec & -vec)
-            if row is None:
-                break
-            vec ^= row[0]
-            tag ^= row[1]
-        return vec, tag
-
-    for row in image:
-        vec, _ = reduce(_bits(row), 0)
-        if vec:
-            echelon[vec & -vec] = (vec, 0)
-    kept = []  # cycle rows independent of the image and of the earlier kept rows
-    for i, row in enumerate(cycles):
-        vec, tag = reduce(_bits(row), 1 << len(kept))
-        if vec:
-            echelon[vec & -vec] = (vec, tag)
-            kept.append(i)
-    basis = cycles[kept]
-
-    def project(cycle_vec: np.ndarray) -> np.ndarray:
+    def project(cycle_vec) -> np.ndarray:
         """Coordinates of [cycle] in the chosen basis."""
-        vec, tag = reduce(_bits(cycle_vec), 0)
-        if vec:
+        vec = pack_rows([cycle_vec])[0]
+        for row, p in zip(reduced, pivots):
+            if vec >> p & 1:
+                vec ^= row
+        if vec & ((1 << n) - 1):
             raise ValueError("vector is not a cycle")
-        return np.array([(tag >> i) & 1 for i in range(len(kept))], np.uint8)
+        return gf2([vec >> top - i & 1 for i in kept])
 
-    return basis, project
+    return _array([cycles[i] for i in kept], n), project
 
 
 def induced_maps(cover: CoverData) -> InducedMaps:
+    import numpy as np
+
     base, total = cover.base, cover.total
 
     # --- integral push-forward in canonical H1 bases

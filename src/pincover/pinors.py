@@ -9,18 +9,27 @@ lifts swap the chiral halves - the content of the invariant-couple calculus.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .pin2 import EVEN, PIN_MINUS, PIN_PLUS, Pin2Element
 from .structures import PinStructureDescriptor, lift_involution, tau_coordinate_forms
 from .surface import Involution
 
+if TYPE_CHECKING:
+    import numpy as np
+
 TOL = 1e-9
 
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+@functools.cache
+def _pauli():
+    """sigma_x and sigma_y, built on first use."""
+    import numpy as np
+
+    return (np.array([[0, 1], [1, 0]], dtype=complex),
+            np.array([[0, -1j], [1j, 0]], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -34,10 +43,13 @@ class GammaRep:
 
     @classmethod
     def standard(cls, kind: str) -> "GammaRep":
+        import numpy as np
+
+        sigma_x, sigma_y = _pauli()
         if kind == PIN_MINUS:
-            g1, g2 = 1j * _SIGMA_X, 1j * _SIGMA_Y
+            g1, g2 = 1j * sigma_x, 1j * sigma_y
         elif kind == PIN_PLUS:
-            g1, g2 = _SIGMA_X, _SIGMA_Y
+            g1, g2 = sigma_x, sigma_y
         else:
             raise ValueError(f"unknown kind {kind!r}")
         omega = -1j * (g1 @ g2)
@@ -52,6 +64,8 @@ class GammaRep:
 
 def rep(x: Pin2Element, r: GammaRep) -> np.ndarray:
     """Matrix of a canonical-form element: cos t + sin t g1 g2 or cos t g1 + sin t g2."""
+    import numpy as np
+
     if x.kind != r.kind:
         raise ValueError("kind mismatch")
     t = x.angle.evaluate()
@@ -60,6 +74,8 @@ def rep(x: Pin2Element, r: GammaRep) -> np.ndarray:
 
 def _rep_at(x: Pin2Element, r: GammaRep, t: np.ndarray) -> np.ndarray:
     """Representation with the angle evaluated to t (array-valued allowed)."""
+    import numpy as np
+
     c, s = np.cos(t), np.sin(t)
     if x.parity == EVEN:
         a, b = np.eye(2, dtype=complex), r.bivector
@@ -75,6 +91,8 @@ class PinorField:
     values: np.ndarray  # shape (N, N, 2)
 
     def __post_init__(self):
+        import numpy as np
+
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 3 or v.shape[0] != v.shape[1] or v.shape[2] != 2:
             raise ValueError("field values must have shape (N, N, 2)")
@@ -86,6 +104,8 @@ class PinorField:
 
     @classmethod
     def constant(cls, n: int, v) -> "PinorField":
+        import numpy as np
+
         out = np.zeros((n, n, 2), dtype=complex)
         out[:, :] = np.asarray(v, dtype=complex)
         return cls(out)
@@ -104,18 +124,24 @@ class PinorField:
         return PinorField(c * self.values)
 
     def max_norm(self) -> float:
+        import numpy as np
+
         return float(np.max(np.linalg.norm(self.values, axis=-1))) if self.values.size else 0.0
 
     def inner(self, other: "PinorField") -> complex:
-        return complex(np.sum(np.conj(self.values) * other.values))
+        return complex((self.values.conj() * other.values).sum())
 
 
 def _grid_angles(n: int) -> np.ndarray:
+    import numpy as np
+
     return 2.0 * np.pi * np.arange(n) / n
 
 
 def _involution_node_map(tau: Involution, n: int):
     """Node permutation (arrays of indices) realizing tau on the grid."""
+    import numpy as np
+
     if tau.is_equatorial:
         raise ValueError("pinor grids need a flat involution")
     m, c = tau.matrix, tau.shift
@@ -133,6 +159,8 @@ def _involution_node_map(tau: Involution, n: int):
 
 def _lift_matrices(xi: PinStructureDescriptor, tau: Involution, r: GammaRep, n: int):
     """rep(L(tau x)) at every grid node, where L is the involution lift."""
+    import numpy as np
+
     res = lift_involution(xi, tau)
     if not res.exists:
         raise ValueError(f"no lift of {tau.name} for {xi.label} ({xi.kind})")
@@ -149,6 +177,8 @@ def _lift_matrices(xi: PinStructureDescriptor, tau: Involution, r: GammaRep, n: 
 def _deck_action(s: PinorField, xi: PinStructureDescriptor, tau: Involution,
                  r: GammaRep):
     """(d-tilde-tau action on sections)(x) = rep(L(tau x)) s(tau x)."""
+    import numpy as np
+
     n = s.size
     mats, res = _lift_matrices(xi, tau, r, n)
     ti, tj = _involution_node_map(tau, n)
@@ -197,6 +227,8 @@ def couple_split(s: PinorField, xi: PinStructureDescriptor, tau: Involution,
                  sign: int = 1, r: GammaRep | None = None) -> SpinorCouple:
     """Split an invariant pinor into the chirality couple and certify the relation
     s-(x) = sign * rep(L(tau x)) s+(tau x)."""
+    import numpy as np
+
     r = r or GammaRep.standard(xi.kind)
     n = s.size
     plus = PinorField(np.einsum("ab,ijb->ija", (np.eye(2) + r.omega) / 2, s.values))

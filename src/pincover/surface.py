@@ -17,13 +17,14 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import pin2
 from .homology import GluingWord, PolygonComplex
 from .pin2 import O2PathElement, angle, reflection
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Point = tuple[Fraction, Fraction]  # units of pi
 
@@ -76,6 +77,8 @@ def _exact(kernel):
     def on_point(self, p):
         if isinstance(p, Lattice):
             return kernel(self, p)
+        import numpy as np
+
         x, y = frac(p[0]), frac(p[1])
         half = 2 * math.lcm(x.denominator, y.denominator, getattr(self, "denominator", 1))
         if max(abs(x), abs(y), 1) * half > _LIFT_LIMIT:
@@ -116,6 +119,8 @@ class SurfaceModel:
     @_exact
     def reduce(self, p: Lattice) -> Lattice:
         """Canonical representatives of points modulo the identifications."""
+        import numpy as np
+
         if self.model_kind != FLAT_SQUARE:
             raise ValueError(f"{self.name} has no square coordinates")
         x, y, period = p
@@ -414,6 +419,8 @@ class CoverDiagram:
     @_exact
     def pi3(self, p: Lattice) -> Lattice:
         """T^2 -> Cyl (fold x into [0, pi]); cylinder coords (u, v) = (y, 2x)."""
+        import numpy as np
+
         x, y, period = self.master.reduce(p)
         x = np.where(x > period // 2, period - x, x)
         return self.tilde.reduce(Lattice(y, 2 * x, period))
@@ -421,6 +428,8 @@ class CoverDiagram:
     @_exact
     def pi1(self, p: Lattice) -> Lattice:
         """Cyl -> M^2, the quotient by tau1(u, v) = (u + pi, 2pi - v)."""
+        import numpy as np
+
         u, v, period = self.tilde.reduce(p)
         first = u < period // 2
         return self.base.reduce(Lattice(np.where(first, 2 * u, 2 * u - period),
@@ -429,6 +438,8 @@ class CoverDiagram:
     @_exact
     def pi4(self, p: Lattice) -> Lattice:
         """T^2 -> K^2, the quotient by tau4; chart (x, y) -> (x + y, 2y) on y in [0, pi)."""
+        import numpy as np
+
         q = self.master.reduce(p)
         r = self.master.reduce(self.tau4.apply_raw(q))
         upper = q.y >= q.period // 2
@@ -487,6 +498,8 @@ class CoverDiagram:
         Each relation maps to None when it holds at every grid point, and
         otherwise to its first counterexample in (i, j) order, in units of pi.
         """
+        import numpy as np
+
         if n < 1:
             raise ValueError(f"the grid needs n >= 1, got {n}")
         # units of pi/(2n): the grid step 2pi/n is 4 units, so halvings stay exact

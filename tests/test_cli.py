@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pincover
 from pincover.cli import main
 
 
@@ -118,3 +122,29 @@ def test_csv_and_table_formats(capsys):
     assert code == 0 and out.startswith("key,value")
     code, out, _ = run(capsys, "homology", "k2", "--format", "table")
     assert code == 0 and "h1.free" in out
+
+
+EXACT_COMMANDS = [["surfaces"], ["homology", "n(4,2)"], ["obstructions", "k2"],
+                  ["structures", "rp2", "--kind", "pin-"],
+                  ["descend", "n(2,2)", "--kind", "pin+"], ["moebius"]]
+
+HYGIENE_SCRIPT = """
+import contextlib, io, json, sys
+import pincover, pincover.cli
+layers = {"surface", "homology", "characteristic", "pin2", "structures", "clifford",
+          "pinors", "reporting"}
+assert all("pincover." + m in sys.modules for m in layers), "a layer module is not loaded"
+assert "numpy" not in sys.modules, "import"
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert pincover.cli.main(argv + ["--format", "json"]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+"""
+
+
+def test_exact_subcommands_run_without_numpy():
+    """Only covermaps, pinors and verify need arrays; the rest start without numpy."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pincover.__file__)))
+    proc = subprocess.run([sys.executable, "-c", HYGIENE_SCRIPT, json.dumps(EXACT_COMMANDS)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

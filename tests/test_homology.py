@@ -9,6 +9,10 @@ from pincover.homology import (
     H1Basis,
     PolygonComplex,
     gf2,
+    gf2_nullspace,
+    gf2_rank,
+    gf2_row_reduce,
+    gf2_solve,
     h1_z2_basis,
     homology_groups,
     identity,
@@ -16,6 +20,7 @@ from pincover.homology import (
     mat_det,
     mat_mul,
     orientation_double_cover_complex,
+    pack_rows,
     smith_normal_form,
     solve_integer,
     z2_betti,
@@ -120,6 +125,91 @@ def test_solve_integer_round_trip(a, data):
     solution = solve_integer(a, b)
     assert solution is not None
     assert mat_mul(a, solution) == b
+
+
+# ---------------------------------------------------------------------------
+# GF(2) elimination on bit-packed rows
+
+
+def reference_row_reduce(a):
+    """Gauss-Jordan on a dense uint8 array, one column at a time."""
+    m = gf2(a).copy()
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        hits = np.nonzero(m[r:, c])[0]
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        m[[r, p]] = m[[p, r]]
+        for i in np.nonzero(m[:, c])[0]:
+            if i != r:
+                m[i, :] ^= m[r, :]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def bit_matrices(max_rows=9, max_cols=9):
+    """0/1 matrices with 0..max_rows rows and 0..max_cols columns, as arrays."""
+    return st.integers(0, max_rows).flatmap(lambda rows: st.integers(0, max_cols).flatmap(
+        lambda cols: st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows).map(
+            lambda a: np.array(a, np.uint8).reshape(rows, cols))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices())
+def test_gf2_row_reduce_matches_dense_reference(a):
+    reduced, pivots = gf2_row_reduce(a)
+    expected, expected_pivots = reference_row_reduce(a)
+    assert reduced.dtype == np.uint8 and reduced.shape == a.shape
+    assert pivots == expected_pivots
+    assert reduced.tolist() == expected.tolist()
+    rows, packed_pivots = gf2_row_reduce(pack_rows(a))
+    assert packed_pivots == pivots
+    assert rows == pack_rows(expected[:len(pivots)])
+    assert gf2_rank(a) == gf2_rank(a.tolist()) == len(pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices())
+def test_gf2_nullspace_is_a_basis_of_the_kernel(a):
+    basis = gf2_nullspace(a)
+    assert basis.dtype == np.uint8 and basis.shape == (a.shape[1] - gf2_rank(a), a.shape[1])
+    assert not (a.astype(int) @ basis.T.astype(int) % 2).any()
+    assert gf2_rank(basis) == basis.shape[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices(), st.data())
+def test_gf2_solve_round_trip(a, data):
+    x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=a.shape[1],
+                                    max_size=a.shape[1])), np.uint8)
+    b = a.astype(int) @ x.astype(int) % 2
+    solution = gf2_solve(a, b)
+    assert solution is not None and solution.shape == (a.shape[1],)
+    assert (a.astype(int) @ solution.astype(int) % 2).tolist() == b.tolist()
+    # a right-hand side outside the column space has no solution
+    rhs = data.draw(st.lists(st.integers(0, 1), min_size=a.shape[0], max_size=a.shape[0]))
+    solvable = gf2_rank(np.column_stack([a, np.array(rhs, np.uint8)])) == gf2_rank(a)
+    assert (gf2_solve(a, rhs) is not None) == solvable
+
+
+def test_gf2_empty_and_zero_column_inputs():
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        a = np.zeros(shape, np.uint8)
+        reduced, pivots = gf2_row_reduce(a)
+        assert reduced.shape == shape and pivots == []
+        assert gf2_rank(a) == 0
+        assert gf2_nullspace(a).tolist() == np.eye(shape[1], dtype=np.uint8).tolist()
+        assert gf2_nullspace(a).shape == (shape[1], shape[1])
+        assert gf2_solve(a, [0] * shape[0]).tolist() == [0] * shape[1]
+    assert gf2_row_reduce([]) == ([], [])
+    assert gf2_solve(np.zeros((2, 0), np.uint8), [0, 1]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +392,27 @@ def test_coordinates_of_representatives_are_unit_vectors(word):
         assert list(free + tors) == [int(j == i) for j in range(n)]
 
 
+def greedy_z2_basis(cx):
+    """The nullspace cycles, in order, that the boundaries and earlier cycles do not span."""
+    n = len(cx.edges)
+
+    def rank(rows):
+        return len(reference_row_reduce(np.array(rows, np.uint8).reshape(len(rows), n))[1])
+
+    span = list(gf2(cx.d2()).T.tolist()) if cx.faces else []
+    kept = []
+    for row in gf2_nullspace(gf2(cx.d1())).tolist():
+        if rank(span + [row]) > rank(span):
+            span.append(row)
+            kept.append(row)
+    return kept
+
+
 @pytest.mark.parametrize("word", [K2, RP2, T2, n_g2_word(2)], ids=["k2", "rp2", "t2", "n22"])
 def test_z2_projection_of_cycles_and_boundaries(word):
     for cx in (PolygonComplex.from_word(word), orientation_double_cover_complex(word).total):
         basis, project = h1_z2_basis(cx)
+        assert basis.tolist() == greedy_z2_basis(cx)
         boundaries = gf2(cx.d2()).T
         for i, row in enumerate(basis):
             unit = [int(j == i) for j in range(len(basis))]
