@@ -17,7 +17,7 @@ from .homology import PolygonComplex, b1_mod2, homology_groups, induced_maps, \
 from .pinors import PinorField, couple_split, invariance_residual, project_invariant
 from .reporting import Report
 from .structures import descend, enumerate_structures, lift_involution, moebius_descent
-from .surface import SURFACE_NAMES, build, orientation_double_cover
+from .surface import MODELS, SURFACE_NAMES, build, orientation_double_cover
 
 KIND_FLAGS = {"pin+": pin2.PIN_PLUS, "pin-": pin2.PIN_MINUS}
 
@@ -34,10 +34,9 @@ def _kind(value: str) -> str:
 
 def cmd_surfaces(args) -> Report:
     rows = []
-    for name in ("s2", "rp2", "t2", "k2", "cyl", "moebius"):
-        model = build(name)
+    for model in MODELS.values():
         rows.append({
-            "name": name,
+            "name": model.name,
             "orientable": model.orientable,
             "boundary_components": model.boundary_components,
             "euler_characteristic": model.euler_characteristic(),
@@ -88,12 +87,13 @@ def cmd_structures(args) -> Report:
     kind = _kind(args.kind)
     model = build(args.surface)
     inputs = {"surface": args.surface, "kind": args.kind}
-    if model.name in ("t2", "cyl", "s2"):
+    if model.twists:
         items = [{"label": xi.label, "twist": str(xi.twist)}
                  for xi in enumerate_structures(model, kind)]
         return Report("structures", inputs, {"mode": "explicit", "structures": items},
                       anchor="tables/structure-descriptors")
-    if model.name == "moebius":
+    if not model.orientable and model.boundary_components:
+        # descent needs a closed base; the moebius strip's structures come from its cover diagram
         rep = moebius_descent()
         return Report("structures", inputs,
                       {"mode": "diagram", "descending": list(rep.descending[kind])},

@@ -14,6 +14,7 @@ orientation in the two signatures).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -251,6 +252,11 @@ def o2_inverse(g: O2PathElement) -> O2PathElement:
     if g.parity == ROTATION:
         return rotation(-g.angle)
     return g  # reflections are involutions
+
+
+def at(x: Pin2Element | O2PathElement, theta: AngleForm, phi: AngleForm):
+    """The path x with its coordinates replaced by affine forms, e.g. x(tau(theta, phi))."""
+    return dataclasses.replace(x, angle=x.angle.substitute(theta, phi))
 
 
 def o2_matrix(g: O2PathElement, theta0: float = 0.0, phi0: float = 0.0):

@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .pin2 import EVEN, PIN_MINUS, PIN_PLUS, Pin2Element
+from .pin2 import EVEN, PIN_MINUS, PIN_PLUS, Pin2Element, at
 from .structures import PinStructureDescriptor, lift_involution, tau_coordinate_forms
 from .surface import Involution
 
@@ -164,9 +164,7 @@ def _lift_matrices(xi: PinStructureDescriptor, tau: Involution, r: GammaRep, n: 
     res = lift_involution(xi, tau)
     if not res.exists:
         raise ValueError(f"no lift of {tau.name} for {xi.label} ({xi.kind})")
-    th, ph = tau_coordinate_forms(tau)
-    lift_at_tau = Pin2Element(res.lift.kind, res.lift.parity,
-                              res.lift.angle.substitute(th, ph))
+    lift_at_tau = at(res.lift, *tau_coordinate_forms(tau))
     angles = _grid_angles(n)
     tt, pp = np.meshgrid(angles, angles, indexing="ij")
     a = lift_at_tau.angle

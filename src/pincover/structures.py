@@ -23,6 +23,7 @@ from .pin2 import (
     Pin2Element,
     ROTATION,
     angle,
+    at,
     canonical_sign,
     compose,
     is_periodic,
@@ -33,12 +34,18 @@ from .pin2 import (
     rotation_lift,
     scalar_value,
 )
-from .surface import Involution, SurfaceModel, build, double, jacobian, orientation_double_cover
+from .surface import (
+    TWO_DISC,
+    Involution,
+    SurfaceModel,
+    build,
+    double,
+    jacobian,
+    orientation_double_cover,
+)
 
 IDENTITY = "identity"
 GAMMA = "gamma"
-
-_XI_LABELS = {(0, 0): "xi0", (1, 0): "xi1", (0, 1): "xi2", (1, 1): "xi3"}
 
 
 @dataclass(frozen=True)
@@ -71,46 +78,32 @@ class PinStructureDescriptor:
 
 def periodic_vars(model: SurfaceModel) -> tuple[str, ...]:
     """Deck-shift coordinates (shift 2 pi) for lift well-definedness checks."""
-    if model.name in ("t2", "k2"):
-        return ("theta", "phi")
-    if model.name == "cyl":
-        return ("phi",)   # theta runs over [0, pi] only
-    if model.name in ("s2", "rp2"):
-        return ("theta",)  # the equator coordinate
-    if model.name == "moebius":
-        return ()
-    raise ValueError(f"no lift domain for {model.name}")
+    if model.periodic_vars is None:
+        raise ValueError(f"no lift domain for {model.name}")
+    return model.periodic_vars
 
 
 def enumerate_structures(model: SurfaceModel, kind: str) -> list[PinStructureDescriptor]:
-    """All pin structures of the given kind on a geometric model.
+    """All pin structures of the given kind on a geometric model: the twists
+    R_{a theta + b phi} its record lists.
 
-    Torus: the four twists R_{a theta + b phi}, a, b in {0, 1}.  Cylinder: the
-    theta-only twists restricted to theta in [0, pi].  Sphere: the unique
-    structure (trivial halves glued along a lift of the equatorial clutching).
+    Torus: a, b in {0, 1}.  Cylinder: the theta-only twists restricted to
+    theta in [0, pi].  Sphere: the unique structure (trivial halves glued
+    along a lift of the equatorial clutching).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    if model.name == "t2":
-        return [
-            PinStructureDescriptor(model, kind, rotation(angle(theta=a, phi=b)),
-                                   _XI_LABELS[(a, b)])
-            for (a, b) in ((0, 0), (1, 0), (0, 1), (1, 1))
-        ]
-    if model.name == "cyl":
-        return [
-            PinStructureDescriptor(model, kind, rotation(angle(theta=a)),
-                                   _XI_LABELS[(a, 0)], (IDENTITY, IDENTITY))
-            for a in (0, 1)
-        ]
-    if model.name == "s2":
+    if not model.twists:
+        raise ValueError(f"no explicit structures on {model.name}; use descend or obstructions")
+    if model.model_kind == TWO_DISC:
         # the clutching R_{-2 theta} lifts to a single-valued loop, so the two
         # trivial halves glue; H^1(S^2, Z2) = 0 leaves nothing else
         clutch = rotation_lift(kind, angle(theta=-2))
         if not is_periodic(clutch, 2):
             raise AssertionError("sphere clutching lift must be single-valued")
-        return [PinStructureDescriptor(model, kind, rotation(angle()), "xi_s2")]
-    raise ValueError(f"no explicit structures on {model.name}; use descend or obstructions")
+    tags = (IDENTITY,) * model.boundary_components
+    return [PinStructureDescriptor(model, kind, rotation(angle(theta=a, phi=b)), label, tags)
+            for label, (a, b) in model.twists]
 
 
 def tau_coordinate_forms(tau: Involution):
@@ -124,17 +117,9 @@ def tau_coordinate_forms(tau: Involution):
     )
 
 
-def _substitute(element, theta_form, phi_form):
-    new_angle = element.angle.substitute(theta_form, phi_form)
-    if isinstance(element, Pin2Element):
-        return Pin2Element(element.kind, element.parity, new_angle)
-    return O2PathElement(element.parity, new_angle)
-
-
 def pullback(xi: PinStructureDescriptor, tau: Involution) -> PinStructureDescriptor:
     """tau^* xi: same total space, twist J^{-1} . twist(tau x)."""
-    th, ph = tau_coordinate_forms(tau)
-    moved = _substitute(xi.twist, th, ph)
+    moved = at(xi.twist, *tau_coordinate_forms(tau))
     new_twist = compose(o2_inverse(jacobian(tau)), moved)
     return PinStructureDescriptor(xi.surface, xi.kind, new_twist,
                                   f"{tau.name}*{xi.label}", xi.boundary_tags)
@@ -161,7 +146,6 @@ class LiftResult:
     exists: bool
     lift: Pin2Element | None
     square: int | None                      # +1 | -1 when exists
-    both_lifts_related_by_gamma: bool
     detail: str = ""
 
     def as_dict(self):
@@ -176,20 +160,16 @@ class LiftResult:
 def lift_involution(xi: PinStructureDescriptor, tau: Involution) -> LiftResult:
     """Solve the lifting diagram for d-tilde-tau and compute its exact square."""
     th, ph = tau_coordinate_forms(tau)
-    twist_at_tau = _substitute(xi.twist, th, ph)
-    rhs = compose(o2_inverse(twist_at_tau), compose(jacobian(tau), xi.twist))
+    rhs = compose(o2_inverse(at(xi.twist, th, ph)), compose(jacobian(tau), xi.twist))
     lift = canonical_sign(lift_o2(rhs, xi.kind)[0])
-    domain_vars = periodic_vars(xi.surface)
-    if not all(is_periodic(lift, 2, var) for var in domain_vars):
-        return LiftResult(False, None, None, True,
+    if not all(is_periodic(lift, 2, var) for var in periodic_vars(xi.surface)):
+        return LiftResult(False, None, None,
                           "no single-valued lift: the candidate changes sign under a deck shift")
-    lift_at_tau = _substitute(lift, th, ph)
-    square = scalar_value(mul(lift_at_tau, lift))
+    square = scalar_value(mul(at(lift, th, ph), lift))
     other = -lift
-    other_square = scalar_value(mul(_substitute(other, th, ph), other))
-    if other_square != square:
+    if scalar_value(mul(at(other, th, ph), other)) != square:
         raise AssertionError("the two lifts must square identically")
-    return LiftResult(True, lift, square, True)
+    return LiftResult(True, lift, square)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +253,13 @@ def descend(base: SurfaceModel, kind: str) -> DescentReport:
 
 
 def _torus_descriptor(a: int, b: int, kind: str) -> PinStructureDescriptor:
-    return PinStructureDescriptor(build("t2"), kind, rotation(angle(theta=a, phi=b)),
-                                  _XI_LABELS[(a, b)])
+    twist = rotation(angle(theta=a, phi=b))
+    return next(xi for xi in enumerate_structures(build("t2"), kind) if xi.twist == twist)
+
+
+def _at_theta(x, theta_const):
+    """x on the circle theta = theta_const * pi."""
+    return at(x, angle(const=theta_const), angle(phi=1))
 
 
 def embedded_boundary_frame(at_pi: bool) -> O2PathElement:
@@ -284,11 +269,7 @@ def embedded_boundary_frame(at_pi: bool) -> O2PathElement:
 
 def boundary_fiber(xi: PinStructureDescriptor, at_pi: bool) -> tuple[Pin2Element, Pin2Element]:
     """The two points of the pin fiber over the embedded boundary frame."""
-    theta_c = angle(const=1 if at_pi else 0)
-    twist_at = O2PathElement(
-        xi.twist.parity,
-        xi.twist.angle.substitute(theta_c, angle(phi=1)),
-    )
+    twist_at = _at_theta(xi.twist, 1 if at_pi else 0)
     target = compose(o2_inverse(twist_at), embedded_boundary_frame(at_pi))
     first = canonical_sign(lift_o2(target, xi.kind)[0])
     return first, -first
@@ -300,8 +281,19 @@ class BoundaryLiftTable:
     rows: dict[str, tuple[tuple[Pin2Element, Pin2Element], tuple[Pin2Element, Pin2Element]]]
     rho: Pin2Element
     tau3_rho: Pin2Element
-    agree_at_zero: bool
-    negate_at_pi: bool
+
+    def relative_sign(self, theta_const) -> int | None:
+        """+1 or -1 when tau3_rho = +-rho on the circle theta = theta_const * pi, else None."""
+        rho, tau3_rho = _at_theta(self.rho, theta_const), _at_theta(self.tau3_rho, theta_const)
+        return 1 if rho == tau3_rho else -1 if rho == -tau3_rho else None
+
+    @property
+    def agree_at_zero(self) -> bool:
+        return self.relative_sign(0) == 1
+
+    @property
+    def negate_at_pi(self) -> bool:
+        return self.relative_sign(1) == -1
 
     def as_dict(self):
         def fmt(pair):
@@ -339,14 +331,7 @@ def boundary_lift_table(kind: str) -> BoundaryLiftTable:
     rho = canonical_sign(lift_o2(compose(o2_inverse(xi1.twist), xi0.twist), kind)[0])
     tau3_rho = canonical_sign(
         lift_o2(compose(o2_inverse(star1.twist), star0.twist), kind)[0])
-
-    def value_at(x: Pin2Element, theta_const) -> Pin2Element:
-        return Pin2Element(x.kind, x.parity,
-                           x.angle.substitute(angle(const=theta_const), angle(phi=1)))
-
-    agree = value_at(rho, 0) == value_at(tau3_rho, 0)
-    negate = value_at(rho, 1) == -value_at(tau3_rho, 1)
-    return BoundaryLiftTable(kind, rows, rho, tau3_rho, agree, negate)
+    return BoundaryLiftTable(kind, rows, rho, tau3_rho)
 
 
 def _deck_glued_holonomy(a: int, kind: str) -> int:
@@ -363,30 +348,22 @@ def _deck_glued_holonomy(a: int, kind: str) -> int:
     if not res.exists:
         raise AssertionError("tau3 lift must exist for theta twists")
     seam = res.lift  # constant odd element
-
-    def seam_value(theta_const) -> Pin2Element:
-        return Pin2Element(seam.kind, seam.parity,
-                           seam.angle.substitute(angle(const=theta_const), angle(phi=1)))
-
     # copy 1: z1(theta) = lift of R_{-a theta}, continuous from 1
     z1 = rotation_lift(kind, angle(theta=-a))
-    z1_at_pi = Pin2Element(kind, z1.parity, z1.angle.substitute(angle(const=1), angle(phi=1)))
-    z2_at_pi = mul(seam_value(1), z1_at_pi)
+    z2_at_pi = mul(_at_theta(seam, 1), _at_theta(z1, 1))
     # copy 2 family: lift of R_{-a theta'} j1, canonical branch
     family = canonical_sign(
         lift_o2(compose(rotation(angle(theta=-a)), pin2.J1), kind)[0])
-    fam_at_pi = Pin2Element(kind, family.parity,
-                            family.angle.substitute(angle(const=1), angle(phi=1)))
+    fam_at_pi = _at_theta(family, 1)
     if z2_at_pi == fam_at_pi:
         eps = 1
     elif z2_at_pi == -fam_at_pi:
         eps = -1
     else:
         raise AssertionError("seam landed outside the expected fiber")
-    fam_at_zero = Pin2Element(kind, family.parity,
-                              family.angle.substitute(angle(const=0), angle(phi=1)))
+    fam_at_zero = _at_theta(family, 0)
     z2_at_zero = fam_at_zero if eps == 1 else -fam_at_zero
-    end = mul(pin2.inverse(seam_value(0)), z2_at_zero)
+    end = mul(pin2.inverse(_at_theta(seam, 0)), z2_at_zero)
     return scalar_value(end)
 
 
@@ -418,23 +395,26 @@ def double_structure(xi: PinStructureDescriptor,
     of the shared total space; an overall flip of both is an equivalence, so
     only the product matters.
     """
-    if xi.surface.name != "cyl":
+    if xi.surface.double is None or not xi.surface.orientable:
         raise ValueError("double_structure expects a cylinder structure")
     tags = tags or xi.boundary_tags or (IDENTITY, IDENTITY)
     if len(tags) != 2 or any(t not in (IDENTITY, GAMMA) for t in tags):
         raise ValueError("tags must be two of identity|gamma")
     a, _ = xi.twist_coefficients
     hol = _deck_glued_holonomy(a, xi.kind)
+    # the identity gluing differs from the canonical one by a sign at the seam
+    # theta = pi exactly when tau3 rho and rho differ there; at theta = 0 they agree
     witness = boundary_lift_table(xi.kind)
-    if not (witness.agree_at_zero and witness.negate_at_pi):
-        raise AssertionError("noncommutation witness failed")
+    signs = (witness.relative_sign(0), witness.relative_sign(1))
+    if signs not in ((1, 1), (1, -1)):
+        raise AssertionError(f"noncommutation witness failed: relative signs {signs}")
+    flip = 1 if signs[1] == -1 else 0
     base_class = 0 if hol == 1 else 1     # class of the canonical-glued double
-    flip = 1                              # identity gluing differs by one seam sign
     tag_flip = 1 if tags.count(GAMMA) % 2 else 0
     result_index = (base_class + flip + tag_flip) % 2
     induced = _torus_descriptor(result_index, 0, xi.kind)
     return DoubleStructureResult(xi.label, xi.kind, tuple(tags), induced,
-                                 hol, True)
+                                 hol, flip == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from .homology import GluingWord, PolygonComplex
 from .pin2 import O2PathElement, angle, reflection
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import numpy as np
 
 Point = tuple[Fraction, Fraction]  # units of pi
@@ -99,6 +101,9 @@ WRAP_FLIP_OTHER = "flip"    # (u, v) ~ (f(u), v + 2) with the other coordinate n
 
 @dataclass(frozen=True)
 class SurfaceModel:
+    """A surface's gluing word and coordinates; a geometric model's record also
+    holds its deck involution, double, lift domain and structure twists."""
+
     name: str
     model_kind: str
     word: GluingWord
@@ -108,6 +113,11 @@ class SurfaceModel:
     y_wrap: str = WRAP_STRAIGHT
     genus: int = 0
     cross_caps: int = 0
+    # the geometry of a named model; family-only models have none
+    deck: Involution | None = None    # on the orientation double cover
+    double: Double | None = None      # the closed double of a model with boundary
+    periodic_vars: tuple[str, ...] | None = None  # lift-domain coordinates of period 2pi
+    twists: tuple[tuple[str, tuple[int, int]], ...] = ()  # label -> (a, b) of R_{a theta + b phi}
 
     @property
     def complex(self) -> PolygonComplex:
@@ -155,22 +165,20 @@ class Involution:
     shift: tuple[Fraction, Fraction] | None                 # units of pi
     domain: SurfaceModel
     fixed_point_free: bool
-    orientation_reversing: bool
 
     @classmethod
-    def affine(cls, name, matrix, shift, domain, fixed_point_free, orientation_reversing):
+    def affine(cls, name, matrix, shift, domain, fixed_point_free):
         m = tuple(tuple(int(e) for e in row) for row in matrix)
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         if abs(det) != 1:
             raise ValueError("linear part must be unimodular")
         s = (frac(shift[0]), frac(shift[1]))
-        inv = cls(name, m, s, domain, fixed_point_free, orientation_reversing)
-        return inv
+        return cls(name, m, s, domain, fixed_point_free)
 
     @classmethod
     def equatorial(cls, name, domain):
         """The sphere's antipodal map z -> -1/conj(z)."""
-        return cls(name, None, None, domain, True, True)
+        return cls(name, None, None, domain, True)
 
     @property
     def is_equatorial(self) -> bool:
@@ -209,7 +217,7 @@ class Involution:
         return m
 
 
-def jacobian(tau: Involution, at: Point | None = None) -> O2PathElement:
+def jacobian(tau: Involution) -> O2PathElement:
     """Differential of tau as an O(2) path element.
 
     Flat involutions have a constant differential; the sphere's antipodal map
@@ -230,7 +238,73 @@ def jacobian(tau: Involution, at: Point | None = None) -> O2PathElement:
 
 
 # ---------------------------------------------------------------------------
-# the model zoo
+# doubles
+
+
+def _theta_half(torus: SurfaceModel, p: Lattice) -> Lattice:
+    """Cylinder square (u periodic, v in [0, 2pi]) onto {x in [0, pi]} in T^2: (v/2, u)."""
+    u, v, period = p
+    return torus.reduce(Lattice(_halve(v), u, period))
+
+
+def _shear_half(klein: SurfaceModel, p: Lattice) -> Lattice:
+    """Moebius square onto the region of K^2 between the fixed circles of tau2: (u/2 + v/2, u)."""
+    u, v, period = p
+    return klein.reduce(Lattice(_halve(u) + _halve(v), u, period))
+
+
+@dataclass(frozen=True)
+class Double:
+    """Closed double of a surface with boundary, with the boundary-fixing involution."""
+
+    tau: Involution
+    embedding: Callable[[SurfaceModel, Lattice], Lattice]  # lattice kernel: half -> total
+
+    @property
+    def total(self) -> SurfaceModel:
+        return self.tau.domain
+
+    @_exact
+    def embed(self, p: Lattice) -> Lattice:
+        return self.embedding(self.total, p)
+
+
+# ---------------------------------------------------------------------------
+# the model zoo: one record per geometric model
+
+
+def _geometric_models() -> dict[str, SurfaceModel]:
+    s2 = SurfaceModel("s2", TWO_DISC, GluingWord.parse("a a'"), True, 0,
+                      periodic_vars=("theta",),  # the equator coordinate
+                      twists=(("xi_s2", (0, 0)),))
+    t2 = SurfaceModel("t2", FLAT_SQUARE, GluingWord.parse("a b a' b'"), True, 0, genus=1,
+                      periodic_vars=("theta", "phi"),
+                      twists=(("xi0", (0, 0)), ("xi1", (1, 0)), ("xi2", (0, 1)), ("xi3", (1, 1))))
+    rp2 = SurfaceModel("rp2", TWO_DISC, GluingWord.parse("x x"), False, 0, cross_caps=1,
+                       deck=Involution.equatorial("rp2-deck", s2), periodic_vars=("theta",))
+    # (0,y) ~ (2pi,y) and (x,0) ~ (2pi-x, 2pi): crossing y flips x
+    k2 = SurfaceModel("k2", FLAT_SQUARE, GluingWord.parse("a b a b'"), False, 0,
+                      y_wrap=WRAP_FLIP_OTHER, cross_caps=2,
+                      deck=Involution.affine("k2-deck", ((1, 0), (0, -1)), (1, 0), t2, True),
+                      periodic_vars=("theta", "phi"))
+    # theta runs over [0, pi] only, so the cylinder twists are the theta-only ones
+    cyl = SurfaceModel("cyl", FLAT_SQUARE, GluingWord.parse("u a t' a'", boundary="u t"), True, 2,
+                       y_wrap=WRAP_NONE,
+                       double=Double(Involution.affine("cyl-double", ((-1, 0), (0, 1)), (0, 0),
+                                                       t2, False), _theta_half),
+                       periodic_vars=("phi",), twists=(("xi0", (0, 0)), ("xi1", (1, 0))))
+    # (0,y) ~ (2pi, 2pi-y): crossing x flips y
+    moebius = SurfaceModel(
+        "moebius", FLAT_SQUARE, GluingWord.parse("u a t a", boundary="u t"), False, 1,
+        x_wrap=WRAP_FLIP_OTHER, y_wrap=WRAP_NONE, cross_caps=1,
+        deck=Involution.affine("moebius-deck", ((1, 0), (0, -1)), (1, 2), cyl, True),
+        double=Double(Involution.affine("moebius-double", ((-1, 1), (0, 1)), (0, 0), k2, False),
+                      _shear_half),
+        periodic_vars=())
+    return {m.name: m for m in (s2, rp2, t2, k2, cyl, moebius)}
+
+
+MODELS = _geometric_models()
 
 
 def _sigma_word(g: int) -> GluingWord:
@@ -248,51 +322,30 @@ def _n_gk_word(g: int, k: int) -> GluingWord:
     return GluingWord.parse(" ".join(parts))
 
 
-_NAME_RE = re.compile(r"^(sigma|n)\((\d+)(?:,(\d+))?\)$")
+_NAME_RE = re.compile(r"^(?:sigma\((\d+)\)|n\((\d+),([12])\))$")
 
 
 def build(name: str) -> SurfaceModel:
     """Surface by name: s2, rp2, t2, k2, cyl, moebius, sigma(g), n(g,1), n(g,2)."""
     key = name.strip().lower()
-    if key == "t2":
-        return SurfaceModel("t2", FLAT_SQUARE, GluingWord.parse("a b a' b'"),
-                            True, 0, WRAP_STRAIGHT, WRAP_STRAIGHT, genus=1)
-    if key == "k2":
-        # (0,y) ~ (2pi,y) and (x,0) ~ (2pi-x, 2pi): crossing y flips x
-        return SurfaceModel("k2", FLAT_SQUARE, GluingWord.parse("a b a b'"),
-                            False, 0, WRAP_STRAIGHT, WRAP_FLIP_OTHER, cross_caps=2)
-    if key == "cyl":
-        return SurfaceModel("cyl", FLAT_SQUARE, GluingWord.parse("u a t' a'", boundary="u t"),
-                            True, 2, WRAP_STRAIGHT, WRAP_NONE)
-    if key == "moebius":
-        # (0,y) ~ (2pi, 2pi-y): crossing x flips y
-        return SurfaceModel("moebius", FLAT_SQUARE, GluingWord.parse("u a t a", boundary="u t"),
-                            False, 1, WRAP_FLIP_OTHER, WRAP_NONE, cross_caps=1)
-    if key == "s2":
-        return SurfaceModel("s2", TWO_DISC, GluingWord.parse("a a'"), True, 0)
-    if key == "rp2":
-        return SurfaceModel("rp2", TWO_DISC, GluingWord.parse("x x"), False, 0, cross_caps=1)
+    if key in MODELS:
+        return MODELS[key]
     m = _NAME_RE.match(key)
-    if m:
-        kind, g, k = m.group(1), int(m.group(2)), m.group(3)
-        if kind == "sigma":
-            if g == 0:
-                return build("s2")
-            if g == 1:
-                return build("t2")
-            return SurfaceModel(key, FAMILY_ONLY, _sigma_word(g), True, 0, genus=g)
-        k = int(k) if k else None
-        if k not in (1, 2):
-            raise ValueError(f"unknown surface {name!r}")
-        if g == 0:
-            return build("rp2" if k == 1 else "k2")
-        return SurfaceModel(key, FAMILY_ONLY, _n_gk_word(g, k), False, 0,
-                            genus=g, cross_caps=k)
-    raise ValueError(f"unknown surface {name!r}")
+    if m is None:
+        raise ValueError(f"unknown surface {name!r}")
+    sigma_g, n_g, k = m.groups()
+    if sigma_g is not None:
+        g = int(sigma_g)
+        if g <= 1:
+            return MODELS["s2" if g == 0 else "t2"]
+        return SurfaceModel(key, FAMILY_ONLY, _sigma_word(g), True, 0, genus=g)
+    g, k = int(n_g), int(k)
+    if g == 0:
+        return MODELS["rp2" if k == 1 else "k2"]
+    return SurfaceModel(key, FAMILY_ONLY, _n_gk_word(g, k), False, 0, genus=g, cross_caps=k)
 
 
-SURFACE_NAMES = ["s2", "rp2", "t2", "k2", "cyl", "moebius",
-                 "sigma(g)", "n(g,1)", "n(g,2)"]
+SURFACE_NAMES = [*MODELS, "sigma(g)", "n(g,1)", "n(g,2)"]
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +365,10 @@ class OrientationCover:
 def orientation_double_cover(x: SurfaceModel) -> OrientationCover:
     if x.orientable:
         raise ValueError(f"{x.name} is already orientable")
-    if x.name == "k2":
-        t2 = build("t2")
-        tau = Involution.affine("k2-deck", ((1, 0), (0, -1)), (1, 0), t2, True, True)
-        return OrientationCover(x, t2, tau)
-    if x.name == "rp2":
-        s2 = build("s2")
-        tau = Involution.equatorial("rp2-deck", s2)
-        return OrientationCover(x, s2, tau)
-    if x.name == "moebius":
-        cyl = build("cyl")
-        tau = Involution.affine("moebius-deck", ((1, 0), (0, -1)), (1, 2), cyl, True, True)
-        return OrientationCover(x, cyl, tau)
-    # family-only: the combinatorial cover exists via homology machinery
-    return OrientationCover(x, _family_cover_model(x), None)
+    if x.deck is None:
+        # family-only: the combinatorial cover exists via homology machinery
+        return OrientationCover(x, _family_cover_model(x), None)
+    return OrientationCover(x, x.deck.domain, x.deck)
 
 
 def _family_cover_model(x: SurfaceModel) -> SurfaceModel:
@@ -337,48 +380,12 @@ def _family_cover_model(x: SurfaceModel) -> SurfaceModel:
     return build(f"sigma({genus})")
 
 
-def _theta_half(torus: SurfaceModel, p: Lattice) -> Lattice:
-    """Cylinder square (u periodic, v in [0, 2pi]) onto {x in [0, pi]} in T^2: (v/2, u)."""
-    u, v, period = p
-    return torus.reduce(Lattice(_halve(v), u, period))
-
-
-def _shear_half(klein: SurfaceModel, p: Lattice) -> Lattice:
-    """Moebius square onto the region of K^2 between the fixed circles of tau2: (u/2 + v/2, u)."""
-    u, v, period = p
-    return klein.reduce(Lattice(_halve(u) + _halve(v), u, period))
-
-
-_EMBEDDINGS = {"theta-half": _theta_half, "shear-half": _shear_half}
-
-
-@dataclass(frozen=True)
-class Double:
-    """Closed double of a surface with boundary, with the boundary-fixing involution."""
-
-    half: SurfaceModel
-    total: SurfaceModel
-    tau: Involution
-    # the embedding half -> total, a key of _EMBEDDINGS
-    embed_name: str
-
-    @_exact
-    def embed(self, p: Lattice) -> Lattice:
-        return _EMBEDDINGS[self.embed_name](self.total, p)
-
-
 def double(x: SurfaceModel) -> Double:
     if x.boundary_components < 1:
         raise ValueError(f"{x.name} is closed")
-    if x.name == "cyl":
-        t2 = build("t2")
-        tau3 = Involution.affine("cyl-double", ((-1, 0), (0, 1)), (0, 0), t2, False, True)
-        return Double(x, t2, tau3, "theta-half")
-    if x.name == "moebius":
-        k2 = build("k2")
-        tau2 = Involution.affine("moebius-double", ((-1, 1), (0, 1)), (0, 0), k2, False, True)
-        return Double(x, k2, tau2, "shear-half")
-    raise ValueError(f"no double model for {x.name}")
+    if x.double is None:
+        raise ValueError(f"no double model for {x.name}")
+    return x.double
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +546,13 @@ class CoverDiagram:
 
 
 def cover_diagram(x: SurfaceModel) -> CoverDiagram:
-    if x.name != "moebius":
+    """The diagram of a model with both a deck and a double: tau1 is its deck,
+    tau2 its double's involution, tau3 that of the double of its cover."""
+    if x.deck is None or x.double is None:
         raise ValueError("the cover diagram is modelled for the moebius strip")
-    t2 = build("t2")
-    k2 = build("k2")
-    cyl = build("cyl")
-    tau1 = Involution.affine("tau1", ((1, 0), (0, -1)), (1, 2), cyl, True, True)
-    tau2 = Involution.affine("tau2", ((-1, 1), (0, 1)), (0, 0), k2, False, True)
-    tau3 = Involution.affine("tau3", ((-1, 0), (0, 1)), (0, 0), t2, False, True)
-    tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (1, 1), t2, True, True)
-    return CoverDiagram(x, cyl, k2, t2, build("t2"), tau1, tau2, tau3, tau4)
+    tilde = x.deck.domain
+    tilde_double = double(tilde)
+    master = tilde_double.total
+    tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (1, 1), master, True)
+    return CoverDiagram(x, tilde, x.double.total, master, build("t2"),
+                        x.deck, x.double.tau, tilde_double.tau, tau4)

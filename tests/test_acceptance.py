@@ -31,7 +31,7 @@ def test_cover_diagram_failure_names_relation_and_point(monkeypatch):
 
     def broken(x):
         d = cover_diagram(x)
-        tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (0, 0), d.master, True, True)
+        tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (0, 0), d.master, True)
         return dataclasses.replace(d, tau4=tau4)
 
     monkeypatch.setattr(acceptance, "cover_diagram", broken)
@@ -40,3 +40,22 @@ def test_cover_diagram_failure_names_relation_and_point(monkeypatch):
     assert detail == ("failed relations: pi1_pi3_eq_pi2_pi4 at (0, 33/32)pi,"
                       " pi4_restricts_to_pi1 at (1, 1/32)pi,"
                       " tau34_fixed_point_free at (0, 0)pi, tau4_restricts_to_tau1 at (0, 0)pi")
+
+
+def test_cylinder_classes_follow_the_witness(monkeypatch):
+    """A witness whose rho and tau3 rho also agree at theta = pi drops the seam
+    flip, so the doubling classes swap and criterion 6 names the first miss."""
+    import dataclasses
+
+    from pincover import acceptance, structures
+
+    real = structures.boundary_lift_table
+
+    def agreeing(kind):
+        table = real(kind)
+        return dataclasses.replace(table, tau3_rho=table.rho)
+
+    monkeypatch.setattr(structures, "boundary_lift_table", agreeing)
+    passed, detail = acceptance.check_cylinder_classes(SEED)
+    assert not passed
+    assert detail == "pin+: xi1 u_id xi1 does not induce xi0"

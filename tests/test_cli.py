@@ -7,6 +7,7 @@ import pytest
 
 import pincover
 from pincover.cli import main
+from pincover.surface import MODELS
 
 
 def run(capsys, *argv):
@@ -45,10 +46,26 @@ def test_obstructions_rp2(capsys):
     assert payload["results"]["pin_minus"] == {"exists": True, "count": 2}
 
 
-def test_structures_listing(capsys):
-    payload = run_json(capsys, "structures", "t2", "--kind", "pin+")
+EXPLICIT_LABELS = {"t2": ["xi0", "xi1", "xi2", "xi3"], "cyl": ["xi0", "xi1"], "s2": ["xi_s2"]}
+
+
+@pytest.mark.parametrize("surface", list(EXPLICIT_LABELS))
+def test_structures_listing(capsys, surface):
+    payload = run_json(capsys, "structures", surface, "--kind", "pin+")
     labels = [item["label"] for item in payload["results"]["structures"]]
-    assert labels == ["xi0", "xi1", "xi2", "xi3"]
+    assert labels == EXPLICIT_LABELS[surface]
+
+
+# the geometric models: structures are listed, descended, or read off the cover diagram
+STRUCTURES_MODE = {"s2": "explicit", "rp2": "geometric", "t2": "explicit", "k2": "geometric",
+                   "cyl": "explicit", "moebius": "diagram"}
+
+
+@pytest.mark.parametrize("surface", list(MODELS))
+def test_structures_mode_of_every_named_model(capsys, surface):
+    for kind in ("pin+", "pin-"):
+        payload = run_json(capsys, "structures", surface, "--kind", kind)
+        assert payload["results"]["mode"] == STRUCTURES_MODE[surface]
 
 
 def test_structures_count_only(capsys):
@@ -91,6 +108,8 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "homology", "nowhere")
     assert code == 2
+    code, out, err = run(capsys, "homology", "sigma(1,2)")
+    assert code == 2 and out == "" and "unknown surface" in err
 
 
 @pytest.mark.parametrize("grid", ["0", "-2", "3"])

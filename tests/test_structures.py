@@ -97,7 +97,6 @@ def test_lift_squares_invariant_under_gamma(kind):
     tau = klein_deck()
     for xi in torus_structures(kind).values():
         res = lift_involution(xi, tau)
-        assert res.both_lifts_related_by_gamma
         assert res.square in (1, -1)
 
 
@@ -249,16 +248,30 @@ def test_canonical_glued_holonomy(kind):
 def test_lift_projects_to_diagram_rhs(kind):
     import numpy as np
 
-    from pincover.pin2 import compose, o2_inverse
-    from pincover.structures import tau_coordinate_forms, _substitute
+    from pincover.pin2 import at, compose, o2_inverse
+    from pincover.structures import tau_coordinate_forms
     from pincover.surface import jacobian
 
     tau = klein_deck()
     th, ph = tau_coordinate_forms(tau)
     for xi in torus_structures(kind).values():
         res = lift_involution(xi, tau)
-        rhs = compose(o2_inverse(_substitute(xi.twist, th, ph)),
+        rhs = compose(o2_inverse(at(xi.twist, th, ph)),
                       compose(jacobian(tau), xi.twist))
         for t0, p0 in ((0.3, 1.1), (2.0, 0.7)):
             assert np.allclose(o2_matrix(project(res.lift), t0, p0),
                                o2_matrix(rhs, t0, p0), atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_double_structure_rejects_a_witness_that_disagrees_at_zero(kind, monkeypatch):
+    import dataclasses
+
+    from pincover import structures
+
+    real = structures.boundary_lift_table
+    monkeypatch.setattr(structures, "boundary_lift_table",
+                        lambda k: dataclasses.replace(real(k), tau3_rho=-real(k).rho))
+    (xi0, _) = enumerate_structures(build("cyl"), kind)
+    with pytest.raises(AssertionError, match="noncommutation witness failed"):
+        double_structure(xi0)

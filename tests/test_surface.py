@@ -55,6 +55,8 @@ def test_build_families():
     assert build("n(0,2)").name == "k2"
     with pytest.raises(ValueError):
         build("mystery")
+    with pytest.raises(ValueError):
+        build("sigma(3,1)")
 
 
 def grid_points(n=16):
@@ -75,7 +77,6 @@ def test_klein_deck_involution():
     assert cover.total.name == "t2"
     tau = cover.deck
     assert tau.apply((F(1, 4), F(1, 3))) == (F(5, 4), 2 - F(1, 3))
-    assert tau.orientation_reversing
     check_involution(tau, grid_points())
     # quotient sanity: tau-orbits map to single K^2 points under (x, y) -> folding
     assert jacobian(tau) == pin2.J2
@@ -140,6 +141,15 @@ def test_cover_diagram_relations():
     assert all(v is None for v in results.values()), results
 
 
+def test_cover_diagram_involutions_come_from_the_records():
+    moebius, cyl = build("moebius"), build("cyl")
+    diagram = cover_diagram(moebius)
+    for tau, record in ((diagram.tau1, orientation_double_cover(moebius).deck),
+                        (diagram.tau2, double(moebius).tau),
+                        (diagram.tau3, double(cyl).tau)):
+        assert (tau.matrix, tau.shift, tau.domain) == (record.matrix, record.shift, record.domain)
+
+
 def test_cover_diagram_tau34_formula():
     diagram = cover_diagram(build("moebius"))
     # tau3(tau4(x, y)) = (x - pi, y + pi), no fixed points mod 2pi
@@ -185,7 +195,7 @@ SCALAR_FAILS = {
 
 def test_mutated_tau4_is_caught_with_counterexamples():
     diagram = cover_diagram(build("moebius"))
-    tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (0, 0), diagram.master, True, True)
+    tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (0, 0), diagram.master, True)
     broken = dataclasses.replace(diagram, tau4=tau4)
     results = broken.check_relations(16)
     assert set(SCALAR_FAILS) == set(results)
