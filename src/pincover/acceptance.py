@@ -135,7 +135,8 @@ def check_klein_table(seed: int) -> tuple[bool, str]:
 
 
 def check_moebius_table(seed: int) -> tuple[bool, str]:
-    diagram = cover_diagram(build("moebius"))
+    moebius = build("moebius")
+    diagram = cover_diagram(moebius)
     for kind in KINDS:
         e1sq = 1 if kind == PIN_PLUS else -1
         xs = _torus_structures(kind)
@@ -144,7 +145,7 @@ def check_moebius_table(seed: int) -> tuple[bool, str]:
         want = {"xi0": e1sq, "xi1": e1sq, "xi2": -e1sq}
         if got != want:
             return False, f"{kind}: tau4 squares {got} != {want}"
-    rep = moebius_descent()
+    rep = moebius_descent(moebius)
     if rep.descending[PIN_PLUS] != ("xi0", "xi1") or rep.descending[PIN_MINUS] != ("xi2", "xi3"):
         return False, f"descending sets {rep.descending}"
     return True, "tau4 squares e1^2, e1^2, -e1^2 per kind; qualifying sets as expected"
@@ -211,8 +212,6 @@ def _family_names():
 
 
 def check_homology(seed: int) -> tuple[bool, str]:
-    import numpy as np
-
     for name in _family_names():
         model = build(name)
         h1 = homology_groups(PolygonComplex.from_word(model.word)).h1
@@ -242,9 +241,10 @@ def check_homology(seed: int) -> tuple[bool, str]:
         cover = orientation_double_cover_complex(model.word)
         maps = induced_maps(cover)
         basis, _ = h1_z2_basis(cover.base)
-        bits = w1(model).vector(list(cover.base.edges))
-        w1_coords = np.array([int(row @ bits) % 2 for row in basis], dtype=np.uint8)
-        if maps.kernel_pull.shape[0] != 1 or not np.array_equal(maps.kernel_pull[0], w1_coords):
+        klass = w1(model)
+        bits = sum(klass(g) << j for j, g in enumerate(cover.base.edges))
+        w1_coords = sum(((row & bits).bit_count() % 2) << i for i, row in enumerate(basis))
+        if maps.kernel_pull.rows != (w1_coords,):
             return False, f"Ker pi^* != {{0, w1}} for {name}"
     return True, "H1 matches for all families; pi_* = [[2,0],[0,1]]; Ker pi^* = {0, w1}"
 

@@ -13,13 +13,9 @@ reversing seam" into an exact GF(2) solve; w2 is the Euler characteristic mod
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .homology import PolygonComplex, b1_mod2, solve_rows
 from .surface import SurfaceModel
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _occurrence_positions(word, letter):
@@ -69,11 +65,6 @@ class Z2Cocycle:
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.bits.values())
-
-    def vector(self, letters) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.bits[g] for g in letters], dtype=np.uint8)
 
 
 def _seam_solution(model: SurfaceModel) -> tuple[list[str], int, int]:

@@ -94,7 +94,7 @@ def cmd_structures(args) -> Report:
                       anchor="tables/structure-descriptors")
     if not model.orientable and model.boundary_components:
         # descent needs a closed base; the moebius strip's structures come from its cover diagram
-        rep = moebius_descent()
+        rep = moebius_descent(model)
         return Report("structures", inputs,
                       {"mode": "diagram", "descending": list(rep.descending[kind])},
                       anchor="tables/moebius-tau4")
@@ -115,7 +115,7 @@ def cmd_descend(args) -> Report:
 
 
 def cmd_moebius(args) -> Report:
-    rep = moebius_descent()
+    rep = moebius_descent(build("moebius"))
     return Report("moebius", {}, rep, anchor="tables/moebius-tau4")
 
 

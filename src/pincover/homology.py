@@ -11,10 +11,6 @@ transcribed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # ---------------------------------------------------------------------------
 # exact integer matrices (lists of python ints)
@@ -214,39 +210,38 @@ def solve_integer(a: list[list[int]], b: list[list[int]]):
 
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra on bit-packed rows: a row is a Python int whose bit j is
-# column j, so elimination XORs whole rows at once (the M4RI idiom).  numpy is
-# imported only by the functions that return arrays.
+# column j, so elimination XORs whole rows at once (the M4RI idiom).
 
 
 def pack_rows(matrix) -> list[int]:
-    """Rows of an integer matrix (nested lists or an array), read mod 2, as ints."""
+    """Rows of an integer matrix, read mod 2, as ints."""
     return [sum(1 << j for j, e in enumerate(row) if e % 2) for row in matrix]
 
 
-def _array(rows: list[int], cols: int) -> np.ndarray:
-    import numpy as np
+@dataclass(frozen=True)
+class Z2Matrix:
+    """A GF(2) matrix as bit-packed rows; cols keeps the width of a matrix
+    with no rows, so a 1x0 matrix and a 0x1 one stay apart."""
 
-    return np.array([[r >> j & 1 for j in range(cols)] for r in rows],
-                    np.uint8).reshape(len(rows), cols)
+    rows: tuple[int, ...]
+    cols: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), self.cols
+
+    @property
+    def T(self) -> Z2Matrix:
+        return Z2Matrix(tuple(sum((row >> j & 1) << i for i, row in enumerate(self.rows))
+                              for j in range(self.cols)), len(self.rows))
+
+    def tolist(self) -> list[list[int]]:
+        return [[row >> j & 1 for j in range(self.cols)] for row in self.rows]
 
 
-def gf2(a) -> np.ndarray:
-    import numpy as np
-
-    return (np.asarray(a, dtype=np.int64) % 2).astype(np.uint8)
-
-
-def gf2_row_reduce(a):
-    """Reduced row echelon form over GF(2) and its pivot columns (ascending).
-
-    Bit-packed rows (a list of ints) reduce to the nonzero reduced rows, one
-    per pivot.  A 0/1 array goes through the same elimination and comes back
-    as a uint8 array of its shape, zero rows last.
-    """
-    if not (isinstance(a, list) and all(isinstance(row, int) for row in a)):
-        m = gf2(a)
-        reduced, pivots = gf2_row_reduce(pack_rows(m))
-        return _array(reduced + [0] * (len(m) - len(reduced)), m.shape[1]), pivots
+def gf2_row_reduce(a) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of bit-packed rows over GF(2): the nonzero
+    reduced rows, one per pivot, and their pivot columns (ascending)."""
     rows: dict[int, int] = {}  # pivot bit -> reduced row
     for vec in a:
         for bit, row in rows.items():
@@ -281,20 +276,6 @@ def solve_rows(rows: list[int], rhs: int, cols: int) -> int | None:
     if pivots and pivots[-1] == cols:
         return None
     return sum((row >> cols & 1) << p for row, p in zip(reduced, pivots))
-
-
-def gf2_nullspace(a) -> np.ndarray:
-    """Rows form a basis of the right nullspace."""
-    m = gf2(a)
-    cols = m.shape[1] if m.ndim == 2 else 0
-    return _array(nullspace_rows(pack_rows(m), cols), cols)
-
-
-def gf2_solve(a, b):
-    """x with a @ x = b over GF(2), or None."""
-    m = gf2(a)
-    x = solve_rows(pack_rows(m), pack_rows([b])[0], m.shape[1])
-    return None if x is None else _array([x], m.shape[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +415,6 @@ class PolygonComplex:
 
     def euler_characteristic(self) -> int:
         return self.vertex_count - len(self.edges) + len(self.faces)
-
-    def is_closed(self) -> bool:
-        counts: dict[str, int] = {}
-        for face in self.faces:
-            for name, _ in face:
-                counts[name] = counts.get(name, 0) + 1
-        return all(k == 2 for k in counts.values())
 
     def is_orientable(self) -> bool:
         """Can the faces be oriented so every interior edge gets both exponents?"""
@@ -625,9 +599,9 @@ class InducedMaps:
 
     push_z: list[list[int]]            # H1(total, Z) -> H1(base, Z), canonical bases
     base_orders: list[int]             # 0 for free coordinates, else torsion order
-    push_z2: np.ndarray                # H1(total, Z2) -> H1(base, Z2), edge-class bases
-    pull_z2: np.ndarray                # transpose: H^1(base, Z2) -> H^1(total, Z2)
-    kernel_pull: np.ndarray            # basis (rows) of Ker pi^* in H^1(base, Z2)
+    push_z2: Z2Matrix                  # H1(total, Z2) -> H1(base, Z2), edge-class bases
+    pull_z2: Z2Matrix                  # transpose: H^1(base, Z2) -> H^1(total, Z2)
+    kernel_pull: Z2Matrix              # basis (rows) of Ker pi^* in H^1(base, Z2)
     coker_pull_dim: int
     image_index_z2: int                # [H1(base, Z2) : Im pi_*]
     b1_mod2_base: int
@@ -642,9 +616,10 @@ class InducedMaps:
 def h1_z2_basis(cx: PolygonComplex):
     """Projection of edge space onto an H1(.,Z2) coordinate system.
 
-    Returns (basis rows, project).  The basis rows are the cycles, in
-    nullspace order, that the boundaries and the earlier cycles do not span;
-    project maps a cycle vector to its coordinates in that basis.
+    Returns (basis rows, project), bit-packed by edge.  The basis rows are
+    the cycles, in nullspace order, that the boundaries and the earlier cycles
+    do not span; project maps a cycle to its coordinates in that basis, bit i
+    for basis row i.
     """
     n = len(cx.edges)
     cycles = nullspace_rows(pack_rows(cx.d1()), n)
@@ -658,22 +633,19 @@ def h1_z2_basis(cx: PolygonComplex):
     spanned = {top - p for p in pivots if p >= n}
     kept = [i for i in range(len(cycles)) if i not in spanned]
 
-    def project(cycle_vec) -> np.ndarray:
+    def project(vec: int) -> int:
         """Coordinates of [cycle] in the chosen basis."""
-        vec = pack_rows([cycle_vec])[0]
         for row, p in zip(reduced, pivots):
             if vec >> p & 1:
                 vec ^= row
         if vec & ((1 << n) - 1):
             raise ValueError("vector is not a cycle")
-        return gf2([vec >> top - i & 1 for i in kept])
+        return sum((vec >> top - k & 1) << i for i, k in enumerate(kept))
 
-    return _array([cycles[i] for i in kept], n), project
+    return [cycles[i] for i in kept], project
 
 
 def induced_maps(cover: CoverData) -> InducedMaps:
-    import numpy as np
-
     base, total = cover.base, cover.total
 
     # --- integral push-forward in canonical H1 bases
@@ -698,26 +670,28 @@ def induced_maps(cover: CoverData) -> InducedMaps:
     # --- mod 2, in the Z2 homology bases
     base_b, base_proj = h1_z2_basis(base)
     total_b, _ = h1_z2_basis(total)
-    cols = []
-    for row in total_b:
-        pushed = np.zeros(len(base.edges), np.uint8)
-        for name, c in zip(total.edges, row):
-            if c:
-                pushed[base_idx[cover.edge_map[name]]] ^= 1
-        cols.append(base_proj(pushed))
-    push_z2 = (np.array(cols, np.uint8).T if cols
-               else np.zeros((base_b.shape[0], 0), np.uint8))
-    pull_z2 = push_z2.T
-    kernel = gf2_nullspace(pull_z2)  # functionals phi with phi . pi_* = 0
-    image_rank = gf2_rank(push_z2)
-    dim_base = base_b.shape[0]
-    dim_total = total_b.shape[0]
+    image = [1 << base_idx[cover.edge_map[name]] for name in total.edges]
+
+    def pushed_z2(cycle: int) -> int:
+        out = 0
+        for j, bit in enumerate(image):
+            if cycle >> j & 1:
+                out ^= bit
+        return out
+
+    # row j of pi^* is column j of pi_*: the image of the j-th cover basis cycle
+    pull_z2 = Z2Matrix(tuple(base_proj(pushed_z2(row)) for row in total_b), len(base_b))
+    push_z2 = pull_z2.T
+    kernel = nullspace_rows(list(pull_z2.rows), pull_z2.cols)  # phi with phi . pi_* = 0
+    image_rank = len(gf2_row_reduce(push_z2.rows)[1])
+    dim_base = len(base_b)
+    dim_total = len(total_b)
     return InducedMaps(
         push_z=push,
         base_orders=orders,
         push_z2=push_z2,
         pull_z2=pull_z2,
-        kernel_pull=kernel,
+        kernel_pull=Z2Matrix(tuple(kernel), dim_base),
         coker_pull_dim=dim_total - image_rank,
         image_index_z2=2 ** (dim_base - image_rank),
         b1_mod2_base=dim_base,

@@ -435,11 +435,12 @@ class MoebiusReport:
         }
 
 
-def moebius_descent() -> MoebiusReport:
-    """tau4 squares and tau3 compatibility for the four torus structures, both kinds."""
+def moebius_descent(x: SurfaceModel) -> MoebiusReport:
+    """tau4 squares and tau3 compatibility for the four torus structures of
+    the cover diagram of x, both kinds."""
     from .surface import cover_diagram
 
-    diagram = cover_diagram(build("moebius"))
+    diagram = cover_diagram(x)
     tau4, tau3 = diagram.tau4, diagram.tau3
     squares = {}
     exists = {}
@@ -448,7 +449,7 @@ def moebius_descent() -> MoebiusReport:
         squares[kind] = {}
         exists[kind] = {}
         good = []
-        for xi in enumerate_structures(build("t2"), kind):
+        for xi in enumerate_structures(diagram.master, kind):
             r4 = lift_involution(xi, tau4)
             r3 = lift_involution(xi, tau3)
             squares[kind][xi.label] = r4.square if r4.exists else None

@@ -116,7 +116,7 @@ class SurfaceModel:
     # the geometry of a named model; family-only models have none
     deck: Involution | None = None    # on the orientation double cover
     double: Double | None = None      # the closed double of a model with boundary
-    periodic_vars: tuple[str, ...] | None = None  # lift-domain coordinates of period 2pi
+    periodic_vars: tuple[str, ...] | None = None  # period-2pi lift coordinates, models with twists
     twists: tuple[tuple[str, tuple[int, int]], ...] = ()  # label -> (a, b) of R_{a theta + b phi}
 
     @property
@@ -281,12 +281,11 @@ def _geometric_models() -> dict[str, SurfaceModel]:
                       periodic_vars=("theta", "phi"),
                       twists=(("xi0", (0, 0)), ("xi1", (1, 0)), ("xi2", (0, 1)), ("xi3", (1, 1))))
     rp2 = SurfaceModel("rp2", TWO_DISC, GluingWord.parse("x x"), False, 0, cross_caps=1,
-                       deck=Involution.equatorial("rp2-deck", s2), periodic_vars=("theta",))
+                       deck=Involution.equatorial("rp2-deck", s2))
     # (0,y) ~ (2pi,y) and (x,0) ~ (2pi-x, 2pi): crossing y flips x
     k2 = SurfaceModel("k2", FLAT_SQUARE, GluingWord.parse("a b a b'"), False, 0,
                       y_wrap=WRAP_FLIP_OTHER, cross_caps=2,
-                      deck=Involution.affine("k2-deck", ((1, 0), (0, -1)), (1, 0), t2, True),
-                      periodic_vars=("theta", "phi"))
+                      deck=Involution.affine("k2-deck", ((1, 0), (0, -1)), (1, 0), t2, True))
     # theta runs over [0, pi] only, so the cylinder twists are the theta-only ones
     cyl = SurfaceModel("cyl", FLAT_SQUARE, GluingWord.parse("u a t' a'", boundary="u t"), True, 2,
                        y_wrap=WRAP_NONE,
@@ -299,8 +298,7 @@ def _geometric_models() -> dict[str, SurfaceModel]:
         x_wrap=WRAP_FLIP_OTHER, y_wrap=WRAP_NONE, cross_caps=1,
         deck=Involution.affine("moebius-deck", ((1, 0), (0, -1)), (1, 2), cyl, True),
         double=Double(Involution.affine("moebius-double", ((-1, 1), (0, 1)), (0, 0), k2, False),
-                      _shear_half),
-        periodic_vars=())
+                      _shear_half))
     return {m.name: m for m in (s2, rp2, t2, k2, cyl, moebius)}
 
 
@@ -487,16 +485,6 @@ class CoverDiagram:
         """X' -> X."""
         return self.pi1(self.pi3(self.pi34_section(p)))
 
-    @_exact
-    def embed_tilde(self, p: Lattice) -> Lattice:
-        """X~ = Cyl into the master torus: (u, v) -> (v/2, u)."""
-        return _theta_half(self.master, self.tilde.reduce(p))
-
-    @_exact
-    def embed_base(self, p: Lattice) -> Lattice:
-        """X = M^2 into X^d = K^2, between the fixed circles of tau2."""
-        return _shear_half(self.half_double, p)
-
     # -- relation checks ------------------------------------------------------
 
     def check_relations(self, n: int = 64) -> dict[str, Point | None]:
@@ -519,7 +507,8 @@ class CoverDiagram:
 
         base = self.pi1(self.pi3(p))
         tau34 = self.tau34(p)
-        embedded = self.embed_tilde(p)  # the grid read as cylinder points (u, v)
+        # the grid read as cylinder points (u, v), embedded in the master torus
+        embedded = self.tilde.double.embed(self.tilde.reduce(p))
         k2 = self.half_double.reduce(p)
         prime = self.prime.reduce(p)
         failures = {
@@ -528,9 +517,10 @@ class CoverDiagram:
                 tau34, self.master.reduce(self.tau4.apply_raw(self.tau3.apply_raw(p)))),
             "tau4_restricts_to_tau1": differ(
                 self.master.reduce(self.tau4.apply_raw(embedded)),
-                self.embed_tilde(self.tau1.apply(p))),
-            # pi4 on the embedded cylinder equals pi1 into the embedded copy of X
-            "pi4_restricts_to_pi1": differ(self.pi4(embedded), self.embed_base(self.pi1(p))),
+                self.tilde.double.embed(self.tau1.apply(p))),  # tau1 already reduces in X~
+            # pi4 on the embedded cylinder equals pi1 into the copy of X in X^d
+            "pi4_restricts_to_pi1": differ(self.pi4(embedded),
+                                           self.base.double.embed(self.pi1(p))),
             "tau34_fixed_point_free": ~differ(tau34, self.master.reduce(p)),
             "tau2_involution": differ(
                 self.half_double.reduce(self.tau2.apply_raw(self.tau2.apply_raw(k2))), k2),

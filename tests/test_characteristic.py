@@ -5,11 +5,13 @@ import pytest
 
 from pincover.characteristic import obstructions, w1, w1_cup_w1, w2
 from pincover.homology import (
-    gf2_nullspace,
     gf2_row_reduce,
     h1_z2_basis,
     induced_maps,
+    nullspace_rows,
     orientation_double_cover_complex,
+    pack_rows,
+    solve_rows,
 )
 from pincover.surface import build
 
@@ -94,22 +96,15 @@ class SimplicialSurface:
         return m
 
     def h1_cocycle_basis(self):
-        cocycles = gf2_nullspace(self.delta1())
-        coboundaries = self.delta0().T  # rows span im(delta0)
-        reduced, pivots = gf2_row_reduce(coboundaries)
-        current = reduced[: len(pivots)].copy()
-        piv = list(pivots)
+        n = len(self.edges)
+        cocycles = nullspace_rows(pack_rows(self.delta1()), n)
+        current, _ = gf2_row_reduce(pack_rows(self.delta0().T))  # rows span im(delta0)
         basis = []
         for row in cocycles:
-            vec = row.copy()
-            for r, c in enumerate(piv):
-                if vec[c]:
-                    vec ^= current[r]
-            if vec.any():
-                basis.append(row.copy())
-                current = np.vstack([current, vec])
-                current, piv = gf2_row_reduce(current)
-                current = current[: len(piv)]
+            extended, _ = gf2_row_reduce(current + [row])
+            if len(extended) > len(current):
+                basis.append(np.array([row >> j & 1 for j in range(n)], dtype=np.uint8))
+                current = extended
         return basis
 
     def cup_eval(self, alpha, beta):
@@ -125,18 +120,14 @@ class SimplicialSurface:
         if not basis:
             return 0
         k = len(basis)
-        pairing = np.array(
-            [[self.cup_eval(basis[i], basis[j]) for j in range(k)] for i in range(k)],
-            dtype=np.uint8,
-        )
-        squares = np.array([self.cup_eval(b, b) for b in basis], dtype=np.uint8)
-        from pincover.homology import gf2_solve
-
-        coeffs = gf2_solve(pairing, squares)
+        pairing = pack_rows(
+            [[self.cup_eval(basis[i], basis[j]) for j in range(k)] for i in range(k)])
+        squares = pack_rows([[self.cup_eval(b, b) for b in basis]])[0]
+        coeffs = solve_rows(pairing, squares, k)
         assert coeffs is not None, "cup pairing degenerate"
         v = np.zeros_like(basis[0])
-        for c, b in zip(coeffs, basis):
-            if c:
+        for i, b in enumerate(basis):
+            if coeffs >> i & 1:
                 v ^= b
         return self.cup_eval(v, v)
 
@@ -198,11 +189,10 @@ def test_w1_spans_kernel_of_pullback():
         cover = orientation_double_cover_complex(model.word)
         maps = induced_maps(cover)
         basis, _ = h1_z2_basis(cover.base)
-        letters = list(cover.base.edges)
-        bits = w1(model).vector(letters)
-        w1_coords = np.array([int(row @ bits) % 2 for row in basis], dtype=np.uint8)
-        assert maps.kernel_pull.shape[0] == 1
-        assert np.array_equal(maps.kernel_pull[0], w1_coords)
+        klass = w1(model)
+        bits = sum(klass(g) << j for j, g in enumerate(cover.base.edges))
+        w1_coords = sum(((row & bits).bit_count() % 2) << i for i, row in enumerate(basis))
+        assert maps.kernel_pull.rows == (w1_coords,)
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,8 @@ def test_csv_and_table_formats(capsys):
     assert code == 0 and "h1.free" in out
 
 
-EXACT_COMMANDS = [["surfaces"], ["homology", "n(4,2)"], ["obstructions", "k2"],
-                  ["structures", "rp2", "--kind", "pin-"],
+EXACT_COMMANDS = [["surfaces"], ["homology", "n(4,2)"], ["covermaps", "k2"], ["covermaps", "rp2"],
+                  ["obstructions", "k2"], ["structures", "rp2", "--kind", "pin-"],
                   ["descend", "n(2,2)", "--kind", "pin+"], ["moebius"]]
 
 HYGIENE_SCRIPT = """
@@ -162,7 +162,7 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_exact_subcommands_run_without_numpy():
-    """Only covermaps, pinors and verify need arrays; the rest start without numpy."""
+    """Only pinors and verify need arrays; the exact subcommands run without numpy."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pincover.__file__)))
     proc = subprocess.run([sys.executable, "-c", HYGIENE_SCRIPT, json.dumps(EXACT_COMMANDS)],
                           env=env, capture_output=True, text=True, timeout=120)

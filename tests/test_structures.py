@@ -179,7 +179,7 @@ def test_tau4_squares(kind):
 
 
 def test_moebius_report():
-    rep = moebius_descent()
+    rep = moebius_descent(build("moebius"))
     assert rep.descending[PIN_PLUS] == ("xi0", "xi1")
     assert rep.descending[PIN_MINUS] == ("xi2", "xi3")
     for kind in KINDS:

@@ -181,8 +181,10 @@ SCALAR_FAILS = {
         d.master.reduce(d.tau3.apply_raw(d.tau4.apply_raw(p)))
         != d.master.reduce(d.tau4.apply_raw(d.tau3.apply_raw(p)))),
     "tau4_restricts_to_tau1": lambda d, p: (
-        d.master.reduce(d.tau4.apply_raw(d.embed_tilde(p))) != d.embed_tilde(d.tau1.apply(p))),
-    "pi4_restricts_to_pi1": lambda d, p: d.pi4(d.embed_tilde(p)) != d.embed_base(d.pi1(p)),
+        d.master.reduce(d.tau4.apply_raw(d.tilde.double.embed(d.tilde.reduce(p))))
+        != d.tilde.double.embed(d.tau1.apply(p))),
+    "pi4_restricts_to_pi1": lambda d, p: (
+        d.pi4(d.tilde.double.embed(d.tilde.reduce(p))) != d.base.double.embed(d.pi1(p))),
     "tau34_fixed_point_free": lambda d, p: d.tau34(p) == d.master.reduce(p),
     "tau2_involution": lambda d, p: (
         d.half_double.reduce(d.tau2.apply_raw(d.tau2.apply_raw(d.half_double.reduce(p))))
@@ -223,8 +225,8 @@ def test_cover_diagram_rejects_empty_grid(n):
 def test_odd_lattice_halving_raises():
     diagram = cover_diagram(build("moebius"))
     odd = Lattice(np.array([3], np.int64), np.array([3], np.int64), 8)
-    for halving in (diagram.pi4_section, diagram.pi34_section, diagram.embed_tilde,
-                    diagram.embed_base, double(build("cyl")).embed, double(build("moebius")).embed):
+    for halving in (diagram.pi4_section, diagram.pi34_section,
+                    double(build("cyl")).embed, double(build("moebius")).embed):
         with pytest.raises(ValueError, match="odd"):
             halving(odd)
 
