@@ -8,6 +8,7 @@ test suite both run this registry, so there is exactly one definition of what
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -53,6 +54,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    seconds: float  # wall time of the check, from time.perf_counter
 
 
 def _torus_structures(kind):
@@ -388,9 +390,10 @@ CRITERIA: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
 def run_all(seed: int = 0) -> list[CriterionResult]:
     results = []
     for name, fn in CRITERIA:
+        start = time.perf_counter()
         try:
             passed, detail = fn(seed)
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"error: {exc!r}"
-        results.append(CriterionResult(name, passed, detail))
+        results.append(CriterionResult(name, passed, detail, time.perf_counter() - start))
     return results

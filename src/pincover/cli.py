@@ -161,14 +161,18 @@ def cmd_verify(args):
     from . import acceptance
 
     results = acceptance.run_all(args.seed)
-    lines = []
+    lines, criteria = [], []
     for r in results:
-        lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
+        line = f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}"
+        entry = {"name": r.name, "passed": r.passed, "detail": r.detail}
+        if args.timings:
+            line += f" [{r.seconds:.3f} s]"
+            entry["seconds"] = round(r.seconds, 6)
+        lines.append(line)
+        criteria.append(entry)
     ok = all(r.passed for r in results)
     report = Report("verify", {"seed": args.seed},
-                    {"criteria": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                                  for r in results],
-                     "all_passed": ok},
+                    {"criteria": criteria, "all_passed": ok},
                     anchor="tables/acceptance")
     return report, lines, ok
 
@@ -201,6 +205,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--timings", action="store_true")
     return parser
 
 

@@ -203,13 +203,9 @@ class Multivector:
 
 
 @functools.cache
-def _product_signs(sig: Signature) -> dict[int, int]:
-    """Memo of e_A e_B = sign * e_(A xor B), filled lazily.
-
-    The key packs (A, B) as A << 12 | B (n <= 12), which takes half the
-    memory of a tuple key.
-    """
-    return {}
+def _sign_rows(sig: Signature) -> list[list[int] | None]:
+    """Per left blade a, the row of signs s with e_a e_b = s e_(a xor b), built on first use."""
+    return [None] * (1 << sig.n)
 
 
 def _blade_sign(sig: Signature, a: int, b: int) -> int:
@@ -222,16 +218,15 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Clifford product with e_i e_j = -e_j e_i (i != j) and e_i^2 = metric."""
     a._check_same(b)
     sig = a.signature
-    signs = _product_signs(sig)
+    rows = _sign_rows(sig)
     out: dict[int, float] = {}
     for ma, ca in a.coefficients.items():
+        row = rows[ma]
+        if row is None:
+            row = rows[ma] = [_blade_sign(sig, ma, mb) for mb in range(1 << sig.n)]
         for mb, cb in b.coefficients.items():
-            key = ma << 12 | mb
-            sign = signs.get(key)
-            if sign is None:
-                sign = signs[key] = _blade_sign(sig, ma, mb)
             mask = ma ^ mb
-            out[mask] = out.get(mask, 0.0) + sign * ca * cb
+            out[mask] = out.get(mask, 0.0) + row[mb] * ca * cb
     return Multivector(sig, out)
 
 
@@ -257,16 +252,21 @@ class PinElement:
         return PinElement(-self.value, self.parity, self.factor_count)
 
 
+def _sandwich(alpha_u: Multivector, v: Multivector, u_inv: Multivector) -> Multivector:
+    """alpha(u) v u^-1 from a precomputed alpha(u) and u^-1, checked to be grade 1."""
+    if not v.is_grade(1):
+        raise ValueError("twisted adjoint acts on grade-1 elements")
+    result = geometric_product(geometric_product(alpha_u, v), u_inv)
+    if not result.is_grade(1, tol=1e-7 * max(1.0, result.norm())):
+        raise ValueError("twisted adjoint did not preserve grade 1; u is not a versor")
+    return result.grade_part(1)
+
+
 def twisted_adjoint(u: Multivector | PinElement, v: Multivector) -> Multivector:
     """alpha(u) v u^-1; maps grade-1 vectors to grade-1 vectors orthogonally."""
     if isinstance(u, PinElement):
         u = u.value
-    if not v.is_grade(1):
-        raise ValueError("twisted adjoint acts on grade-1 elements")
-    result = geometric_product(geometric_product(u.grade_involution(), v), u.inverse())
-    if not result.is_grade(1, tol=1e-7 * max(1.0, result.norm())):
-        raise ValueError("twisted adjoint did not preserve grade 1; u is not a versor")
-    return result.grade_part(1)
+    return _sandwich(u.grade_involution(), v, u.inverse())
 
 
 def orthogonal_matrix(u: Multivector | PinElement) -> np.ndarray:
@@ -275,8 +275,9 @@ def orthogonal_matrix(u: Multivector | PinElement) -> np.ndarray:
 
     value = u.value if isinstance(u, PinElement) else u
     sig = value.signature
+    alpha_u, u_inv = value.grade_involution(), value.inverse()
     cols = [
-        twisted_adjoint(value, Multivector.basis_vector(sig, i)).vector_part()
+        _sandwich(alpha_u, Multivector.basis_vector(sig, i), u_inv).vector_part()
         for i in range(sig.n)
     ]
     return np.column_stack(cols)
@@ -322,20 +323,21 @@ def lift_orthogonal(M, sig: Signature) -> tuple[PinElement, PinElement]:
     n = sig.n
     if M.shape != (n, n):
         raise ValueError("matrix size must match the signature")
-    if not np.allclose(M.T @ M, np.eye(n), atol=TOL):
+    eye = np.eye(n)
+    if not np.allclose(M.T @ M, eye, atol=TOL):
         raise ValueError("matrix is not orthogonal within tolerance")
 
     work = M.copy()
     u = Multivector.scalar(sig, 1.0)
     factors = 0
     for _ in range(n + 1):
-        deviations = np.linalg.norm(work - np.eye(n), axis=0)
+        deviations = np.linalg.norm(work - eye, axis=0)
         k = int(np.argmax(deviations))  # lowest index wins exact ties
         if deviations[k] <= 1e-12:
             break
-        v = work[:, k] - np.eye(n)[:, k]
+        v = work[:, k] - eye[:, k]
         v = v / np.linalg.norm(v)
-        work = (np.eye(n) - 2.0 * np.outer(v, v)) @ work
+        work = (eye - 2.0 * np.outer(v, v)) @ work
         u = geometric_product(u, Multivector.from_vector(sig, v))
         factors += 1
     else:

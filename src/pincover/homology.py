@@ -544,6 +544,7 @@ def homology_groups(cx: PolygonComplex) -> GradedGroups:
 
 
 def z2_betti(cx: PolygonComplex) -> tuple[int, int, int]:
+    """Z2 Betti numbers by rank: the independent path that cross-checks h1_z2_basis."""
     r1 = gf2_rank(cx.d1())
     r2 = gf2_rank(cx.d2())
     n0, n1, n2 = cx.vertex_count, len(cx.edges), len(cx.faces)

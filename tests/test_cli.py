@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -125,6 +126,25 @@ def test_verify_passes_and_prints_one_line_per_criterion(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_verify_timings_only_add_seconds(capsys, monkeypatch):
+    from pincover import acceptance
+
+    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[:3])
+    plain = run_json(capsys, "verify", "--seed", "3")
+    timed = run_json(capsys, "verify", "--seed", "3", "--timings")
+    assert all("seconds" not in c for c in plain["results"]["criteria"])
+    seconds = [float(c.pop("seconds")) for c in timed["results"]["criteria"]]
+    assert len(seconds) == 3 and all(s >= 0.0 for s in seconds)
+    assert timed == plain
+
+    code, out, _ = run(capsys, "verify", "--seed", "3")
+    assert code == 0 and " s]" not in out
+    code, out, _ = run(capsys, "verify", "--seed", "3", "--timings")
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert code == 0 and len(lines) == 3
+    assert all(re.search(r" \[\d+\.\d{3} s\]$", l) for l in lines)
 
 
 def test_output_is_deterministic(capsys):

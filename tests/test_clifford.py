@@ -105,7 +105,8 @@ def termwise_product(a, b):
     return Multivector(sig, out)
 
 
-@pytest.mark.parametrize("sig", [Signature(3, 0), Signature(0, 3), Signature(2, 3)])
+@pytest.mark.parametrize("sig", [Signature(3, 0), Signature(0, 3), Signature(2, 3),
+                                 Signature(6, 0), Signature(0, 6), Signature(5, 7)])
 def test_memoized_product_is_bit_identical_to_termwise(sig):
     rng = np.random.default_rng(sig.n + sig.p)
     for _ in range(50):
@@ -178,6 +179,29 @@ def test_lift_round_trip_random():
             assert minus_u.value.approx_eq(-u.value)
             assert is_pin_element(u)
         cases += 1
+
+
+def test_orthogonal_matrix_is_bit_identical_to_twisted_adjoint_columns():
+    rng = np.random.default_rng(31)
+    for case in range(50):
+        n = 1 + case % 6
+        m = random_orthogonal(rng, n)
+        for sig in (Signature(n, 0), Signature(0, n)):
+            u, _ = lift_orthogonal(m, sig)
+            cols = [twisted_adjoint(u, Multivector.basis_vector(sig, i)).vector_part()
+                    for i in range(n)]
+            assert np.array_equal(orthogonal_matrix(u), np.column_stack(cols))
+
+
+def test_invertible_non_versor_fails_the_grade_check():
+    # 1 + e123 has the inverse (1 - e123) / 2 but maps e1 to -e23
+    sig = Signature(3, 0)
+    u = Multivector(sig, {0: 1.0, 0b111: 1.0})
+    assert u.inverse().approx_eq(Multivector(sig, {0: 0.5, 0b111: -0.5}))
+    with pytest.raises(ValueError, match="did not preserve grade 1"):
+        orthogonal_matrix(u)
+    with pytest.raises(ValueError, match="did not preserve grade 1"):
+        twisted_adjoint(u, Multivector.basis_vector(sig, 0))
 
 
 def test_lift_rejects_non_orthogonal():

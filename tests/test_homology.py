@@ -12,6 +12,7 @@ from pincover.homology import (
     H1Basis,
     PolygonComplex,
     Z2Matrix,
+    b1_mod2,
     gf2_rank,
     gf2_row_reduce,
     h1_z2_basis,
@@ -301,6 +302,15 @@ def test_z2_betti_torus_and_klein():
     assert z2_betti(PolygonComplex.from_word(T2)) == (1, 2, 1)
     assert z2_betti(PolygonComplex.from_word(K2)) == (1, 2, 1)
     assert z2_betti(PolygonComplex.from_word(RP2)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("word_of", [sigma_word, n_g1_word, n_g2_word])
+@pytest.mark.parametrize("g", range(1, 7))
+def test_rank_path_and_basis_path_agree_on_b1_mod2(g, word_of):
+    """z2_betti's ranks and h1_z2_basis's basis give one dim H1(., Z2), base and cover."""
+    cover = orientation_double_cover_complex(word_of(g))
+    for cx in (cover.base, cover.total):
+        assert b1_mod2(cx) == len(h1_z2_basis(cx)[0])
 
 
 def test_orientability_detection():
