@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -18,11 +17,11 @@ from .characteristic import w1
 from .clifford import (
     Multivector,
     Signature,
+    _sandwich,
     bilinear_form,
     fiber_group_tag,
     lift_orthogonal,
     orthogonal_matrix,
-    twisted_adjoint,
 )
 from .homology import (
     PolygonComplex,
@@ -33,6 +32,7 @@ from .homology import (
 )
 from .pin2 import PIN_MINUS, PIN_PLUS, angle, evaluate, mul
 from .pinors import PinorField, couple_split, invariance_residual, project_invariant
+from .records import Frozen
 from .structures import (
     GAMMA,
     IDENTITY,
@@ -49,12 +49,13 @@ TOL = 1e-9
 KINDS = (PIN_PLUS, PIN_MINUS)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float  # wall time of the check, from time.perf_counter
+class CriterionResult(Frozen):
+    """One criterion's outcome; seconds is its wall time, from time.perf_counter."""
+
+    __slots__ = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float):
+        self._set(name, passed, detail, seconds)
 
 
 def _torus_structures(kind):
@@ -310,7 +311,9 @@ def check_property_suites(seed: int) -> tuple[bool, str]:
             u, _ = lift_orthogonal(_random_orthogonal(rng, sig.n), sig)
             v = Multivector.from_vector(sig, rng.normal(size=sig.n))
             w = Multivector.from_vector(sig, rng.normal(size=sig.n))
-            lhs = bilinear_form(twisted_adjoint(u.value, v), twisted_adjoint(u.value, w))
+            # twisted_adjoint(u, .) on v and w, with alpha(u) and u^-1 computed once
+            alpha_u, u_inv = u.value.grade_involution(), u.value.inverse()
+            lhs = bilinear_form(_sandwich(alpha_u, v, u_inv), _sandwich(alpha_u, w, u_inv))
             dev = max(dev, abs(lhs - bilinear_form(v, w)))
     worst["metric"] = dev
     if dev > 100 * TOL:

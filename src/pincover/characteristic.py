@@ -12,9 +12,8 @@ reversing seam" into an exact GF(2) solve; w2 is the Euler characteristic mod
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .homology import PolygonComplex, b1_mod2, solve_rows
+from .homology import b1_mod2, solve_rows
+from .records import Frozen
 from .surface import SurfaceModel
 
 
@@ -51,14 +50,16 @@ def _require_closed(model: SurfaceModel):
 
 
 def _single_vertex(model: SurfaceModel) -> bool:
-    return PolygonComplex.from_word(model.word).vertex_count == 1
+    return model.complex.vertex_count == 1
 
 
-@dataclass(frozen=True)
-class Z2Cocycle:
+class Z2Cocycle(Frozen):
     """Functional on H1(X, Z2), one bit per generator letter of the polygon."""
 
-    bits: dict[str, int]
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: dict[str, int]):
+        self._set(bits)
 
     def __call__(self, letter: str) -> int:
         return self.bits[letter]
@@ -107,17 +108,15 @@ def w2(model: SurfaceModel) -> int:
     return model.euler_characteristic() % 2
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    surface: str
-    w1: Z2Cocycle
-    w1_cup_w1: int
-    w2: int
-    pin_plus_exists: bool
-    pin_minus_exists: bool
-    count_pin_plus: int
-    count_pin_minus: int
-    h1_z2_dim: int
+class ObstructionReport(Frozen):
+    __slots__ = ("surface", "w1", "w1_cup_w1", "w2", "pin_plus_exists", "pin_minus_exists",
+                 "count_pin_plus", "count_pin_minus", "h1_z2_dim")
+
+    def __init__(self, surface: str, w1: Z2Cocycle, w1_cup_w1: int, w2: int,
+                 pin_plus_exists: bool, pin_minus_exists: bool, count_pin_plus: int,
+                 count_pin_minus: int, h1_z2_dim: int):
+        self._set(surface, w1, w1_cup_w1, w2, pin_plus_exists, pin_minus_exists,
+                  count_pin_plus, count_pin_minus, h1_z2_dim)
 
     def as_dict(self):
         return {
@@ -141,7 +140,7 @@ def obstructions(model: SurfaceModel) -> ObstructionReport:
         raise AssertionError("orientable surface with w1 != 0")
     plus = two == 0
     minus = (two + square) % 2 == 0
-    dim = b1_mod2(PolygonComplex.from_word(model.word))
+    dim = b1_mod2(model.complex)
     count = 2 ** dim
     return ObstructionReport(
         surface=model.name,

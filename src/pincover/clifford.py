@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .records import Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -21,18 +22,17 @@ if TYPE_CHECKING:
 TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """Number of basis vectors squaring to +1 (p) and to -1 (q)."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
+    def __init__(self, p: int, q: int):
+        if p < 0 or q < 0:
             raise ValueError("signature counts must be non-negative")
-        if self.p + self.q > 12:
+        if p + q > 12:
             raise ValueError("p + q must be at most 12")
+        self._set(p, q)
 
     @property
     def n(self) -> int:
@@ -214,6 +214,28 @@ def _blade_sign(sig: Signature, a: int, b: int) -> int:
     return -sign if ((a & b) >> sig.p).bit_count() & 1 else sign
 
 
+@functools.cache
+def _twist_masks(sig: Signature) -> list[int]:
+    """t[b] with _blade_sign(sig, a, b) = -1 iff a & t[b] has an odd bit count.
+
+    Bit i of t[b] is the parity of b's bits below i (the swaps e_i makes
+    passing b's generators) xor bit i of b when e_i^2 = -1.  Adding b's lowest
+    bit l to the rest of b flips the parity above l, hence the recurrence.
+    """
+    full = (1 << sig.n) - 1
+    negative = full ^ ((1 << sig.p) - 1)
+    t = [0] * (1 << sig.n)
+    for b in range(1, 1 << sig.n):
+        low = b & -b
+        t[b] = t[b & (b - 1)] ^ (full & -(low << 1)) ^ (low & negative)
+    return t
+
+
+def _sign_row(sig: Signature, a: int) -> list[int]:
+    """[_blade_sign(sig, a, b) for every blade b], from the twist masks."""
+    return [-1 if (a & t).bit_count() & 1 else 1 for t in _twist_masks(sig)]
+
+
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Clifford product with e_i e_j = -e_j e_i (i != j) and e_i^2 = metric."""
     a._check_same(b)
@@ -223,7 +245,7 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     for ma, ca in a.coefficients.items():
         row = rows[ma]
         if row is None:
-            row = rows[ma] = [_blade_sign(sig, ma, mb) for mb in range(1 << sig.n)]
+            row = rows[ma] = _sign_row(sig, ma)
         for mb, cb in b.coefficients.items():
             mask = ma ^ mb
             out[mask] = out.get(mask, 0.0) + row[mb] * ca * cb
@@ -240,13 +262,14 @@ def bilinear_form(v: Multivector, w: Multivector) -> float:
     )
 
 
-@dataclass(frozen=True)
-class PinElement:
-    """Product of unit vectors, with the parity and length of a witnessing factorization."""
+class PinElement(Frozen):
+    """Product of unit vectors, with the parity ("even" | "odd") and length of a
+    witnessing factorization."""
 
-    value: Multivector
-    parity: str  # "even" | "odd"
-    factor_count: int
+    __slots__ = ("value", "parity", "factor_count")
+
+    def __init__(self, value: Multivector, parity: str, factor_count: int):
+        self._set(value, parity, factor_count)
 
     def __neg__(self) -> "PinElement":
         return PinElement(-self.value, self.parity, self.factor_count)

@@ -10,7 +10,7 @@ transcribed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .records import Frozen, Record
 
 # ---------------------------------------------------------------------------
 # exact integer matrices (lists of python ints)
@@ -218,13 +218,14 @@ def pack_rows(matrix) -> list[int]:
     return [sum(1 << j for j, e in enumerate(row) if e % 2) for row in matrix]
 
 
-@dataclass(frozen=True)
-class Z2Matrix:
+class Z2Matrix(Frozen):
     """A GF(2) matrix as bit-packed rows; cols keeps the width of a matrix
     with no rows, so a 1x0 matrix and a 0x1 one stay apart."""
 
-    rows: tuple[int, ...]
-    cols: int
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, rows: tuple[int, ...], cols: int):
+        self._set(rows, cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -284,23 +285,33 @@ def solve_rows(rows: list[int], rhs: int, cols: int) -> int | None:
 Occurrence = tuple[str, int]  # (edge name, +1 | -1)
 
 
-@dataclass(frozen=True)
-class GluingWord:
+class GluingWord(Frozen):
     """Boundary word of a fundamental polygon; boundary letters occur once."""
 
-    word: tuple[Occurrence, ...]
-    boundary_letters: frozenset[str] = frozenset()
+    __slots__ = ("word", "boundary_letters", "_complex")
+    _fields = ("word", "boundary_letters")
 
-    def __post_init__(self):
+    def __init__(self, word: tuple[Occurrence, ...],
+                 boundary_letters: frozenset[str] = frozenset()):
         counts: dict[str, int] = {}
-        for name, exp in self.word:
+        for name, exp in word:
             if exp not in (1, -1):
                 raise ValueError("exponents must be +-1")
             counts[name] = counts.get(name, 0) + 1
         for name, k in counts.items():
-            expected = 1 if name in self.boundary_letters else 2
+            expected = 1 if name in boundary_letters else 2
             if k != expected:
                 raise ValueError(f"letter {name} occurs {k} times, expected {expected}")
+        self._set(word, boundary_letters)
+        object.__setattr__(self, "_complex", None)
+
+    @property
+    def complex(self) -> PolygonComplex:
+        """The word's polygon complex, built on first use and shared by every
+        caller that reads it (so treat it as read-only)."""
+        if self._complex is None:
+            object.__setattr__(self, "_complex", PolygonComplex.from_word(self))
+        return self._complex
 
     @classmethod
     def parse(cls, text: str, boundary: str = "") -> "GluingWord":
@@ -333,22 +344,25 @@ class GluingWord:
         return all(not self.same_exponent(g) for g in self.interior_letters())
 
 
-@dataclass
-class PolygonComplex:
-    """CW complex: named edges, one boundary word per 2-cell."""
+class PolygonComplex(Record):
+    """CW complex: named edges, one boundary word per 2-cell.
 
-    faces: list[tuple[Occurrence, ...]]
-    boundary_letters: frozenset[str] = frozenset()
-    edges: list[str] = field(default_factory=list)
+    The edges default to the letters in order of first occurrence; the
+    vertices, edge indices and edge ends are derived from the fields.
+    """
 
-    def __post_init__(self):
-        if not self.edges:
-            seen: list[str] = []
-            for face in self.faces:
+    __slots__ = ("faces", "boundary_letters", "edges", "vertex_count", "edge_index", "edge_ends")
+    _fields = ("faces", "boundary_letters", "edges")
+
+    def __init__(self, faces: list[tuple[Occurrence, ...]],
+                 boundary_letters: frozenset[str] = frozenset(), edges: list[str] | None = None):
+        if not edges:
+            edges = []
+            for face in faces:
                 for name, _ in face:
-                    if name not in seen:
-                        seen.append(name)
-            self.edges = seen
+                    if name not in edges:
+                        edges.append(name)
+        self._set(faces, boundary_letters, edges)
         self._build()
 
     @classmethod
@@ -455,13 +469,14 @@ class PolygonComplex:
 # homology groups
 
 
-@dataclass(frozen=True)
-class GradedGroups:
+class GradedGroups(Frozen):
     """Free rank and torsion orders (divisibility chain) per degree 0, 1, 2."""
 
-    h0: tuple[int, tuple[int, ...]]
-    h1: tuple[int, tuple[int, ...]]
-    h2: tuple[int, tuple[int, ...]]
+    __slots__ = ("h0", "h1", "h2")
+
+    def __init__(self, h0: tuple[int, tuple[int, ...]], h1: tuple[int, tuple[int, ...]],
+                 h2: tuple[int, tuple[int, ...]]):
+        self._set(h0, h1, h2)
 
     def as_dict(self):
         return {
@@ -560,17 +575,20 @@ def b1_mod2(cx: PolygonComplex) -> int:
 # the mechanical orientation double cover
 
 
-@dataclass
-class CoverData:
-    base: PolygonComplex
-    total: PolygonComplex
-    edge_map: dict[str, str]  # total edge -> base edge
-    deck_edge_map: dict[str, str]  # total edge -> total edge
+class CoverData(Record):
+    """A double cover's complexes; edge_map sends each total edge to its base
+    edge, deck_edge_map to the total edge on the other sheet."""
+
+    __slots__ = ("base", "total", "edge_map", "deck_edge_map")
+
+    def __init__(self, base: PolygonComplex, total: PolygonComplex, edge_map: dict[str, str],
+                 deck_edge_map: dict[str, str]):
+        self._set(base, total, edge_map, deck_edge_map)
 
 
 def orientation_double_cover_complex(word: GluingWord) -> CoverData:
     """Two copies of every cell; sheets swap across same-exponent edges."""
-    base = PolygonComplex.from_word(word)
+    base = word.complex
     eps = {g: 1 if word.same_exponent(g) else 0 for g in word.letters}
 
     def lifted_face(sheet: int) -> tuple[Occurrence, ...]:
@@ -594,19 +612,26 @@ def orientation_double_cover_complex(word: GluingWord) -> CoverData:
     return CoverData(base, total, edge_map, deck)
 
 
-@dataclass
-class InducedMaps:
+class InducedMaps(Record):
     """pi_* and pi^* data for an orientation double cover."""
 
-    push_z: list[list[int]]            # H1(total, Z) -> H1(base, Z), canonical bases
-    base_orders: list[int]             # 0 for free coordinates, else torsion order
-    push_z2: Z2Matrix                  # H1(total, Z2) -> H1(base, Z2), edge-class bases
-    pull_z2: Z2Matrix                  # transpose: H^1(base, Z2) -> H^1(total, Z2)
-    kernel_pull: Z2Matrix              # basis (rows) of Ker pi^* in H^1(base, Z2)
-    coker_pull_dim: int
-    image_index_z2: int                # [H1(base, Z2) : Im pi_*]
-    b1_mod2_base: int
-    b1_mod2_total: int
+    __slots__ = ("push_z", "base_orders", "push_z2", "pull_z2", "kernel_pull",
+                 "coker_pull_dim", "image_index_z2", "b1_mod2_base", "b1_mod2_total")
+
+    def __init__(
+        self,
+        push_z: list[list[int]],   # H1(total, Z) -> H1(base, Z), canonical bases
+        base_orders: list[int],    # 0 for free coordinates, else torsion order
+        push_z2: Z2Matrix,         # H1(total, Z2) -> H1(base, Z2), edge-class bases
+        pull_z2: Z2Matrix,         # transpose: H^1(base, Z2) -> H^1(total, Z2)
+        kernel_pull: Z2Matrix,     # basis (rows) of Ker pi^* in H^1(base, Z2)
+        coker_pull_dim: int,
+        image_index_z2: int,       # [H1(base, Z2) : Im pi_*]
+        b1_mod2_base: int,
+        b1_mod2_total: int,
+    ):
+        self._set(push_z, base_orders, push_z2, pull_z2, kernel_pull, coker_pull_dim,
+                  image_index_z2, b1_mod2_base, b1_mod2_total)
 
     @property
     def splitting_k(self) -> int:

@@ -14,12 +14,11 @@ orientation in the two signatures).
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import Multivector, Signature
+from .records import Frozen
 
 PIN_PLUS = "pin+"
 PIN_MINUS = "pin-"
@@ -36,22 +35,17 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class AngleForm:
+class AngleForm(Frozen):
     """Affine angle a*theta + c*phi + b*pi with rational a, c, b.
 
-    The constant is stored mod 2 (a shift by 2*pi is the identity for both
-    parities); theta and phi coefficients are compared exactly.
+    The constant (in units of pi) is stored mod 2 (a shift by 2*pi is the
+    identity for both parities); theta and phi coefficients are compared exactly.
     """
 
-    theta: Fraction = Fraction(0)
-    phi: Fraction = Fraction(0)
-    const: Fraction = Fraction(0)  # in units of pi
+    __slots__ = ("theta", "phi", "const")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _frac(self.theta))
-        object.__setattr__(self, "phi", _frac(self.phi))
-        object.__setattr__(self, "const", _frac(self.const) % 2)
+    def __init__(self, theta=Fraction(0), phi=Fraction(0), const=Fraction(0)):
+        self._set(_frac(theta), _frac(phi), _frac(const) % 2)
 
     def __add__(self, other: "AngleForm") -> "AngleForm":
         return AngleForm(self.theta + other.theta, self.phi + other.phi,
@@ -115,19 +109,17 @@ def angle(theta=0, phi=0, const=0) -> AngleForm:
     return AngleForm(_frac(theta), _frac(phi), _frac(const))
 
 
-@dataclass(frozen=True)
-class Pin2Element:
+class Pin2Element(Frozen):
     """Canonical-form element even(t) or odd(t) of Pin+-(2), t an AngleForm."""
 
-    kind: str
-    parity: str  # EVEN | ODD
-    angle: AngleForm
+    __slots__ = ("kind", "parity", "angle")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.parity not in (EVEN, ODD):
-            raise ValueError(f"unknown parity {self.parity!r}")
+    def __init__(self, kind: str, parity: str, angle: AngleForm):
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        if parity not in (EVEN, ODD):
+            raise ValueError(f"unknown parity {parity!r}")
+        self._set(kind, parity, angle)
 
     def __neg__(self) -> "Pin2Element":
         return Pin2Element(self.kind, self.parity, self.angle.shifted(1))
@@ -202,23 +194,21 @@ def scalar_value(x: Pin2Element) -> int:
     return 1 if x.angle.const % 2 == 0 else -1
 
 
-@dataclass(frozen=True)
-class O2PathElement:
+class O2PathElement(Frozen):
     """Rotation by t, or the reflection negating the unit vector at angle t.
 
     As O(2) values, reflections with angles differing by pi coincide, so a
     reflection's constant is stored mod 1; a rotation's mod 2.
     """
 
-    parity: str  # ROTATION | REFLECTION
-    angle: AngleForm
+    __slots__ = ("parity", "angle")
 
-    def __post_init__(self):
-        if self.parity not in (ROTATION, REFLECTION):
-            raise ValueError(f"unknown parity {self.parity!r}")
-        if self.parity == REFLECTION:
-            a = self.angle
-            object.__setattr__(self, "angle", AngleForm(a.theta, a.phi, a.const % 1))
+    def __init__(self, parity: str, angle: AngleForm):
+        if parity not in (ROTATION, REFLECTION):
+            raise ValueError(f"unknown parity {parity!r}")
+        if parity == REFLECTION:
+            angle = AngleForm(angle.theta, angle.phi, angle.const % 1)
+        self._set(parity, angle)
 
     def __str__(self):
         return f"{self.parity}({self.angle})"
@@ -256,7 +246,7 @@ def o2_inverse(g: O2PathElement) -> O2PathElement:
 
 def at(x: Pin2Element | O2PathElement, theta: AngleForm, phi: AngleForm):
     """The path x with its coordinates replaced by affine forms, e.g. x(tau(theta, phi))."""
-    return dataclasses.replace(x, angle=x.angle.substitute(theta, phi))
+    return x._replace(angle=x.angle.substitute(theta, phi))
 
 
 def o2_matrix(g: O2PathElement, theta0: float = 0.0, phi0: float = 0.0):

@@ -10,10 +10,10 @@ lifts swap the chiral halves - the content of the invariant-couple calculus.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .pin2 import EVEN, PIN_MINUS, PIN_PLUS, Pin2Element, at
+from .records import Frozen
 from .structures import PinStructureDescriptor, lift_involution, tau_coordinate_forms
 from .surface import Involution
 
@@ -32,14 +32,13 @@ def _pauli():
             np.array([[0, -1j], [1j, 0]], dtype=complex))
 
 
-@dataclass(frozen=True)
-class GammaRep:
+class GammaRep(Frozen):
     """2x2 gamma matrices with gamma_i^2 = +-I per kind and the chirality operator."""
 
-    kind: str
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    omega: np.ndarray
+    __slots__ = ("kind", "gamma1", "gamma2", "omega")
+
+    def __init__(self, kind: str, gamma1: np.ndarray, gamma2: np.ndarray, omega: np.ndarray):
+        self._set(kind, gamma1, gamma2, omega)
 
     @classmethod
     def standard(cls, kind: str) -> "GammaRep":
@@ -84,19 +83,19 @@ def _rep_at(x: Pin2Element, r: GammaRep, t: np.ndarray) -> np.ndarray:
     return c[..., None, None] * a + s[..., None, None] * b
 
 
-@dataclass(frozen=True)
-class PinorField:
-    """C^2-valued field on the N x N grid over the square (nodes j * 2pi / N)."""
+class PinorField(Frozen):
+    """C^2-valued field on the N x N grid over the square (nodes j * 2pi / N);
+    values has shape (N, N, 2)."""
 
-    values: np.ndarray  # shape (N, N, 2)
+    __slots__ = ("values",)
 
-    def __post_init__(self):
+    def __init__(self, values: np.ndarray):
         import numpy as np
 
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(values, dtype=complex)
         if v.ndim != 3 or v.shape[0] != v.shape[1] or v.shape[2] != 2:
             raise ValueError("field values must have shape (N, N, 2)")
-        object.__setattr__(self, "values", v)
+        self._set(v)
 
     @property
     def size(self) -> int:
@@ -212,13 +211,13 @@ def project_invariant(s: PinorField, xi: PinStructureDescriptor, tau: Involution
     return (s + moved.scale(sign)).scale(0.5)
 
 
-@dataclass(frozen=True)
-class SpinorCouple:
+class SpinorCouple(Frozen):
     """Chiral halves (s+, s-) with the couple certificate residual."""
 
-    plus: PinorField
-    minus: PinorField
-    certificate_residual: float
+    __slots__ = ("plus", "minus", "certificate_residual")
+
+    def __init__(self, plus: PinorField, minus: PinorField, certificate_residual: float):
+        self._set(plus, minus, certificate_residual)
 
 
 def couple_split(s: PinorField, xi: PinStructureDescriptor, tau: Involution,

@@ -8,9 +8,10 @@ inputs and seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
+
+from .records import Record
 
 
 def format_pi_rational(x: Fraction) -> str:
@@ -51,12 +52,13 @@ def _flatten(node: Any, prefix: str = ""):
         yield prefix.rstrip("."), node
 
 
-@dataclass
-class Report:
-    command: str
-    inputs: dict
-    results: Any
-    anchor: str = ""
+class Report(Record):
+    """One command's inputs and results, rendered as json, csv or a table."""
+
+    __slots__ = ("command", "inputs", "results", "anchor")
+
+    def __init__(self, command: str, inputs: dict, results: Any, anchor: str = ""):
+        self._set(command, inputs, results, anchor)
 
     def payload(self) -> dict:
         return {

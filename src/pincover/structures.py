@@ -13,8 +13,6 @@ L(tau x) * L(x) is computed symbolically and is always exactly +1 or -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import pin2
 from .characteristic import obstructions
 from .pin2 import (
@@ -34,6 +32,7 @@ from .pin2 import (
     rotation_lift,
     scalar_value,
 )
+from .records import Frozen
 from .surface import (
     TWO_DISC,
     Involution,
@@ -48,21 +47,18 @@ IDENTITY = "identity"
 GAMMA = "gamma"
 
 
-@dataclass(frozen=True)
-class PinStructureDescriptor:
+class PinStructureDescriptor(Frozen):
     """A pin structure on a trivialized model, identified by its O(2) twist."""
 
-    surface: SurfaceModel
-    kind: str
-    twist: O2PathElement
-    label: str
-    boundary_tags: tuple[str, ...] = ()
+    __slots__ = ("surface", "kind", "twist", "label", "boundary_tags")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.boundary_tags and len(self.boundary_tags) != self.surface.boundary_components:
+    def __init__(self, surface: SurfaceModel, kind: str, twist: O2PathElement, label: str,
+                 boundary_tags: tuple[str, ...] = ()):
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        if boundary_tags and len(boundary_tags) != surface.boundary_components:
             raise ValueError("one boundary tag per boundary component")
+        self._set(surface, kind, twist, label, boundary_tags)
 
     @property
     def twist_coefficients(self) -> tuple[int, int]:
@@ -141,12 +137,14 @@ def are_equivalent(xi: PinStructureDescriptor, eta: PinStructureDescriptor) -> b
     return equivalence_lift(xi, eta)[1]
 
 
-@dataclass(frozen=True)
-class LiftResult:
-    exists: bool
-    lift: Pin2Element | None
-    square: int | None                      # +1 | -1 when exists
-    detail: str = ""
+class LiftResult(Frozen):
+    """A solved lifting diagram: the lift and its square (+1 | -1) when it exists."""
+
+    __slots__ = ("exists", "lift", "square", "detail")
+
+    def __init__(self, exists: bool, lift: Pin2Element | None, square: int | None,
+                 detail: str = ""):
+        self._set(exists, lift, square, detail)
 
     def as_dict(self):
         return {
@@ -176,30 +174,39 @@ def lift_involution(xi: PinStructureDescriptor, tau: Involution) -> LiftResult:
 # descent through the orientation double cover
 
 
-@dataclass(frozen=True)
-class QuotientLabel:
-    """A pin structure on the base, named by (upstairs descriptor, lift sign)."""
+class QuotientLabel(Frozen):
+    """A pin structure on the base, named by (upstairs descriptor, lift sign);
+    the sheet is "P/dtau" or "P/(dtau.gamma)"."""
 
-    upstairs: PinStructureDescriptor
-    sheet: str  # "P/dtau" | "P/(dtau.gamma)"
+    __slots__ = ("upstairs", "sheet")
+
+    def __init__(self, upstairs: PinStructureDescriptor, sheet: str):
+        self._set(upstairs, sheet)
 
     def describe(self) -> str:
         return f"{self.upstairs.label}/{self.sheet}"
 
 
-@dataclass(frozen=True)
-class DescentReport:
-    base: str
-    cover: str
-    kind: str
-    mode: str                                  # "geometric" | "count-only"
-    squares: dict[str, int]                    # upstairs label -> square
-    qualifying: tuple[str, ...]
-    labels: tuple[QuotientLabel, ...]
-    count: int
-    torsor_count: int
-    exists_downstairs: bool
-    consistent: bool
+class DescentReport(Frozen):
+    __slots__ = ("base", "cover", "kind", "mode", "squares", "qualifying", "labels", "count",
+                 "torsor_count", "exists_downstairs", "consistent")
+
+    def __init__(
+        self,
+        base: str,
+        cover: str,
+        kind: str,
+        mode: str,                 # "geometric" | "count-only"
+        squares: dict[str, int],   # upstairs label -> square
+        qualifying: tuple[str, ...],
+        labels: tuple[QuotientLabel, ...],
+        count: int,
+        torsor_count: int,
+        exists_downstairs: bool,
+        consistent: bool,
+    ):
+        self._set(base, cover, kind, mode, squares, qualifying, labels, count, torsor_count,
+                  exists_downstairs, consistent)
 
     def as_dict(self):
         return {
@@ -275,12 +282,20 @@ def boundary_fiber(xi: PinStructureDescriptor, at_pi: bool) -> tuple[Pin2Element
     return first, -first
 
 
-@dataclass(frozen=True)
-class BoundaryLiftTable:
-    kind: str
-    rows: dict[str, tuple[tuple[Pin2Element, Pin2Element], tuple[Pin2Element, Pin2Element]]]
-    rho: Pin2Element
-    tau3_rho: Pin2Element
+class BoundaryLiftTable(Frozen):
+    """Boundary fibers per structure, each row (at theta = 0, at theta = pi) of
+    lift pairs, with the cylinder equivalence rho and its tau3 transport."""
+
+    __slots__ = ("kind", "rows", "rho", "tau3_rho")
+
+    def __init__(
+        self,
+        kind: str,
+        rows: dict[str, tuple[tuple[Pin2Element, Pin2Element], tuple[Pin2Element, Pin2Element]]],
+        rho: Pin2Element,
+        tau3_rho: Pin2Element,
+    ):
+        self._set(kind, rows, rho, tau3_rho)
 
     def relative_sign(self, theta_const) -> int | None:
         """+1 or -1 when tau3_rho = +-rho on the circle theta = theta_const * pi, else None."""
@@ -367,14 +382,20 @@ def _deck_glued_holonomy(a: int, kind: str) -> int:
     return scalar_value(end)
 
 
-@dataclass(frozen=True)
-class DoubleStructureResult:
-    input_label: str
-    kind: str
-    tags: tuple[str, str]
-    induced: PinStructureDescriptor
-    canonical_holonomy: int       # holonomy of the d-tilde-tau3 glued double
-    identity_conversion_flip: bool  # the one-seam sign from rho vs tau3-transported rho
+class DoubleStructureResult(Frozen):
+    __slots__ = ("input_label", "kind", "tags", "induced", "canonical_holonomy",
+                 "identity_conversion_flip")
+
+    def __init__(
+        self,
+        input_label: str,
+        kind: str,
+        tags: tuple[str, str],
+        induced: PinStructureDescriptor,
+        canonical_holonomy: int,         # holonomy of the d-tilde-tau3 glued double
+        identity_conversion_flip: bool,  # the one-seam sign from rho vs tau3-transported rho
+    ):
+        self._set(input_label, kind, tags, induced, canonical_holonomy, identity_conversion_flip)
 
     def as_dict(self):
         return {
@@ -421,11 +442,16 @@ def double_structure(xi: PinStructureDescriptor,
 # the full moebius report
 
 
-@dataclass(frozen=True)
-class MoebiusReport:
-    tau4_squares: dict[str, dict[str, int]]     # kind -> label -> square
-    tau3_lift_exists: dict[str, dict[str, bool]]
-    descending: dict[str, tuple[str, ...]]      # kind -> labels through the diagram
+class MoebiusReport(Frozen):
+    __slots__ = ("tau4_squares", "tau3_lift_exists", "descending")
+
+    def __init__(
+        self,
+        tau4_squares: dict[str, dict[str, int]],  # kind -> label -> square
+        tau3_lift_exists: dict[str, dict[str, bool]],
+        descending: dict[str, tuple[str, ...]],   # kind -> labels through the diagram
+    ):
+        self._set(tau4_squares, tau3_lift_exists, descending)
 
     def as_dict(self):
         return {

@@ -15,13 +15,13 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import pin2
 from .homology import GluingWord, PolygonComplex
 from .pin2 import O2PathElement, angle, reflection
+from .records import Frozen, Record
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -99,29 +99,37 @@ WRAP_STRAIGHT = "straight"  # v ~ v + 2
 WRAP_FLIP_OTHER = "flip"    # (u, v) ~ (f(u), v + 2) with the other coordinate negated
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Frozen):
     """A surface's gluing word and coordinates; a geometric model's record also
     holds its deck involution, double, lift domain and structure twists."""
 
-    name: str
-    model_kind: str
-    word: GluingWord
-    orientable: bool
-    boundary_components: int
-    x_wrap: str = WRAP_STRAIGHT
-    y_wrap: str = WRAP_STRAIGHT
-    genus: int = 0
-    cross_caps: int = 0
-    # the geometry of a named model; family-only models have none
-    deck: Involution | None = None    # on the orientation double cover
-    double: Double | None = None      # the closed double of a model with boundary
-    periodic_vars: tuple[str, ...] | None = None  # period-2pi lift coordinates, models with twists
-    twists: tuple[tuple[str, tuple[int, int]], ...] = ()  # label -> (a, b) of R_{a theta + b phi}
+    __slots__ = ("name", "model_kind", "word", "orientable", "boundary_components", "x_wrap",
+                 "y_wrap", "genus", "cross_caps", "deck", "double", "periodic_vars", "twists")
+
+    def __init__(
+        self,
+        name: str,
+        model_kind: str,
+        word: GluingWord,
+        orientable: bool,
+        boundary_components: int,
+        x_wrap: str = WRAP_STRAIGHT,
+        y_wrap: str = WRAP_STRAIGHT,
+        genus: int = 0,
+        cross_caps: int = 0,
+        # the geometry of a named model; family-only models have none
+        deck: Involution | None = None,  # on the orientation double cover
+        double: Double | None = None,    # the closed double of a model with boundary
+        periodic_vars: tuple[str, ...] | None = None,  # period-2pi lift coordinates
+        # label -> (a, b) of R_{a theta + b phi}
+        twists: tuple[tuple[str, tuple[int, int]], ...] = (),
+    ):
+        self._set(name, model_kind, word, orientable, boundary_components, x_wrap, y_wrap,
+                  genus, cross_caps, deck, double, periodic_vars, twists)
 
     @property
     def complex(self) -> PolygonComplex:
-        return PolygonComplex.from_word(self.word)
+        return self.word.complex
 
     def euler_characteristic(self) -> int:
         return self.complex.euler_characteristic()
@@ -156,15 +164,20 @@ class SurfaceModel:
         return self.reduce(p) == self.reduce(q)
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(Frozen):
     """Affine map (x, y) -> M (x, y) + c on the square, or the sphere's equatorial one."""
 
-    name: str
-    matrix: tuple[tuple[int, int], tuple[int, int]] | None  # None for equatorial
-    shift: tuple[Fraction, Fraction] | None                 # units of pi
-    domain: SurfaceModel
-    fixed_point_free: bool
+    __slots__ = ("name", "matrix", "shift", "domain", "fixed_point_free")
+
+    def __init__(
+        self,
+        name: str,
+        matrix: tuple[tuple[int, int], tuple[int, int]] | None,  # None for equatorial
+        shift: tuple[Fraction, Fraction] | None,                 # units of pi
+        domain: SurfaceModel,
+        fixed_point_free: bool,
+    ):
+        self._set(name, matrix, shift, domain, fixed_point_free)
 
     @classmethod
     def affine(cls, name, matrix, shift, domain, fixed_point_free):
@@ -253,12 +266,14 @@ def _shear_half(klein: SurfaceModel, p: Lattice) -> Lattice:
     return klein.reduce(Lattice(_halve(u) + _halve(v), u, period))
 
 
-@dataclass(frozen=True)
-class Double:
-    """Closed double of a surface with boundary, with the boundary-fixing involution."""
+class Double(Frozen):
+    """Closed double of a surface with boundary, with the boundary-fixing
+    involution and the lattice kernel that embeds the half in the total."""
 
-    tau: Involution
-    embedding: Callable[[SurfaceModel, Lattice], Lattice]  # lattice kernel: half -> total
+    __slots__ = ("tau", "embedding")
+
+    def __init__(self, tau: Involution, embedding: Callable[[SurfaceModel, Lattice], Lattice]):
+        self._set(tau, embedding)
 
     @property
     def total(self) -> SurfaceModel:
@@ -350,11 +365,14 @@ SURFACE_NAMES = [*MODELS, "sigma(g)", "n(g,1)", "n(g,2)"]
 # orientation double covers and doubles
 
 
-@dataclass(frozen=True)
-class OrientationCover:
-    base: SurfaceModel
-    total: SurfaceModel
-    deck: Involution | None  # geometric deck involution when the model supports it
+class OrientationCover(Frozen):
+    """A surface's orientation double cover, with the geometric deck involution
+    when the model has one."""
+
+    __slots__ = ("base", "total", "deck")
+
+    def __init__(self, base: SurfaceModel, total: SurfaceModel, deck: Involution | None):
+        self._set(base, total, deck)
 
     def has_geometry(self) -> bool:
         return self.deck is not None
@@ -390,8 +408,7 @@ def double(x: SurfaceModel) -> Double:
 # the five-space diagram for a non-orientable surface with boundary
 
 
-@dataclass
-class CoverDiagram:
+class CoverDiagram(Record):
     """X = M^2, X~ = Cyl, X^d = K^2, X~^d = T^2, X' = T^2 with all maps exact.
 
     Everything is presented through the master torus: tau3 and tau4 generate a
@@ -400,15 +417,22 @@ class CoverDiagram:
     implementation bug, not a mathematical fact).
     """
 
-    base: SurfaceModel        # X
-    tilde: SurfaceModel       # X~ (cyl)
-    half_double: SurfaceModel  # X^d (k2)
-    master: SurfaceModel      # X~^d (t2)
-    prime: SurfaceModel       # X' (t2)
-    tau1: Involution
-    tau2: Involution
-    tau3: Involution
-    tau4: Involution
+    __slots__ = ("base", "tilde", "half_double", "master", "prime",
+                 "tau1", "tau2", "tau3", "tau4")
+
+    def __init__(
+        self,
+        base: SurfaceModel,         # X
+        tilde: SurfaceModel,        # X~ (cyl)
+        half_double: SurfaceModel,  # X^d (k2)
+        master: SurfaceModel,       # X~^d (t2)
+        prime: SurfaceModel,        # X' (t2)
+        tau1: Involution,
+        tau2: Involution,
+        tau3: Involution,
+        tau4: Involution,
+    ):
+        self._set(base, tilde, half_double, master, prime, tau1, tau2, tau3, tau4)
 
     @property
     def denominator(self) -> int:

@@ -24,15 +24,13 @@ def test_suite_is_deterministic():
 
 
 def test_cover_diagram_failure_names_relation_and_point(monkeypatch):
-    import dataclasses
-
     from pincover import acceptance
     from pincover.surface import Involution, cover_diagram
 
     def broken(x):
         d = cover_diagram(x)
         tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (0, 0), d.master, True)
-        return dataclasses.replace(d, tau4=tau4)
+        return d._replace(tau4=tau4)
 
     monkeypatch.setattr(acceptance, "cover_diagram", broken)
     passed, detail = acceptance.check_cover_diagram(SEED)
@@ -45,15 +43,13 @@ def test_cover_diagram_failure_names_relation_and_point(monkeypatch):
 def test_cylinder_classes_follow_the_witness(monkeypatch):
     """A witness whose rho and tau3 rho also agree at theta = pi drops the seam
     flip, so the doubling classes swap and criterion 6 names the first miss."""
-    import dataclasses
-
     from pincover import acceptance, structures
 
     real = structures.boundary_lift_table
 
     def agreeing(kind):
         table = real(kind)
-        return dataclasses.replace(table, tau3_rho=table.rho)
+        return table._replace(tau3_rho=table.rho)
 
     monkeypatch.setattr(structures, "boundary_lift_table", agreeing)
     passed, detail = acceptance.check_cylinder_classes(SEED)

@@ -167,23 +167,48 @@ EXACT_COMMANDS = [["surfaces"], ["homology", "n(4,2)"], ["covermaps", "k2"], ["c
                   ["obstructions", "k2"], ["structures", "rp2", "--kind", "pin-"],
                   ["descend", "n(2,2)", "--kind", "pin+"], ["moebius"]]
 
+# records are plain slotted classes: dataclasses (and the inspect it loads)
+# would cost every cold process about a third of its import time
 HYGIENE_SCRIPT = """
 import contextlib, io, json, sys
 import pincover, pincover.cli
 layers = {"surface", "homology", "characteristic", "pin2", "structures", "clifford",
           "pinors", "reporting"}
 assert all("pincover." + m in sys.modules for m in layers), "a layer module is not loaded"
-assert "numpy" not in sys.modules, "import"
+def heavy():
+    return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+assert not heavy(), ("import", heavy())
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert pincover.cli.main(argv + ["--format", "json"]) == 0, argv
-    assert "numpy" not in sys.modules, argv
+    assert not heavy(), (argv, heavy())
 """
 
 
 def test_exact_subcommands_run_without_numpy():
-    """Only pinors and verify need arrays; the exact subcommands run without numpy."""
+    """Only pinors and verify need arrays; the exact subcommands run without
+    numpy, and no command loads dataclasses or inspect."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pincover.__file__)))
     proc = subprocess.run([sys.executable, "-c", HYGIENE_SCRIPT, json.dumps(EXACT_COMMANDS)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_universe_matches_the_recorded_digests(capsys):
+    """Every command of the benchmark's cli pool, run in process, has the
+    canonical JSON digest recorded in perfbench/digests.json."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import oracle
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    with open(os.path.join(bench, "digests.json")) as f:
+        recorded = json.load(f)
+    commands = workloads.cli_universe()
+    assert len(commands) == len(recorded)
+    for cmd in commands:
+        argv = cmd + ["--format", "json"]
+        payload = run_json(capsys, *cmd)
+        assert oracle.canonical_digest(payload) == recorded[workloads.cli_key(argv)], argv

@@ -6,6 +6,8 @@ import pytest
 from pincover.clifford import (
     Multivector,
     Signature,
+    _blade_sign,
+    _sign_row,
     bilinear_form,
     fiber_group_tag,
     geometric_product,
@@ -112,6 +114,17 @@ def test_memoized_product_is_bit_identical_to_termwise(sig):
     for _ in range(50):
         a, b = random_multivector(rng, sig), random_multivector(rng, sig)
         assert geometric_product(a, b).coefficients == termwise_product(a, b).coefficients
+
+
+def test_sign_rows_match_blade_sign_exhaustively():
+    """Every sign row from the twist masks against the shift-loop reference
+    _blade_sign, for every blade pair of every signature with n <= 8."""
+    for n in range(9):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            for a in range(1 << n):
+                assert _sign_row(sig, a) == [_blade_sign(sig, a, b) for b in range(1 << n)], (
+                    sig, a)
 
 
 def test_vector_anticommutator_is_twice_bilinear_form():

@@ -265,13 +265,11 @@ def test_lift_projects_to_diagram_rhs(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_double_structure_rejects_a_witness_that_disagrees_at_zero(kind, monkeypatch):
-    import dataclasses
-
     from pincover import structures
 
     real = structures.boundary_lift_table
     monkeypatch.setattr(structures, "boundary_lift_table",
-                        lambda k: dataclasses.replace(real(k), tau3_rho=-real(k).rho))
+                        lambda k: real(k)._replace(tau3_rho=-real(k).rho))
     (xi0, _) = enumerate_structures(build("cyl"), kind)
     with pytest.raises(AssertionError, match="noncommutation witness failed"):
         double_structure(xi0)

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -198,7 +197,7 @@ SCALAR_FAILS = {
 def test_mutated_tau4_is_caught_with_counterexamples():
     diagram = cover_diagram(build("moebius"))
     tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (0, 0), diagram.master, True)
-    broken = dataclasses.replace(diagram, tau4=tau4)
+    broken = diagram._replace(tau4=tau4)
     results = broken.check_relations(16)
     assert set(SCALAR_FAILS) == set(results)
     flagged = {name for name, p in results.items() if p is not None}
