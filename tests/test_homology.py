@@ -131,6 +131,62 @@ def test_solve_integer_round_trip(a, data):
     assert mat_mul(a, solution) == b
 
 
+# The dense back-substitution through the Smith form, kept verbatim as the
+# reference for solve_integer: same factors, same particular solution.
+
+
+def _ref_sparse(a):
+    """Rows of a matrix as (column, value) pairs of its nonzero entries."""
+    return [[(j, e) for j, e in enumerate(row) if e] for row in a]
+
+
+def _ref_sparse_mul(a, b):
+    """a * b for a given as sparse rows."""
+    out = homology.zeros(len(a), len(b[0]) if b else 0)
+    for row, acc in zip(a, out):
+        for j, e in row:
+            for c, x in enumerate(b[j]):
+                acc[c] += e * x
+    return out
+
+
+def _ref_factor(a):
+    u, d, v = smith_normal_form(a)
+    return _ref_sparse(u), [d[i][i] for i in range(min(len(u), len(v)))], _ref_sparse(v)
+
+
+def _ref_back_substitute(factors, b):
+    """X with a*X = b, given factors = _factor(a), or None."""
+    u, diag, v = factors
+    ub = _ref_sparse_mul(u, b)
+    y = homology.zeros(len(v), len(b[0]) if b else 0)
+    for i, row in enumerate(ub):
+        di = diag[i] if i < len(diag) else 0
+        for j, e in enumerate(row):
+            if di == 0:
+                if e != 0:
+                    return None
+            else:
+                if e % di != 0:
+                    return None
+                y[i][j] = e // di
+    return _ref_sparse_mul(v, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(max_rows=7, max_cols=7, bound=4), st.data())
+def test_solve_integer_matches_the_dense_reference(a, data):
+    cols = data.draw(st.integers(1, 4))
+    x = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=cols, max_size=cols),
+                           min_size=len(a[0]), max_size=len(a[0])))
+    solvable = mat_mul(a, x)
+    # a right-hand side off the lattice: solve_integer must agree that it has no solution
+    noise = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                               min_size=len(a), max_size=len(a)))
+    for b in (solvable, noise):
+        assert solve_integer(a, b) == _ref_back_substitute(_ref_factor(a), b)
+
+
 # ---------------------------------------------------------------------------
 # GF(2) elimination on bit-packed rows
 
