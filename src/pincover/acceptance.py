@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from typing import Callable
 
 from . import pin2
 from .characteristic import w1
@@ -44,6 +43,11 @@ from .structures import (
     moebius_descent,
 )
 from .surface import build, cover_diagram, orientation_double_cover
+
+# annotations are strings (PEP 563); this keeps typing itself out of the import
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 TOL = 1e-9
 KINDS = (PIN_PLUS, PIN_MINUS)

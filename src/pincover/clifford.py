@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
 
 from .records import Frozen
 
+# annotations are strings (PEP 563); this keeps typing itself out of the import
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 

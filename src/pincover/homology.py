@@ -10,6 +10,8 @@ transcribed.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+
 from .records import Frozen, Record
 
 # ---------------------------------------------------------------------------
@@ -111,8 +113,10 @@ def smith_normal_form(a: list[list[int]]):
         if best is None:
             break
         _, pi, pj = best
-        swap_rows(t, pi)
-        swap_cols(t, pj)
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
         dirty = False
         for i in range(t + 1, rows):
             if d[i][t]:
@@ -160,51 +164,60 @@ def smith_normal_form(a: list[list[int]]):
     return u, d, v
 
 
-def _sparse(a: list[list[int]]) -> list[list[tuple[int, int]]]:
-    """Rows of a matrix as (column, value) pairs of its nonzero entries."""
-    return [[(j, e) for j, e in enumerate(row) if e] for row in a]
+def _columns(a: list[list[int]]) -> list[dict[int, int]]:
+    """A matrix given by rows as sparse columns: {row: value} of each column's nonzeros."""
+    cols: list[dict[int, int]] = [{} for _ in range(len(a[0]) if a else 0)]
+    for i, row in enumerate(a):
+        for j in compress(range(len(row)), row):
+            cols[j][i] = row[j]
+    return cols
 
 
-def _sparse_mul(a: list[list[tuple[int, int]]], b: list[list[int]]) -> list[list[int]]:
-    """a * b for a given as sparse rows."""
-    out = zeros(len(a), len(b[0]) if b else 0)
-    for row, acc in zip(a, out):
-        for j, e in row:
-            for c, x in enumerate(b[j]):
-                acc[c] += e * x
+def _apply(m: list[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
+    """m * vec for m given as sparse columns and vec as {index: value}; the
+    result may hold zeros where terms cancel."""
+    out: dict[int, int] = {}
+    for j, c in vec.items():
+        for i, e in m[j].items():
+            out[i] = out.get(i, 0) + e * c
     return out
 
 
 def _factor(a: list[list[int]]):
-    """(U, diagonal, V) of smith_normal_form(a), with U and V as sparse rows.
+    """(U, diagonal, V) of smith_normal_form(a), with U and V as sparse columns.
 
     The unimodular factors of the lattices here are near-permutations (about
-    one nonzero entry per row), so products with them cost their nonzeros.
+    one nonzero entry per column), so products with them cost their nonzeros.
     """
     u, d, v = smith_normal_form(a)
-    return _sparse(u), [d[i][i] for i in range(min(len(u), len(v)))], _sparse(v)
+    return _columns(u), [d[i][i] for i in range(min(len(u), len(v)))], _columns(v)
 
 
-def _back_substitute(factors, b: list[list[int]]):
-    """X with a*X = b, given factors = _factor(a), or None."""
+def _back_substitute(factors, b: list[dict[int, int]]) -> list[dict[int, int]] | None:
+    """The columns of X with a*X = b, given factors = _factor(a) and b as
+    sparse columns, or None: x = V * D^-1 * U * b, where each entry of U * b
+    past the rank must vanish and each other must be divisible by its d_i."""
     u, diag, v = factors
-    ub = _sparse_mul(u, b)
-    y = zeros(len(v), len(b[0]) if b else 0)
-    for i, row in enumerate(ub):
-        di = diag[i] if i < len(diag) else 0
-        for j, e in enumerate(row):
-            if di == 0:
-                if e != 0:
+    rank = len(diag)
+    out = []
+    for col in b:
+        y = {}
+        for i, e in _apply(u, col).items():
+            if e:
+                di = diag[i] if i < rank else 0
+                if di == 0 or e % di:
                     return None
-            else:
-                if e % di != 0:
-                    return None
-                y[i][j] = e // di
-    return _sparse_mul(v, y)
+                y[i] = e // di
+        out.append({i: e for i, e in _apply(v, y).items() if e})
+    return out
 
 
-def solve_integer(a: list[list[int]], b: list[list[int]]):
-    """X with a*X = b over the integers, or None if no solution exists."""
+def solve_integer(a: list[list[int]], b: list[dict[int, int]]) -> list[dict[int, int]] | None:
+    """X with a*X = b over the integers, or None if no solution exists.
+
+    a is a matrix given by rows; b and X are sparse columns ({row: value} per
+    column), so a solve costs the nonzeros of b and of a's unimodular factors.
+    """
     return _back_substitute(_factor(a), b)
 
 
@@ -233,8 +246,13 @@ class Z2Matrix(Frozen):
 
     @property
     def T(self) -> Z2Matrix:
-        return Z2Matrix(tuple(sum((row >> j & 1) << i for i, row in enumerate(self.rows))
-                              for j in range(self.cols)), len(self.rows))
+        cols = [0] * self.cols
+        for i, row in enumerate(self.rows):
+            while row:  # one step per set bit
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        return Z2Matrix(tuple(cols), len(self.rows))
 
     def tolist(self) -> list[list[int]]:
         return [[row >> j & 1 for j in range(self.cols)] for row in self.rows]
@@ -288,22 +306,23 @@ Occurrence = tuple[str, int]  # (edge name, +1 | -1)
 class GluingWord(Frozen):
     """Boundary word of a fundamental polygon; boundary letters occur once."""
 
-    __slots__ = ("word", "boundary_letters", "_complex")
+    __slots__ = ("word", "boundary_letters", "_complex", "_exponents")
     _fields = ("word", "boundary_letters")
 
     def __init__(self, word: tuple[Occurrence, ...],
                  boundary_letters: frozenset[str] = frozenset()):
-        counts: dict[str, int] = {}
+        exponents: dict[str, list[int]] = {}  # letter -> its exponents, in word order
         for name, exp in word:
             if exp not in (1, -1):
                 raise ValueError("exponents must be +-1")
-            counts[name] = counts.get(name, 0) + 1
-        for name, k in counts.items():
+            exponents.setdefault(name, []).append(exp)
+        for name, exps in exponents.items():
             expected = 1 if name in boundary_letters else 2
-            if k != expected:
-                raise ValueError(f"letter {name} occurs {k} times, expected {expected}")
+            if len(exps) != expected:
+                raise ValueError(f"letter {name} occurs {len(exps)} times, expected {expected}")
         self._set(word, boundary_letters)
         object.__setattr__(self, "_complex", None)
+        object.__setattr__(self, "_exponents", exponents)
 
     @property
     def complex(self) -> PolygonComplex:
@@ -326,18 +345,15 @@ class GluingWord(Frozen):
 
     @property
     def letters(self) -> list[str]:
-        seen = []
-        for name, _ in self.word:
-            if name not in seen:
-                seen.append(name)
-        return seen
+        """The letters in order of first occurrence."""
+        return list(self._exponents)
 
     def interior_letters(self) -> list[str]:
         return [g for g in self.letters if g not in self.boundary_letters]
 
     def same_exponent(self, letter: str) -> bool:
         """Chart transition across this edge reverses orientation."""
-        exps = [e for name, e in self.word if name == letter]
+        exps = self._exponents.get(letter, ())
         return len(exps) == 2 and exps[0] == exps[1]
 
     def is_orientable_word(self) -> bool:
@@ -492,35 +508,43 @@ class H1Basis:
     Generators are ordered free part first, then torsion (orders in the
     divisibility chain).  ``coordinates`` maps an integer 1-chain in the kernel
     of d1 to its (free, torsion) coordinate vector.  Each lattice is factored
-    once per basis: the Smith form of the kernel lattice serves the d2 solve
-    and every ``coordinates`` call, and the generator matrix is built on the
-    first ``representative`` call.
+    once per basis: the Smith form of the kernel lattice K serves the d2 solve
+    and every ``coordinates`` call, and the generator matrix K * ux^-1 is built
+    on the first ``representative`` call.  The factors, K and ux are kept as
+    sparse columns, so a chain costs the nonzeros it meets.
     """
 
     def __init__(self, d1: list[list[int]], d2: list[list[int]]):
         n_edges = len(d2)
         if any(any(row) for row in mat_mul(d1, d2)):
             raise ValueError("d1 * d2 != 0")
-        u1, dd1, v1 = smith_normal_form(d1)
+        _, dd1, v1 = smith_normal_form(d1)
         rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
-        kernel_cols = [j for j in range(n_edges)
-                       if j >= rank1 or (j < min(len(dd1), n_edges) and not dd1[j][j])]
-        # v1 columns past the rank span the kernel lattice (saturated)
-        kernel = [[v1[i][j] for j in kernel_cols] for i in range(n_edges)]
-        self._kernel = kernel
-        self._k = len(kernel_cols)
-        self._kernel_factors = _factor(kernel)
+        # the Smith diagonal is nonzero exactly up to the rank, so the v1 columns
+        # past the rank span the kernel lattice (saturated, full column rank)
+        kernel = [row[rank1:] for row in v1]
+        k = n_edges - rank1
+        self._n_edges = n_edges
+        self._kernel = _columns(kernel)
+        # K has full column rank, so y with K * y = z is unique, whatever factors
+        # find it.  K is factored with its rows (edges) in the order of their
+        # first nonzero column: that puts a near-permutation's pivots on the
+        # diagonal, so its Smith form swaps no columns.
+        first = [next(compress(range(k), row), k) for row in kernel]
+        order = sorted(range(n_edges), key=first.__getitem__)
+        self._slot = {e: r for r, e in enumerate(order)}  # edge -> row of the factored K
+        self._kernel_factors = _factor([kernel[e] for e in order])
         self._generators = None
 
-        x = _back_substitute(self._kernel_factors, d2)
+        x = _back_substitute(self._kernel_factors, _columns([d2[e] for e in order]))
         if x is None:
             raise ValueError("image of d2 does not lie in the kernel of d1")
-        ux, dx, vx = smith_normal_form(x)
-        self._ux = _sparse(ux)
-        # new kernel basis K' = K * ux^{-1}; coordinates of z: ux * solve(K, z)
-        diag = [dx[i][i] if i < min(len(dx), len(dx[0]) if dx else 0) else 0
-                for i in range(self._k)]
-        self.orders = [diag[i] if i < len(diag) else 0 for i in range(self._k)]
+        ux, dx, _ = smith_normal_form([[col.get(i, 0) for col in x] for i in range(k)])
+        # new kernel basis K' = K * ux^-1; coordinates of z: ux * solve(K, z)
+        self._ux_rows = ux  # factored again by the first representative call
+        self._ux = _columns(ux)
+        n_diag = min(len(dx), len(dx[0]) if dx else 0)
+        self.orders = [dx[i][i] if i < n_diag else 0 for i in range(k)]
         self.free_indices = [i for i, o in enumerate(self.orders) if o == 0]
         self.torsion_indices = [i for i, o in enumerate(self.orders) if o > 1]
         self.free_rank = len(self.free_indices)
@@ -530,25 +554,27 @@ class H1Basis:
         self.rank_d2 = sum(1 for o in self.orders if o)
 
     def coordinates(self, chain: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        y = _back_substitute(self._kernel_factors, [[c] for c in chain])
+        if len(chain) != self._n_edges:
+            raise ValueError(f"a 1-chain has {self._n_edges} entries, got {len(chain)}")
+        z = {self._slot[j]: chain[j] for j in compress(range(len(chain)), chain)}
+        y = _back_substitute(self._kernel_factors, [z])
         if y is None:
             raise ValueError("chain is not a 1-cycle")
-        c = _sparse_mul(self._ux, y)
-        free = tuple(c[i][0] for i in self.free_indices)
-        tors = tuple(c[i][0] % self.orders[i] for i in self.torsion_indices)
+        c = _apply(self._ux, y[0])
+        free = tuple(map(c.get, self.free_indices, repeat(0)))
+        tors = tuple(c.get(i, 0) % self.orders[i] for i in self.torsion_indices)
         return free, tors
 
     def representative(self, index: int) -> list[int]:
         """1-chain representing the index-th generator (free first, then torsion)."""
         if self._generators is None:
-            ux = zeros(self._k, self._k)
-            for row, dense in zip(self._ux, ux):
-                for j, e in row:
-                    dense[j] = e
-            inv = solve_integer(ux, identity(self._k))
-            self._generators = mat_mul(self._kernel, inv)  # columns: K * ux^{-1}
-        i = (self.free_indices + self.torsion_indices)[index]
-        return [row[i] for row in self._generators]
+            # the columns of ux^-1 solve ux * X = I, one unit column each
+            inv = solve_integer(self._ux_rows, [{i: 1} for i in range(len(self._ux))])
+            self._generators = [_apply(self._kernel, col) for col in inv]
+        chain = [0] * self._n_edges
+        for e, c in self._generators[(self.free_indices + self.torsion_indices)[index]].items():
+            chain[e] = c
+        return chain
 
 
 def homology_groups(cx: PolygonComplex) -> GradedGroups:
@@ -658,15 +684,27 @@ def h1_z2_basis(cx: PolygonComplex):
                                      + [c | 1 << top - i for i, c in enumerate(cycles)])
     spanned = {top - p for p in pivots if p >= n}
     kept = [i for i in range(len(cycles)) if i not in spanned]
+    # The echelon is fully reduced, so reducing a vector XORs exactly the rows
+    # whose pivot bits it has; what is left of the tags are kept cycles' tags.
+    row_at = {1 << p: row for row, p in zip(reduced, pivots)}
+    pivot_mask = sum(row_at)
+    coordinate = {1 << top - k: 1 << i for i, k in enumerate(kept)}
 
     def project(vec: int) -> int:
         """Coordinates of [cycle] in the chosen basis."""
-        for row, p in zip(reduced, pivots):
-            if vec >> p & 1:
-                vec ^= row
+        hits = vec & pivot_mask
+        while hits:
+            low = hits & -hits
+            vec ^= row_at[low]
+            hits ^= low
         if vec & ((1 << n) - 1):
             raise ValueError("vector is not a cycle")
-        return sum((vec >> top - k & 1) << i for i, k in enumerate(kept))
+        out = 0
+        while vec:
+            low = vec & -vec
+            out |= coordinate[low]
+            vec ^= low
+        return out
 
     return [cycles[i] for i in kept], project
 
@@ -678,31 +716,30 @@ def induced_maps(cover: CoverData) -> InducedMaps:
     base_basis = H1Basis(base.d1(), base.d2())
     total_basis = H1Basis(total.d1(), total.d2())
     base_idx = base.edge_index
+    image = [base_idx[cover.edge_map[name]] for name in total.edges]
     n_total_gens = total_basis.free_rank + len(total_basis.torsion)
     n_base_gens = base_basis.free_rank + len(base_basis.torsion)
     push = zeros(n_base_gens, n_total_gens)
     for j in range(n_total_gens):
         chain = total_basis.representative(j)
         pushed = [0] * len(base.edges)
-        for name, c in zip(total.edges, chain):
-            pushed[base_idx[cover.edge_map[name]]] += c
+        for e in compress(range(len(chain)), chain):
+            pushed[image[e]] += chain[e]
         free, tors = base_basis.coordinates(pushed)
-        for i, val in enumerate(free):
+        for i, val in enumerate(free + tors):
             push[i][j] = val
-        for i, val in enumerate(tors):
-            push[base_basis.free_rank + i][j] = val
     orders = [0] * base_basis.free_rank + list(base_basis.torsion)
 
     # --- mod 2, in the Z2 homology bases
     base_b, base_proj = h1_z2_basis(base)
     total_b, _ = h1_z2_basis(total)
-    image = [1 << base_idx[cover.edge_map[name]] for name in total.edges]
 
     def pushed_z2(cycle: int) -> int:
         out = 0
-        for j, bit in enumerate(image):
-            if cycle >> j & 1:
-                out ^= bit
+        while cycle:
+            low = cycle & -cycle
+            out ^= 1 << image[low.bit_length() - 1]
+            cycle ^= low
         return out
 
     # row j of pi^* is column j of pi_*: the image of the j-th cover basis cycle

@@ -10,13 +10,14 @@ lifts swap the chiral halves - the content of the invariant-couple calculus.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING
 
 from .pin2 import EVEN, PIN_MINUS, PIN_PLUS, Pin2Element, at
 from .records import Frozen
 from .structures import PinStructureDescriptor, lift_involution, tau_coordinate_forms
 from .surface import Involution
 
+# annotations are strings (PEP 563); this keeps typing itself out of the import
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 

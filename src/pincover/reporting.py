@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
 
 from .records import Record
+
+# annotations are strings (PEP 563); this keeps typing itself out of the import
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 
 def format_pi_rational(x: Fraction) -> str:

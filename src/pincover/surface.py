@@ -16,13 +16,14 @@ import functools
 import math
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
 
 from . import pin2
 from .homology import GluingWord, PolygonComplex
 from .pin2 import O2PathElement, angle, reflection
 from .records import Frozen, Record
 
+# annotations are strings (PEP 563); this keeps typing itself out of the import
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Callable
 
@@ -39,12 +40,16 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class Lattice(NamedTuple):
+class Lattice(Frozen):
     """Points as int64 coordinate arrays; `period` lattice units make 2pi."""
 
-    x: np.ndarray
-    y: np.ndarray
-    period: int
+    __slots__ = ("x", "y", "period")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, period: int):
+        self._set(x, y, period)
+
+    def __iter__(self):  # x, y, period = lattice
+        return iter((self.x, self.y, self.period))
 
 
 def _halve(a: np.ndarray) -> np.ndarray:
@@ -388,12 +393,14 @@ def orientation_double_cover(x: SurfaceModel) -> OrientationCover:
 
 
 def _family_cover_model(x: SurfaceModel) -> SurfaceModel:
-    from .homology import homology_groups, orientation_double_cover_complex
+    """The closed orientable surface the mechanical cover complex builds,
+    named by its genus (2 - chi) / 2."""
+    from .homology import orientation_double_cover_complex
 
-    cover = orientation_double_cover_complex(x.word)
-    h1 = homology_groups(cover.total).h1
-    genus = h1[0] // 2
-    return build(f"sigma({genus})")
+    total = orientation_double_cover_complex(x.word).total
+    if not total.is_orientable():
+        raise AssertionError(f"the orientation double cover of {x.name} is not orientable")
+    return build(f"sigma({(2 - total.euler_characteristic()) // 2})")
 
 
 def double(x: SurfaceModel) -> Double:

@@ -194,6 +194,17 @@ def test_exact_subcommands_run_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_does_not_load_typing():
+    """Annotations are strings, so no module imports typing; -S keeps the
+    site start-up (whose .pth files may import it) out of the check."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pincover.__file__)))
+    script = ("import sys, pincover.cli, pincover.acceptance\n"
+              "assert 'typing' not in sys.modules, 'typing is loaded'")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_universe_matches_the_recorded_digests(capsys):
     """Every command of the benchmark's cli pool, run in process, has the
     canonical JSON digest recorded in perfbench/digests.json."""

@@ -100,12 +100,24 @@ def test_snf_random_matrices():
         check_snf(a)
 
 
+def columns(b):
+    """A matrix given by rows as the sparse columns solve_integer takes."""
+    return [{i: row[j] for i, row in enumerate(b) if row[j]} for j in range(len(b[0]) if b else 0)]
+
+
+def solve_dense(a, b):
+    """solve_integer on a matrix right-hand side given by rows; X by rows."""
+    x = solve_integer(a, columns(b))
+    return None if x is None else [[col.get(i, 0) for col in x] for i in range(len(a[0]))]
+
+
 def test_solve_integer():
     a = [[2, 0], [0, 3]]
     b = [[4], [9]]
-    x = solve_integer(a, b)
+    x = solve_dense(a, b)
     assert mat_mul(a, x) == b
-    assert solve_integer(a, [[1], [0]]) is None
+    assert solve_integer(a, [{0: 4, 1: 9}]) == [{0: 2, 1: 3}]
+    assert solve_integer(a, [{0: 1}]) is None
 
 
 def int_matrices(max_rows=6, max_cols=6, bound=9):
@@ -126,7 +138,7 @@ def test_solve_integer_round_trip(a, data):
     x = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2),
                            min_size=len(a[0]), max_size=len(a[0])))
     b = mat_mul(a, x)
-    solution = solve_integer(a, b)
+    solution = solve_dense(a, b)
     assert solution is not None
     assert mat_mul(a, solution) == b
 
@@ -184,7 +196,7 @@ def test_solve_integer_matches_the_dense_reference(a, data):
     noise = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
                                min_size=len(a), max_size=len(a)))
     for b in (solvable, noise):
-        assert solve_integer(a, b) == _ref_back_substitute(_ref_factor(a), b)
+        assert solve_dense(a, b) == _ref_back_substitute(_ref_factor(a), b)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +531,8 @@ def test_non_cycles_raise(word):
             project(1 << e)
         with pytest.raises(ValueError, match="not a 1-cycle"):
             basis.coordinates(chain)
+    with pytest.raises(ValueError, match="entries"):
+        basis.coordinates([0] * (len(cx.edges) + 1))
 
 
 def reference_push_z(cover):
@@ -530,7 +544,7 @@ def reference_push_z(cover):
         n_edges = len(d2)
         rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
         kernel = [row[rank1:] for row in v1]
-        ux, dx, _ = smith_normal_form(solve_integer(kernel, d2))
+        ux, dx, _ = smith_normal_form(solve_dense(kernel, d2))
         k = len(kernel[0])
         orders = [dx[i][i] if i < min(len(dx), len(dx[0])) else 0 for i in range(k)]
         order = ([i for i in range(k) if orders[i] == 0]
@@ -542,12 +556,12 @@ def reference_push_z(cover):
     base_idx = {name: i for i, name in enumerate(cover.base.edges)}
     columns = []
     for i in total_order:
-        inv = solve_integer(total_ux, identity(len(total_ux)))
+        inv = solve_dense(total_ux, identity(len(total_ux)))
         chain = [sum(row[j] * inv[j][i] for j in range(len(inv))) for row in total_k]
         pushed = [0] * len(cover.base.edges)
         for name, c in zip(cover.total.edges, chain):
             pushed[base_idx[cover.edge_map[name]]] += c
-        coords = mat_mul(base_ux, solve_integer(base_k, [[c] for c in pushed]))
+        coords = mat_mul(base_ux, solve_dense(base_k, [[c] for c in pushed]))
         columns.append([coords[r][0] % base_orders[r] if base_orders[r] else coords[r][0]
                         for r in base_order])
     return [list(row) for row in zip(*columns)] if columns else [[] for _ in base_order]

@@ -44,6 +44,7 @@ from pincover.surface import (
     CoverDiagram,
     Double,
     Involution,
+    Lattice,
     OrientationCover,
     SurfaceModel,
     build,
@@ -89,6 +90,7 @@ FROZEN = {
     Involution: lambda: Involution.affine("tau", ((1, 0), (0, -1)), (1, 0), build("t2"), True),
     Double: lambda: Double(build("cyl").double.tau, build("cyl").double.embedding),
     OrientationCover: lambda: orientation_double_cover(build("n(1,2)")),
+    Lattice: lambda: Lattice(np.arange(2, dtype=np.int64), np.arange(2, 4, dtype=np.int64), 8),
 }
 
 MUTABLE = {
@@ -102,7 +104,7 @@ MUTABLE = {
 # frozen records whose fields are all hashable (no dict or array)
 VALUE_RECORDS = [cls for cls in FROZEN if cls not in (
     Z2Cocycle, ObstructionReport, GammaRep, PinorField, SpinorCouple, DescentReport,
-    BoundaryLiftTable, MoebiusReport)]
+    BoundaryLiftTable, MoebiusReport, Lattice)]
 
 
 def _subclasses(cls):
@@ -120,7 +122,7 @@ def test_every_record_is_slotted_and_covered_here():
 
 
 # array fields compare elementwise, so == on these records is not a bool
-ARRAY_RECORDS = (GammaRep, PinorField, SpinorCouple)
+ARRAY_RECORDS = (GammaRep, PinorField, SpinorCouple, Lattice)
 
 
 @pytest.mark.parametrize("cls", [c for c in [*FROZEN, *MUTABLE] if c not in ARRAY_RECORDS],
@@ -159,6 +161,12 @@ def test_normalised_values_hash_alike():
     assert r1 == r2 and hash(r1) == hash(r2)
     assert -pin2.one(PIN_PLUS) == pin2.minus_one(PIN_PLUS)
     assert {pin2.e1(PIN_MINUS), pin2.e1(PIN_MINUS)._replace()} == {pin2.e1(PIN_MINUS)}
+
+
+def test_lattice_unpacks_into_its_fields():
+    lattice = FROZEN[Lattice]()
+    x, y, period = lattice
+    assert (x is lattice.x, y is lattice.y, period) == (True, True, 8)
 
 
 def test_cached_complex_is_not_a_field():

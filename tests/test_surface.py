@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pincover import pin2
+from pincover.homology import homology_groups, orientation_double_cover_complex
 from pincover.pin2 import angle
 from pincover.surface import (
     Involution,
@@ -104,6 +105,17 @@ def test_family_cover_has_no_geometry():
     cover = orientation_double_cover(build("n(2,1)"))
     assert cover.total.name == "sigma(4)"
     assert not cover.has_geometry()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_family_cover_genus_from_euler_characteristic_matches_homology(k):
+    """The cover is named by (2 - chi) / 2; its free H1 rank is twice that genus."""
+    for g in range(1, 17):
+        model = build(f"n({g},{k})")
+        total = orientation_double_cover_complex(model.word).total
+        genus = homology_groups(total).h1[0] // 2
+        assert orientation_double_cover(model).total.name == f"sigma({genus})"
+        assert genus == 2 * g + k - 1
 
 
 def test_double_of_cylinder():
