@@ -342,6 +342,11 @@ def _n_gk_word(g: int, k: int) -> GluingWord:
 
 _NAME_RE = re.compile(r"^(?:sigma\((\d+)\)|n\((\d+),([12])\))$")
 
+# The largest genus a family name may have.  Cold `pincover covermaps
+# 'n(150,2)'` takes about 1.8 s on a 2-core host, most of it rendering the
+# O(g^2) matrices (README, "Genus limit").
+GENUS_LIMIT = 150
+
 
 def build(name: str) -> SurfaceModel:
     """Surface by name: s2, rp2, t2, k2, cyl, moebius, sigma(g), n(g,1), n(g,2)."""
@@ -352,12 +357,14 @@ def build(name: str) -> SurfaceModel:
     if m is None:
         raise ValueError(f"unknown surface {name!r}")
     sigma_g, n_g, k = m.groups()
+    g = int(n_g if sigma_g is None else sigma_g)
+    if g > GENUS_LIMIT:
+        raise ValueError(f"{name!r}: the genus is at most {GENUS_LIMIT}, got {g}")
     if sigma_g is not None:
-        g = int(sigma_g)
         if g <= 1:
             return MODELS["s2" if g == 0 else "t2"]
         return SurfaceModel(key, FAMILY_ONLY, _sigma_word(g), True, 0, genus=g)
-    g, k = int(n_g), int(k)
+    k = int(k)
     if g == 0:
         return MODELS["rp2" if k == 1 else "k2"]
     return SurfaceModel(key, FAMILY_ONLY, _n_gk_word(g, k), False, 0, genus=g, cross_caps=k)

@@ -113,6 +113,23 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and out == "" and "unknown surface" in err
 
 
+def test_genus_above_the_limit_is_a_usage_error_before_any_homology(capsys, monkeypatch):
+    from pincover import cli
+    from pincover.surface import GENUS_LIMIT
+
+    def no_homology(*args):
+        raise AssertionError("homology ran for a rejected surface")
+
+    for name in ("induced_maps", "orientation_double_cover_complex", "homology_groups",
+                 "obstructions", "descend"):
+        monkeypatch.setattr(cli, name, no_homology)
+    g = GENUS_LIMIT + 1
+    for argv in (["covermaps", f"n({g},2)"], ["homology", f"sigma({g})"],
+                 ["obstructions", f"n({g},1)"], ["descend", f"n({g},2)", "--kind", "pin-"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"at most {GENUS_LIMIT}" in err, argv
+
+
 @pytest.mark.parametrize("grid", ["0", "-2", "3"])
 def test_pinors_grid_must_be_positive_and_even(capsys, grid):
     code, out, err = run(capsys, "pinors", "check", "t2", "--grid", grid)

@@ -7,6 +7,7 @@ from pincover import pin2
 from pincover.homology import homology_groups, orientation_double_cover_complex
 from pincover.pin2 import angle
 from pincover.surface import (
+    GENUS_LIMIT,
     Involution,
     Lattice,
     build,
@@ -57,6 +58,14 @@ def test_build_families():
         build("mystery")
     with pytest.raises(ValueError):
         build("sigma(3,1)")
+
+
+def test_family_genus_limit():
+    assert build(f"n({GENUS_LIMIT},2)").genus == GENUS_LIMIT
+    assert build(f"sigma({GENUS_LIMIT})").genus == GENUS_LIMIT
+    for name in (f"sigma({GENUS_LIMIT + 1})", f"n({GENUS_LIMIT + 1},1)", "n(10000000000,2)"):
+        with pytest.raises(ValueError, match=f"at most {GENUS_LIMIT}"):
+            build(name)
 
 
 def grid_points(n=16):
