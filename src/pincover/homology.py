@@ -226,6 +226,14 @@ def solve_integer(a: list[list[int]], b: list[dict[int, int]]) -> list[dict[int,
 # column j, so elimination XORs whole rows at once (the M4RI idiom).
 
 
+def _bits(x: int):
+    """The positions of the set bits of x, lowest first: a sparse walk."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def pack_rows(matrix) -> list[int]:
     """Rows of an integer matrix, read mod 2, as ints."""
     return [sum(1 << j for j, e in enumerate(row) if e % 2) for row in matrix]
@@ -248,10 +256,8 @@ class Z2Matrix(Frozen):
     def T(self) -> Z2Matrix:
         cols = [0] * self.cols
         for i, row in enumerate(self.rows):
-            while row:  # one step per set bit
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << i
-                row ^= low
+            for j in _bits(row):
+                cols[j] |= 1 << i
         return Z2Matrix(tuple(cols), len(self.rows))
 
     def tolist(self) -> list[list[int]]:
@@ -510,8 +516,8 @@ class H1Basis:
     of d1 to its (free, torsion) coordinate vector.  Each lattice is factored
     once per basis: the Smith form of the kernel lattice K serves the d2 solve
     and every ``coordinates`` call, and the generator matrix K * ux^-1 is built
-    on the first ``representative`` call.  The factors, K and ux are kept as
-    sparse columns, so a chain costs the nonzeros it meets.
+    on the first ``representative`` call.  The factors, ux and the generators
+    are kept as sparse columns, so a chain costs the nonzeros it meets.
     """
 
     def __init__(self, d1: list[list[int]], d2: list[list[int]]):
@@ -525,7 +531,7 @@ class H1Basis:
         kernel = [row[rank1:] for row in v1]
         k = n_edges - rank1
         self._n_edges = n_edges
-        self._kernel = _columns(kernel)
+        self._kernel = kernel  # by rows, until the generators are built
         # K has full column rank, so y with K * y = z is unique, whatever factors
         # find it.  K is factored with its rows (edges) in the order of their
         # first nonzero column: that puts a near-permutation's pivots on the
@@ -570,7 +576,8 @@ class H1Basis:
         if self._generators is None:
             # the columns of ux^-1 solve ux * X = I, one unit column each
             inv = solve_integer(self._ux_rows, [{i: 1} for i in range(len(self._ux))])
-            self._generators = [_apply(self._kernel, col) for col in inv]
+            kernel = _columns(self._kernel)
+            self._generators = [_apply(kernel, col) for col in inv]
         chain = [0] * self._n_edges
         for e, c in self._generators[(self.free_indices + self.torsion_indices)[index]].items():
             chain[e] = c
@@ -686,25 +693,17 @@ def h1_z2_basis(cx: PolygonComplex):
     kept = [i for i in range(len(cycles)) if i not in spanned]
     # The echelon is fully reduced, so reducing a vector XORs exactly the rows
     # whose pivot bits it has; what is left of the tags are kept cycles' tags.
-    row_at = {1 << p: row for row, p in zip(reduced, pivots)}
-    pivot_mask = sum(row_at)
-    coordinate = {1 << top - k: 1 << i for i, k in enumerate(kept)}
+    row_at = dict(zip(pivots, reduced))
+    pivot_mask = sum(1 << p for p in pivots)
+    coordinate = {top - k: 1 << i for i, k in enumerate(kept)}
 
     def project(vec: int) -> int:
         """Coordinates of [cycle] in the chosen basis."""
-        hits = vec & pivot_mask
-        while hits:
-            low = hits & -hits
-            vec ^= row_at[low]
-            hits ^= low
+        for p in _bits(vec & pivot_mask):
+            vec ^= row_at[p]
         if vec & ((1 << n) - 1):
             raise ValueError("vector is not a cycle")
-        out = 0
-        while vec:
-            low = vec & -vec
-            out |= coordinate[low]
-            vec ^= low
-        return out
+        return sum(coordinate[b] for b in _bits(vec))
 
     return [cycles[i] for i in kept], project
 
@@ -736,10 +735,8 @@ def induced_maps(cover: CoverData) -> InducedMaps:
 
     def pushed_z2(cycle: int) -> int:
         out = 0
-        while cycle:
-            low = cycle & -cycle
-            out ^= 1 << image[low.bit_length() - 1]
-            cycle ^= low
+        for e in _bits(cycle):
+            out ^= 1 << image[e]
         return out
 
     # row j of pi^* is column j of pi_*: the image of the j-th cover basis cycle
