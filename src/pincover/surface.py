@@ -332,6 +332,12 @@ def _sigma_word(g: int) -> GluingWord:
     return GluingWord.parse(" ".join(parts))
 
 
+def _sigma(g: int, name: str) -> SurfaceModel:
+    if g <= 1:
+        return MODELS["s2" if g == 0 else "t2"]
+    return SurfaceModel(name, FAMILY_ONLY, _sigma_word(g), True, 0, genus=g)
+
+
 def _n_gk_word(g: int, k: int) -> GluingWord:
     parts = []
     for i in range(1, g + 1):
@@ -361,9 +367,7 @@ def build(name: str) -> SurfaceModel:
     if g > GENUS_LIMIT:
         raise ValueError(f"{name!r}: the genus is at most {GENUS_LIMIT}, got {g}")
     if sigma_g is not None:
-        if g <= 1:
-            return MODELS["s2" if g == 0 else "t2"]
-        return SurfaceModel(key, FAMILY_ONLY, _sigma_word(g), True, 0, genus=g)
+        return _sigma(g, key)
     k = int(k)
     if g == 0:
         return MODELS["rp2" if k == 1 else "k2"]
@@ -401,13 +405,14 @@ def orientation_double_cover(x: SurfaceModel) -> OrientationCover:
 
 def _family_cover_model(x: SurfaceModel) -> SurfaceModel:
     """The closed orientable surface the mechanical cover complex builds,
-    named by its genus (2 - chi) / 2."""
+    named by its genus (2 - chi) / 2, which may exceed GENUS_LIMIT."""
     from .homology import orientation_double_cover_complex
 
     total = orientation_double_cover_complex(x.word).total
     if not total.is_orientable():
         raise AssertionError(f"the orientation double cover of {x.name} is not orientable")
-    return build(f"sigma({(2 - total.euler_characteristic()) // 2})")
+    genus = (2 - total.euler_characteristic()) // 2
+    return _sigma(genus, f"sigma({genus})")
 
 
 def double(x: SurfaceModel) -> Double:

@@ -63,6 +63,9 @@ def test_build_families():
 def test_family_genus_limit():
     assert build(f"n({GENUS_LIMIT},2)").genus == GENUS_LIMIT
     assert build(f"sigma({GENUS_LIMIT})").genus == GENUS_LIMIT
+    # the cover of a surface at the limit is named although its genus is above it
+    cover = orientation_double_cover(build(f"n({GENUS_LIMIT},2)")).total
+    assert (cover.name, cover.genus) == (f"sigma({2 * GENUS_LIMIT + 1})", 2 * GENUS_LIMIT + 1)
     for name in (f"sigma({GENUS_LIMIT + 1})", f"n({GENUS_LIMIT + 1},1)", "n(10000000000,2)"):
         with pytest.raises(ValueError, match=f"at most {GENUS_LIMIT}"):
             build(name)
