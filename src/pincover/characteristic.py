@@ -17,30 +17,30 @@ from .records import Frozen
 from .surface import SurfaceModel
 
 
-def _occurrence_positions(word, letter):
-    return [i for i, (name, _) in enumerate(word.word) if name == letter]
-
-
 def chord_gram_matrix(model: SurfaceModel) -> tuple[list[str], list[int]]:
     """Z2 intersection form in the chord basis, one chord per letter.
 
     Off-diagonal entries count interleavings of occurrence pairs; diagonal
     entries record same-exponent (one-sided) letters.  Row i is bit-packed:
-    bit j is the entry of letters i and j.
+    bit j is the entry of letters i and j.  One sweep of the word: the chords
+    that cross chord i are those open at exactly one of its two ends.
     """
+    _require_closed(model)
     word = model.word
     letters = word.letters
-    pos = {g: _occurrence_positions(word, g) for g in letters}
+    index = {g: i for i, g in enumerate(letters)}
     gram = [0] * len(letters)
-    for i, g in enumerate(letters):
-        a1, a2 = pos[g]
-        if word.same_exponent(g):
-            gram[i] |= 1 << i
-        for j in range(i + 1, len(letters)):
-            b1, b2 = pos[letters[j]]
-            if (a1 < b1 < a2 < b2) or (b1 < a1 < b2 < a2):
-                gram[i] |= 1 << j
-                gram[j] |= 1 << i
+    open_chords = 0  # bit i: letter i has been read once so far
+    open_at = [0] * len(letters)  # the chords open where chord i opens
+    for name, _ in word.word:
+        i = index[name]
+        bit = 1 << i
+        if open_chords & bit:
+            crossing = (open_chords ^ open_at[i]) & ~bit
+            gram[i] = crossing | bit if word.same_exponent(name) else crossing
+        else:
+            open_at[i] = open_chords
+        open_chords ^= bit
     return letters, gram
 
 

@@ -266,20 +266,29 @@ class Z2Matrix(Frozen):
 
 def gf2_row_reduce(a) -> tuple[list[int], list[int]]:
     """Reduced row echelon form of bit-packed rows over GF(2): the nonzero
-    reduced rows, one per pivot, and their pivot columns (ascending)."""
-    rows: dict[int, int] = {}  # pivot bit -> reduced row
+    reduced rows, one per pivot, and their pivot columns (ascending).
+
+    A stored row's pivot is its lowest bit, so an incoming row is cleared of
+    the pivots lowest first, and the back-elimination is one sweep at the end:
+    the work follows the pivot bits met, not the square of the rank.
+    """
+    rows: dict[int, int] = {}  # pivot column -> row, free of the pivots stored before it
+    pivot_mask = 0
     for vec in a:
-        for bit, row in rows.items():
-            if vec & bit:
-                vec ^= row
+        while m := vec & pivot_mask:
+            vec ^= rows[(m & -m).bit_length() - 1]
         if vec:
             low = vec & -vec
-            for bit, row in rows.items():
-                if row & low:
-                    rows[bit] = row ^ vec
-            rows[low] = vec
-    bits = sorted(rows)
-    return [rows[b] for b in bits], [b.bit_length() - 1 for b in bits]
+            rows[low.bit_length() - 1] = vec
+            pivot_mask |= low
+    # latest row first, so each row meets only rows that are fully reduced
+    for p in reversed(rows):
+        row = rows[p]
+        for q in _bits(row & pivot_mask ^ (1 << p)):
+            row ^= rows[q]
+        rows[p] = row
+    pivots = sorted(rows)
+    return [rows[p] for p in pivots], pivots
 
 
 def gf2_rank(a) -> int:
@@ -379,11 +388,7 @@ class PolygonComplex(Record):
     def __init__(self, faces: list[tuple[Occurrence, ...]],
                  boundary_letters: frozenset[str] = frozenset(), edges: list[str] | None = None):
         if not edges:
-            edges = []
-            for face in faces:
-                for name, _ in face:
-                    if name not in edges:
-                        edges.append(name)
+            edges = list(dict.fromkeys(name for face in faces for name, _ in face))
         self._set(faces, boundary_letters, edges)
         self._build()
 
@@ -392,44 +397,48 @@ class PolygonComplex(Record):
         return cls([word.word], word.boundary_letters)
 
     def _build(self):
-        # corners: (face index, position); edge ends unioned through gluings
-        parent: dict[tuple, tuple] = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+        # Corners are numbered face by face, and each gluing unions the tails
+        # and the heads of an edge's two occurrences.  A union keeps the lower
+        # root, so parent[c] <= c and every class is rooted at its first corner.
+        parent: list[int] = []
+        ends: dict[str, tuple[int, int]] = {}  # edge -> its first (tail, head)
 
         def union(x, y):
-            parent[find(x)] = find(y)
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x < y:
+                parent[y] = x
+            else:
+                parent[x] = y
 
-        ends: dict[str, list[tuple]] = {}
-        for fi, face in enumerate(self.faces):
-            k = len(face)
-            for pos, (name, exp) in enumerate(face):
-                tail = (fi, pos) if exp == 1 else (fi, (pos + 1) % k)
-                head = (fi, (pos + 1) % k) if exp == 1 else (fi, pos)
-                ends.setdefault(name, []).append((tail, head))
-        for name, occs in ends.items():
-            if len(occs) == 2:
-                union(occs[0][0], occs[1][0])
-                union(occs[0][1], occs[1][1])
+        for face in self.faces:
+            first = len(parent)
+            last = first + len(face) - 1
+            parent.extend(range(first, last + 1))
+            for corner, (name, exp) in enumerate(face, first):
+                after = corner + 1 if corner < last else first
+                tail, head = (corner, after) if exp == 1 else (after, corner)
+                if name in ends:
+                    t, h = ends[name]
+                    union(t, tail)
+                    union(h, head)
+                else:
+                    ends[name] = tail, head
 
-        roots: list[tuple] = []
-        index: dict[tuple, int] = {}
-        for fi, face in enumerate(self.faces):
-            for pos in range(len(face)):
-                r = find((fi, pos))
-                if r not in index:
-                    index[r] = len(roots)
-                    roots.append(r)
-        self.vertex_count = len(roots)
-        self.edge_index = {name: i for i, name in enumerate(self.edges)}
-        self.edge_ends = {
-            name: (index[find(occs[0][0])], index[find(occs[0][1])])
-            for name, occs in ends.items()
-        }
+        # vertices are numbered in the order of their first corners
+        vertex = [0] * len(parent)
+        count = 0
+        for c, p in enumerate(parent):
+            if p == c:
+                vertex[c] = count
+                count += 1
+            else:
+                vertex[c] = vertex[p]  # p < c is in c's class and numbered already
+        self.vertex_count = count
+        self.edge_index = dict(zip(self.edges, range(len(self.edges))))
+        self.edge_ends = {name: (vertex[t], vertex[h]) for name, (t, h) in ends.items()}
 
     def d1(self) -> list[list[int]]:
         """Vertices x edges boundary matrix."""
@@ -454,14 +463,9 @@ class PolygonComplex(Record):
 
     def is_orientable(self) -> bool:
         """Can the faces be oriented so every interior edge gets both exponents?"""
-        flip: dict[int, int] = {}
-        occ: dict[str, list[tuple[int, int]]] = {}
-        for fi, face in enumerate(self.faces):
-            for name, exp in face:
-                occ.setdefault(name, []).append((fi, exp))
         # union-find with parity on the face flip states
-        parent = {fi: fi for fi in range(len(self.faces))}
-        parity = {fi: 0 for fi in range(len(self.faces))}
+        parent = list(range(len(self.faces)))
+        parity = [0] * len(self.faces)
 
         def find(x):
             if parent[x] == x:
@@ -471,19 +475,26 @@ class PolygonComplex(Record):
             parity[x] ^= par
             return root, parity[x]
 
-        for name, occs in occ.items():
-            if len(occs) != 2:
-                continue
-            (fa, ea), (fb, eb) = occs
-            need = 1 if ea == eb else 0  # flips must differ iff exponents agree
-            ra, pa = find(fa)
-            rb, pb = find(fb)
-            if ra == rb:
-                if pa ^ pb != need:
-                    return False
-            else:
-                parent[ra] = rb
-                parity[ra] = pa ^ pb ^ need
+        first: dict[str, tuple[int, int]] = {}  # edge -> (face, exponent) of its first occurrence
+        for fb, face in enumerate(self.faces):
+            for name, eb in face:
+                if name not in first:
+                    first[name] = fb, eb
+                    continue
+                fa, ea = first[name]
+                need = 1 if ea == eb else 0  # flips must differ iff exponents agree
+                if fa == fb:
+                    if need:
+                        return False
+                    continue
+                ra, pa = find(fa)
+                rb, pb = find(fb)
+                if ra == rb:
+                    if pa ^ pb != need:
+                        return False
+                else:
+                    parent[ra] = rb
+                    parity[ra] = pa ^ pb ^ need
         return True
 
 
@@ -622,26 +633,23 @@ class CoverData(Record):
 def orientation_double_cover_complex(word: GluingWord) -> CoverData:
     """Two copies of every cell; sheets swap across same-exponent edges."""
     base = word.complex
-    eps = {g: 1 if word.same_exponent(g) else 0 for g in word.letters}
-
-    def lifted_face(sheet: int) -> tuple[Occurrence, ...]:
-        seen: dict[str, int] = {}
-        out = []
-        for name, exp in word.word:
-            first = name not in seen
-            if first:
-                seen[name] = 1
-                copy = sheet
-            else:
-                copy = sheet ^ eps[name]
-            out.append((f"{name}^{copy}", exp))
-        return tuple(out)
-
-    faces = [lifted_face(0), lifted_face(1)]
-    boundary = frozenset(f"{g}^{s}" for g in word.boundary_letters for s in (0, 1))
+    lifts = {g: (f"{g}^0", f"{g}^1") for g in word.letters}  # the edge on sheet 0, 1
+    # sheet 0's face: a letter's first occurrence stays on sheet 0 and its
+    # second one crosses over iff the edge reverses orientation; sheet 1's
+    # face is the same walk with every copy swapped
+    seen: set[str] = set()
+    copies = []
+    for name, _ in word.word:
+        copies.append(1 if name in seen and word.same_exponent(name) else 0)
+        seen.add(name)
+    faces = [tuple((lifts[name][copy ^ sheet], exp)
+                   for (name, exp), copy in zip(word.word, copies)) for sheet in (0, 1)]
+    boundary = frozenset(e for g in word.boundary_letters for e in lifts[g])
     total = PolygonComplex(faces, boundary)
-    edge_map = {f"{g}^{s}": g for g in word.letters for s in (0, 1)}
-    deck = {f"{g}^{s}": f"{g}^{1 - s}" for g in word.letters for s in (0, 1)}
+    edge_map = {e: g for g, pair in lifts.items() for e in pair}
+    deck = {}
+    for e0, e1 in lifts.values():
+        deck[e0], deck[e1] = e1, e0
     return CoverData(base, total, edge_map, deck)
 
 

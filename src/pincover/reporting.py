@@ -30,9 +30,17 @@ def format_pi_rational(x: Fraction) -> str:
 
 
 def _convert(value: Any) -> Any:
+    # exact types first: isinstance(value, Fraction) runs ABCMeta.__instancecheck__
+    kind = type(value)
+    if kind is int or kind is str or kind is bool or value is None:
+        return value
+    if kind is list or kind is tuple:
+        return [_convert(v) for v in value]
+    if kind is dict:
+        return {str(k): _convert(v) for k, v in value.items()}
     if isinstance(value, Fraction):
         return format_pi_rational(value)
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+    if isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
         return f"{value:.12g}"

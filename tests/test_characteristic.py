@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pincover.characteristic import obstructions, w1, w1_cup_w1, w2
+from pincover.characteristic import chord_gram_matrix, obstructions, w1, w1_cup_w1, w2
 from pincover.homology import (
     gf2_row_reduce,
     h1_z2_basis,
@@ -239,3 +239,9 @@ def test_pin_minus_always_exists_pin_plus_iff_even_chi():
 def test_obstructions_rejects_boundary():
     with pytest.raises(ValueError):
         obstructions(build("cyl"))
+
+
+@pytest.mark.parametrize("name", ["moebius", "cyl"])
+def test_chord_form_rejects_boundary_by_name(name):
+    with pytest.raises(ValueError, match=f"^{name} is not closed$"):
+        chord_gram_matrix(build(name))
