@@ -24,6 +24,7 @@ from pincover.homology import (
     orientation_double_cover_complex,
 )
 from pincover.surface import FAMILY_ONLY, SurfaceModel
+from test_pinned_answers import canonical_word, relabel
 
 # ---------------------------------------------------------------------------
 # verbatim references
@@ -178,32 +179,6 @@ def _ref_chord_gram_matrix(model):
 
 # ---------------------------------------------------------------------------
 # inputs
-
-
-def canonical_word(family, g):
-    """sigma: a1 b1 a1' b1' ...; n1: ... x x; n2: ... c d c d'."""
-    word = []
-    for i in range(1, g + 1):
-        word += [(f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1)]
-    if family == "n1":
-        word += [("x", 1), ("x", 1)]
-    elif family == "n2":
-        word += [("c", 1), ("d", 1), ("c", 1), ("d", -1)]
-    return word
-
-
-def relabel(word, rng, prefix):
-    """The same surface under a cyclic rotation, maybe a reversal, letter
-    inversions and fresh letter names."""
-    r = rng.randrange(len(word))
-    word = word[r:] + word[:r]
-    if rng.random() < 0.5:
-        word = [(name, -exp) for name, exp in reversed(word)]
-    letters = list(dict.fromkeys(name for name, _ in word))
-    flips = {name for name in letters if rng.random() < 0.5}
-    ids = rng.sample(range(10 * len(letters) + 10), len(letters))
-    names = {name: f"{prefix}{i}" for name, i in zip(letters, ids)}
-    return [(names[name], -exp if name in flips else exp) for name, exp in word]
 
 
 FAMILY_WORDS = {f"{family}-{g}": GluingWord(tuple(canonical_word(family, g)))
