@@ -1,11 +1,12 @@
 """The per-op kernels against verbatim copies of their first versions.
 
 ``PolygonComplex`` (edge listing, corner union, vertex numbering,
-orientability), ``orientation_double_cover_complex``, ``gf2_row_reduce`` and
-``chord_gram_matrix`` are compared output for output with their earlier
-versions, kept here verbatim as ``_Ref*``/``_ref_*``: on random multi-face
-gluing words with boundary letters, on the orientation double covers of every
-family up to g = 16, on random packed rows and on relabelled family words.
+orientability), ``orientation_double_cover_complex``, ``gf2_row_reduce``,
+``chord_gram_matrix`` and the pinor grid's node map are compared output for
+output with their earlier versions, kept here verbatim as ``_Ref*``/``_ref_*``:
+on random multi-face gluing words with boundary letters, on the orientation
+double covers of every family up to g = 16, on random packed rows, on
+relabelled family words and on the flat involutions of the pinor grids.
 """
 
 import functools
@@ -23,7 +24,9 @@ from pincover.homology import (
     gf2_row_reduce,
     orientation_double_cover_complex,
 )
-from pincover.surface import FAMILY_ONLY, SurfaceModel
+from pincover.pinors import _involution_node_map
+from pincover.surface import FAMILY_ONLY, SurfaceModel, build, cover_diagram, double, \
+    orientation_double_cover
 from test_pinned_answers import canonical_word, relabel
 
 # ---------------------------------------------------------------------------
@@ -177,6 +180,25 @@ def _ref_chord_gram_matrix(model):
     return letters, gram
 
 
+def _ref_involution_node_map(tau, n):
+    """Node permutation (arrays of indices) realizing tau on the grid."""
+    import numpy as np
+
+    if tau.is_equatorial:
+        raise ValueError("pinor grids need a flat involution")
+    m, c = tau.matrix, tau.shift
+    if (c[0] * n) % 2 != 0 or (c[1] * n) % 2 != 0:
+        raise ValueError("grid is not invariant under tau; use an even size")
+    i = np.arange(n)
+    ii, jj = np.meshgrid(i, i, indexing="ij")
+    # coordinates in units of 2pi/n; shift is in units of pi = n/2 steps
+    si = int(c[0] * n / 2)
+    sj = int(c[1] * n / 2)
+    new_i = (m[0][0] * ii + m[0][1] * jj + si) % n
+    new_j = (m[1][0] * ii + m[1][1] * jj + sj) % n
+    return new_i, new_j
+
+
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -304,3 +326,35 @@ def test_chord_form_matches_reference_on_relabelled_families(word, seed):
 def test_chord_form_matches_reference_on_random_closed_words(word):
     model = model_of(word)
     assert chord_gram_matrix(model) == _ref_chord_gram_matrix(model)
+
+
+# ---------------------------------------------------------------------------
+# the pinor grid's node map
+
+# the moebius diagram's tau3 is the cylinder double's involution itself
+GRID_INVOLUTIONS = {
+    "k2-deck": orientation_double_cover(build("k2")).deck,
+    "tau3": double(build("cyl")).tau,
+    "tau4": cover_diagram(build("moebius")).tau4,
+}
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 16, 32])
+@pytest.mark.parametrize("name", GRID_INVOLUTIONS)
+def test_node_map_matches_reference(name, n):
+    import numpy as np
+
+    tau = GRID_INVOLUTIONS[name]
+    got, want = _involution_node_map(tau, n), _ref_involution_node_map(tau, n)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 15])
+@pytest.mark.parametrize("name", ["k2-deck", "tau4"])
+def test_node_map_refuses_an_odd_grid_under_a_half_turn_shift(name, n):
+    tau = GRID_INVOLUTIONS[name]
+    for node_map in (_involution_node_map, _ref_involution_node_map):
+        with pytest.raises(ValueError, match="even size"):
+            node_map(tau, n)
