@@ -19,11 +19,11 @@ from .clifford import (
     _sandwich,
     bilinear_form,
     fiber_group_tag,
+    geometric_product,
     lift_orthogonal,
     orthogonal_matrix,
 )
 from .homology import (
-    PolygonComplex,
     h1_z2_basis,
     homology_groups,
     induced_maps,
@@ -221,7 +221,7 @@ def _family_names():
 def check_homology(seed: int) -> tuple[bool, str]:
     for name in _family_names():
         model = build(name)
-        h1 = homology_groups(PolygonComplex.from_word(model.word)).h1
+        h1 = homology_groups(model.complex).h1
         if name in _H1_EXPECTED:
             want = _H1_EXPECTED[name]
         elif name.startswith("sigma"):
@@ -347,8 +347,6 @@ def check_property_suites(seed: int) -> tuple[bool, str]:
             x = gens[rng.integers(len(gens))]
             y = gens[rng.integers(len(gens))]
             t0, p0 = rng.uniform(0, 2 * math.pi, size=2)
-            from .clifford import geometric_product
-
             diff = evaluate(mul(x, y), t0, p0) - geometric_product(
                 evaluate(x, t0, p0), evaluate(y, t0, p0))
             dev = max(dev, diff.norm())

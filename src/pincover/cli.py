@@ -12,24 +12,20 @@ import sys
 
 from . import pin2
 from .characteristic import obstructions
-from .homology import PolygonComplex, b1_mod2, homology_groups, induced_maps, \
-    orientation_double_cover_complex
+from .homology import b1_mod2, homology_groups, induced_maps, orientation_double_cover_complex
 from .pinors import PinorField, couple_split, invariance_residual, project_invariant
 from .reporting import Report
 from .structures import descend, enumerate_structures, lift_involution, moebius_descent
 from .surface import MODELS, SURFACE_NAMES, build, orientation_double_cover
-
-KIND_FLAGS = {"pin+": pin2.PIN_PLUS, "pin-": pin2.PIN_MINUS}
-
 
 class UsageError(Exception):
     pass
 
 
 def _kind(value: str) -> str:
-    if value not in KIND_FLAGS:
+    if value not in pin2.KINDS:
         raise UsageError(f"--kind must be pin+ or pin-, got {value!r}")
-    return KIND_FLAGS[value]
+    return value
 
 
 def cmd_surfaces(args) -> Report:
@@ -47,8 +43,7 @@ def cmd_surfaces(args) -> Report:
 
 
 def cmd_homology(args) -> Report:
-    model = build(args.surface)
-    cx = PolygonComplex.from_word(model.word)
+    cx = build(args.surface).complex
     groups = homology_groups(cx)
     results = groups.as_dict()
     results["b1_2"] = b1_mod2(cx)
@@ -120,8 +115,6 @@ def cmd_moebius(args) -> Report:
 
 
 def cmd_pinors(args) -> Report:
-    if args.action != "check":
-        raise UsageError("pinors supports the 'check' action")
     if args.grid <= 0 or args.grid % 2:
         raise UsageError(f"--grid must be positive and even, got {args.grid}")
     kind = _kind(args.kind)

@@ -14,7 +14,7 @@ import functools
 from .pin2 import EVEN, PIN_MINUS, PIN_PLUS, Pin2Element, at
 from .records import Frozen
 from .structures import PinStructureDescriptor, lift_involution, tau_coordinate_forms
-from .surface import Involution
+from .surface import Involution, Lattice
 
 # annotations are strings (PEP 563); this keeps typing itself out of the import
 TYPE_CHECKING = False
@@ -43,8 +43,6 @@ class GammaRep(Frozen):
 
     @classmethod
     def standard(cls, kind: str) -> "GammaRep":
-        import numpy as np
-
         sigma_x, sigma_y = _pauli()
         if kind == PIN_MINUS:
             g1, g2 = 1j * sigma_x, 1j * sigma_y
@@ -52,10 +50,8 @@ class GammaRep(Frozen):
             g1, g2 = sigma_x, sigma_y
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        omega = -1j * (g1 @ g2)
-        if not np.allclose(omega @ omega, np.eye(2), atol=TOL):
-            omega = 1j * (g1 @ g2)
-        return cls(kind, g1, g2, omega)
+        # (g1 g2)^2 = -I for both kinds, so -i g1 g2 squares to I
+        return cls(kind, g1, g2, -1j * (g1 @ g2))
 
     @property
     def bivector(self) -> np.ndarray:
@@ -94,8 +90,8 @@ class PinorField(Frozen):
         import numpy as np
 
         v = np.asarray(values, dtype=complex)
-        if v.ndim != 3 or v.shape[0] != v.shape[1] or v.shape[2] != 2:
-            raise ValueError("field values must have shape (N, N, 2)")
+        if v.ndim != 3 or v.shape[0] != v.shape[1] or v.shape[2] != 2 or v.shape[0] < 1:
+            raise ValueError("field values must have shape (N, N, 2) with N >= 1")
         self._set(v)
 
     @property
@@ -126,7 +122,7 @@ class PinorField(Frozen):
     def max_norm(self) -> float:
         import numpy as np
 
-        return float(np.max(np.linalg.norm(self.values, axis=-1))) if self.values.size else 0.0
+        return float(np.max(np.linalg.norm(self.values, axis=-1)))
 
     def inner(self, other: "PinorField") -> complex:
         return complex((self.values.conj() * other.values).sum())
@@ -144,17 +140,13 @@ def _involution_node_map(tau: Involution, n: int):
 
     if tau.is_equatorial:
         raise ValueError("pinor grids need a flat involution")
-    m, c = tau.matrix, tau.shift
+    c = tau.shift
     if (c[0] * n) % 2 != 0 or (c[1] * n) % 2 != 0:
         raise ValueError("grid is not invariant under tau; use an even size")
     i = np.arange(n)
-    ii, jj = np.meshgrid(i, i, indexing="ij")
-    # coordinates in units of 2pi/n; shift is in units of pi = n/2 steps
-    si = int(c[0] * n / 2)
-    sj = int(c[1] * n / 2)
-    new_i = (m[0][0] * ii + m[0][1] * jj + si) % n
-    new_j = (m[1][0] * ii + m[1][1] * jj + sj) % n
-    return new_i, new_j
+    # node (i, j) is the lattice point (i, j) of period n: 2pi/n per unit
+    image = tau.apply(Lattice(*np.meshgrid(i, i, indexing="ij"), n))
+    return image.x, image.y
 
 
 def _lift_matrices(xi: PinStructureDescriptor, tau: Involution, r: GammaRep, n: int):
@@ -167,9 +159,7 @@ def _lift_matrices(xi: PinStructureDescriptor, tau: Involution, r: GammaRep, n: 
     lift_at_tau = at(res.lift, *tau_coordinate_forms(tau))
     angles = _grid_angles(n)
     tt, pp = np.meshgrid(angles, angles, indexing="ij")
-    a = lift_at_tau.angle
-    t = float(a.theta) * tt + float(a.phi) * pp + float(a.const) * np.pi
-    return _rep_at(lift_at_tau, r, t), res
+    return _rep_at(lift_at_tau, r, lift_at_tau.angle.evaluate(tt, pp)), res
 
 
 def _deck_action(s: PinorField, xi: PinStructureDescriptor, tau: Involution,

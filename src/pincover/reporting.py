@@ -1,14 +1,15 @@
 """Serializable reports: canonical JSON, CSV, and human tables.
 
-All rationals are emitted as exact strings (e.g. "3/2·π"); floats use a fixed
-12-significant-digit decimal form, so output is byte-identical for identical
-inputs and seed.
+Rationals reach a report as exact strings (e.g. "3/2·π"): the records'
+`as_dict` methods write them with the `__str__` of `pin2`'s angle forms and
+elements.  Floats use a fixed 12-significant-digit decimal form, so output is
+byte-identical for identical inputs and seed.  A value that is none of these,
+nor a record with `as_dict`, raises `TypeError`.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .records import Record
 
@@ -18,19 +19,7 @@ if TYPE_CHECKING:
     from typing import Any
 
 
-def format_pi_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x == 0:
-        return "0"
-    if x == 1:
-        return "π"
-    if x == -1:
-        return "-π"
-    return f"{x}·π"
-
-
 def _convert(value: Any) -> Any:
-    # exact types first: isinstance(value, Fraction) runs ABCMeta.__instancecheck__
     kind = type(value)
     if kind is int or kind is str or kind is bool or value is None:
         return value
@@ -38,19 +27,11 @@ def _convert(value: Any) -> Any:
         return [_convert(v) for v in value]
     if kind is dict:
         return {str(k): _convert(v) for k, v in value.items()}
-    if isinstance(value, Fraction):
-        return format_pi_rational(value)
-    if isinstance(value, (int, str)):
-        return value
     if isinstance(value, float):
         return f"{value:.12g}"
-    if isinstance(value, dict):
-        return {str(k): _convert(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_convert(v) for v in value]
     if hasattr(value, "as_dict"):
         return _convert(value.as_dict())
-    return str(value)
+    raise TypeError(f"cannot report a value of type {kind.__name__}")
 
 
 def _flatten(node: Any, prefix: str = ""):

@@ -50,15 +50,12 @@ GAMMA = "gamma"
 class PinStructureDescriptor(Frozen):
     """A pin structure on a trivialized model, identified by its O(2) twist."""
 
-    __slots__ = ("surface", "kind", "twist", "label", "boundary_tags")
+    __slots__ = ("surface", "kind", "twist", "label")
 
-    def __init__(self, surface: SurfaceModel, kind: str, twist: O2PathElement, label: str,
-                 boundary_tags: tuple[str, ...] = ()):
+    def __init__(self, surface: SurfaceModel, kind: str, twist: O2PathElement, label: str):
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
-        if boundary_tags and len(boundary_tags) != surface.boundary_components:
-            raise ValueError("one boundary tag per boundary component")
-        self._set(surface, kind, twist, label, boundary_tags)
+        self._set(surface, kind, twist, label)
 
     @property
     def twist_coefficients(self) -> tuple[int, int]:
@@ -67,9 +64,6 @@ class PinStructureDescriptor(Frozen):
             raise ValueError("twist is not a rotation")
         a, b = self.twist.angle.theta, self.twist.angle.phi
         return int(a), int(b)
-
-    def describe(self) -> str:
-        return f"{self.label}[{self.kind}] twist={self.twist}"
 
 
 def periodic_vars(model: SurfaceModel) -> tuple[str, ...]:
@@ -97,8 +91,7 @@ def enumerate_structures(model: SurfaceModel, kind: str) -> list[PinStructureDes
         clutch = rotation_lift(kind, angle(theta=-2))
         if not is_periodic(clutch, 2):
             raise AssertionError("sphere clutching lift must be single-valued")
-    tags = (IDENTITY,) * model.boundary_components
-    return [PinStructureDescriptor(model, kind, rotation(angle(theta=a, phi=b)), label, tags)
+    return [PinStructureDescriptor(model, kind, rotation(angle(theta=a, phi=b)), label)
             for label, (a, b) in model.twists]
 
 
@@ -117,8 +110,7 @@ def pullback(xi: PinStructureDescriptor, tau: Involution) -> PinStructureDescrip
     """tau^* xi: same total space, twist J^{-1} . twist(tau x)."""
     moved = at(xi.twist, *tau_coordinate_forms(tau))
     new_twist = compose(o2_inverse(jacobian(tau)), moved)
-    return PinStructureDescriptor(xi.surface, xi.kind, new_twist,
-                                  f"{tau.name}*{xi.label}", xi.boundary_tags)
+    return PinStructureDescriptor(xi.surface, xi.kind, new_twist, f"{tau.name}*{xi.label}")
 
 
 def equivalence_lift(xi: PinStructureDescriptor, eta: PinStructureDescriptor):
@@ -310,20 +302,6 @@ class BoundaryLiftTable(Frozen):
     def negate_at_pi(self) -> bool:
         return self.relative_sign(1) == -1
 
-    def as_dict(self):
-        def fmt(pair):
-            return f"±{pair[0]}"
-
-        return {
-            "kind": self.kind,
-            "rows": {name: {"theta=0": fmt(row[0]), "theta=pi": fmt(row[1])}
-                     for name, row in self.rows.items()},
-            "rho": str(self.rho),
-            "tau3_rho": str(self.tau3_rho),
-            "agree_at_zero": self.agree_at_zero,
-            "negate_at_pi": self.negate_at_pi,
-        }
-
 
 def boundary_lift_table(kind: str) -> BoundaryLiftTable:
     """The four boundary-lift rows at theta = 0, pi plus the noncommutation witness.
@@ -397,16 +375,6 @@ class DoubleStructureResult(Frozen):
     ):
         self._set(input_label, kind, tags, induced, canonical_holonomy, identity_conversion_flip)
 
-    def as_dict(self):
-        return {
-            "input": self.input_label,
-            "kind": self.kind,
-            "tags": list(self.tags),
-            "induced_class": self.induced.label,
-            "canonical_holonomy": self.canonical_holonomy,
-            "identity_conversion_flip": self.identity_conversion_flip,
-        }
-
 
 def double_structure(xi: PinStructureDescriptor,
                      tags: tuple[str, str] | None = None) -> DoubleStructureResult:
@@ -418,7 +386,7 @@ def double_structure(xi: PinStructureDescriptor,
     """
     if xi.surface.double is None or not xi.surface.orientable:
         raise ValueError("double_structure expects a cylinder structure")
-    tags = tags or xi.boundary_tags or (IDENTITY, IDENTITY)
+    tags = tags or (IDENTITY, IDENTITY)
     if len(tags) != 2 or any(t not in (IDENTITY, GAMMA) for t in tags):
         raise ValueError("tags must be two of identity|gamma")
     a, _ = xi.twist_coefficients

@@ -8,6 +8,7 @@ import pytest
 
 import pincover
 from pincover.cli import main
+from pincover.reporting import Report
 from pincover.surface import MODELS
 
 
@@ -178,6 +179,14 @@ def test_csv_and_table_formats(capsys):
     assert code == 0 and out.startswith("key,value")
     code, out, _ = run(capsys, "homology", "k2", "--format", "table")
     assert code == 0 and "h1.free" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_render_refuses_a_value_it_cannot_report(fmt):
+    # no silent str(): an object that is neither plain data nor a record with as_dict
+    report = Report("homology", {"surface": "k2"}, {"b1_2": object()})
+    with pytest.raises(TypeError, match="cannot report a value of type object"):
+        report.render(fmt)
 
 
 EXACT_COMMANDS = [["surfaces"], ["homology", "n(4,2)"], ["covermaps", "k2"], ["covermaps", "rp2"],

@@ -188,6 +188,18 @@ def test_zero_field_splits_to_zero():
     assert couple.certificate_residual == 0.0
 
 
+@pytest.mark.parametrize("empty", [
+    lambda: PinorField(np.zeros((0, 0, 2))),
+    lambda: PinorField.constant(0, [1.0, 0.0]),
+    lambda: PinorField.random(0, np.random.default_rng(0)),
+], ids=["array", "constant", "random"])
+def test_empty_grid_is_refused(empty):
+    # on a 0 x 0 grid every residual would read 0.0, even for the pin+ xi1
+    # lift that squares to -1 under sign -1
+    with pytest.raises(ValueError, match="N >= 1"):
+        empty()
+
+
 def test_orientation_choice_is_immaterial():
     xi = torus_structures(PIN_PLUS)["xi0"]
     rng = np.random.default_rng(29)
