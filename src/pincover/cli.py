@@ -18,6 +18,7 @@ from .reporting import Report
 from .structures import descend, enumerate_structures, lift_involution, moebius_descent
 from .surface import MODELS, SURFACE_NAMES, build, orientation_double_cover
 
+
 class UsageError(Exception):
     pass
 

@@ -21,8 +21,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
-TOL = 1e-9
-
 
 @functools.cache
 def _pauli():
