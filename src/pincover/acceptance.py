@@ -29,7 +29,7 @@ from .homology import (
     induced_maps,
     orientation_double_cover_complex,
 )
-from .pin2 import PIN_MINUS, PIN_PLUS, angle, evaluate, mul
+from .pin2 import KINDS, PIN_MINUS, PIN_PLUS, angle, evaluate, mul
 from .pinors import PinorField, couple_split, invariance_residual, project_invariant
 from .records import Frozen
 from .structures import (
@@ -50,16 +50,12 @@ if TYPE_CHECKING:
     from collections.abc import Callable
 
 TOL = 1e-9
-KINDS = (PIN_PLUS, PIN_MINUS)
 
 
 class CriterionResult(Frozen):
     """One criterion's outcome; seconds is its wall time, from time.perf_counter."""
 
     __slots__ = ("name", "passed", "detail", "seconds")
-
-    def __init__(self, name: str, passed: bool, detail: str, seconds: float):
-        self._set(name, passed, detail, seconds)
 
 
 def _torus_structures(kind):
@@ -191,11 +187,11 @@ def check_boundary_lift_table(seed: int) -> tuple[bool, str]:
 def check_cylinder_classes(seed: int) -> tuple[bool, str]:
     for kind in KINDS:
         cyl = {xi.label: xi for xi in enumerate_structures(build("cyl"), kind)}
-        if double_structure(cyl["xi1"], (IDENTITY, IDENTITY)).induced.label != "xi0":
+        if double_structure(cyl["xi1"], (IDENTITY, IDENTITY)).label != "xi0":
             return False, f"{kind}: xi1 u_id xi1 does not induce xi0"
-        if double_structure(cyl["xi0"], (IDENTITY, IDENTITY)).induced.label != "xi1":
+        if double_structure(cyl["xi0"], (IDENTITY, IDENTITY)).label != "xi1":
             return False, f"{kind}: xi0 u_id xi0 does not induce xi1"
-        if double_structure(cyl["xi1"], (GAMMA, GAMMA)).induced.label != "xi0":
+        if double_structure(cyl["xi1"], (GAMMA, GAMMA)).label != "xi0":
             return False, f"{kind}: double tag flip is not an equivalence"
     return True, "xi1 u_id xi1 -> class xi0; xi0 u_id xi0 -> class xi1; overall flip trivial"
 

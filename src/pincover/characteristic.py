@@ -58,9 +58,6 @@ class Z2Cocycle(Frozen):
 
     __slots__ = ("bits",)
 
-    def __init__(self, bits: dict[str, int]):
-        self._set(bits)
-
     def __call__(self, letter: str) -> int:
         return self.bits[letter]
 
@@ -111,12 +108,6 @@ def w2(model: SurfaceModel) -> int:
 class ObstructionReport(Frozen):
     __slots__ = ("surface", "w1", "w1_cup_w1", "w2", "pin_plus_exists", "pin_minus_exists",
                  "count_pin_plus", "count_pin_minus", "h1_z2_dim")
-
-    def __init__(self, surface: str, w1: Z2Cocycle, w1_cup_w1: int, w2: int,
-                 pin_plus_exists: bool, pin_minus_exists: bool, count_pin_plus: int,
-                 count_pin_minus: int, h1_z2_dim: int):
-        self._set(surface, w1, w1_cup_w1, w2, pin_plus_exists, pin_minus_exists,
-                  count_pin_plus, count_pin_minus, h1_z2_dim)
 
     def as_dict(self):
         return {

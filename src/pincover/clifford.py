@@ -269,9 +269,6 @@ class PinElement(Frozen):
 
     __slots__ = ("value", "parity", "factor_count")
 
-    def __init__(self, value: Multivector, parity: str, factor_count: int):
-        self._set(value, parity, factor_count)
-
     def __neg__(self) -> "PinElement":
         return PinElement(-self.value, self.parity, self.factor_count)
 

@@ -245,9 +245,6 @@ class Z2Matrix(Frozen):
 
     __slots__ = ("rows", "cols")
 
-    def __init__(self, rows: tuple[int, ...], cols: int):
-        self._set(rows, cols)
-
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), self.cols
@@ -507,10 +504,6 @@ class GradedGroups(Frozen):
 
     __slots__ = ("h0", "h1", "h2")
 
-    def __init__(self, h0: tuple[int, tuple[int, ...]], h1: tuple[int, tuple[int, ...]],
-                 h2: tuple[int, tuple[int, ...]]):
-        self._set(h0, h1, h2)
-
     def as_dict(self):
         return {
             "h0": {"free": self.h0[0], "torsion": list(self.h0[1])},
@@ -625,10 +618,6 @@ class CoverData(Record):
 
     __slots__ = ("base", "total", "edge_map", "deck_edge_map")
 
-    def __init__(self, base: PolygonComplex, total: PolygonComplex, edge_map: dict[str, str],
-                 deck_edge_map: dict[str, str]):
-        self._set(base, total, edge_map, deck_edge_map)
-
 
 def orientation_double_cover_complex(word: GluingWord) -> CoverData:
     """Two copies of every cell; sheets swap across same-exponent edges."""
@@ -656,23 +645,14 @@ def orientation_double_cover_complex(word: GluingWord) -> CoverData:
 class InducedMaps(Record):
     """pi_* and pi^* data for an orientation double cover."""
 
-    __slots__ = ("push_z", "base_orders", "push_z2", "pull_z2", "kernel_pull",
-                 "coker_pull_dim", "image_index_z2", "b1_mod2_base", "b1_mod2_total")
-
-    def __init__(
-        self,
-        push_z: list[list[int]],   # H1(total, Z) -> H1(base, Z), canonical bases
-        base_orders: list[int],    # 0 for free coordinates, else torsion order
-        push_z2: Z2Matrix,         # H1(total, Z2) -> H1(base, Z2), edge-class bases
-        pull_z2: Z2Matrix,         # transpose: H^1(base, Z2) -> H^1(total, Z2)
-        kernel_pull: Z2Matrix,     # basis (rows) of Ker pi^* in H^1(base, Z2)
-        coker_pull_dim: int,
-        image_index_z2: int,       # [H1(base, Z2) : Im pi_*]
-        b1_mod2_base: int,
-        b1_mod2_total: int,
-    ):
-        self._set(push_z, base_orders, push_z2, pull_z2, kernel_pull, coker_pull_dim,
-                  image_index_z2, b1_mod2_base, b1_mod2_total)
+    __slots__ = ("push_z",          # H1(total, Z) -> H1(base, Z), canonical bases
+                 "base_orders",     # 0 for free coordinates, else torsion order
+                 "push_z2",         # H1(total, Z2) -> H1(base, Z2), edge-class bases
+                 "pull_z2",         # transpose: H^1(base, Z2) -> H^1(total, Z2)
+                 "kernel_pull",     # basis (rows) of Ker pi^* in H^1(base, Z2)
+                 "coker_pull_dim",
+                 "image_index_z2",  # [H1(base, Z2) : Im pi_*]
+                 "b1_mod2_base", "b1_mod2_total")
 
     @property
     def splitting_k(self) -> int:
@@ -751,8 +731,8 @@ def induced_maps(cover: CoverData) -> InducedMaps:
     pull_z2 = Z2Matrix(tuple(base_proj(pushed_z2(row)) for row in total_b), len(base_b))
     push_z2 = pull_z2.T
     kernel = nullspace_rows(list(pull_z2.rows), pull_z2.cols)  # phi with phi . pi_* = 0
-    image_rank = len(gf2_row_reduce(push_z2.rows)[1])
     dim_base = len(base_b)
+    image_rank = dim_base - len(kernel)  # rank-nullity on pi^*
     dim_total = len(total_b)
     return InducedMaps(
         push_z=push,

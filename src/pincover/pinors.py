@@ -36,9 +36,6 @@ class GammaRep(Frozen):
 
     __slots__ = ("kind", "gamma1", "gamma2", "omega")
 
-    def __init__(self, kind: str, gamma1: np.ndarray, gamma2: np.ndarray, omega: np.ndarray):
-        self._set(kind, gamma1, gamma2, omega)
-
     @classmethod
     def standard(cls, kind: str) -> "GammaRep":
         sigma_x, sigma_y = _pauli()
@@ -204,9 +201,6 @@ class SpinorCouple(Frozen):
     """Chiral halves (s+, s-) with the couple certificate residual."""
 
     __slots__ = ("plus", "minus", "certificate_residual")
-
-    def __init__(self, plus: PinorField, minus: PinorField, certificate_residual: float):
-        self._set(plus, minus, certificate_residual)
 
 
 def couple_split(s: PinorField, xi: PinStructureDescriptor, tau: Involution,

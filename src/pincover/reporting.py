@@ -49,9 +49,7 @@ class Report(Record):
     """One command's inputs and results, rendered as json, csv or a table."""
 
     __slots__ = ("command", "inputs", "results", "anchor")
-
-    def __init__(self, command: str, inputs: dict, results: Any, anchor: str = ""):
-        self._set(command, inputs, results, anchor)
+    _defaults = {"anchor": ""}
 
     def payload(self) -> dict:
         return {

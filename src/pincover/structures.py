@@ -133,10 +133,7 @@ class LiftResult(Frozen):
     """A solved lifting diagram: the lift and its square (+1 | -1) when it exists."""
 
     __slots__ = ("exists", "lift", "square", "detail")
-
-    def __init__(self, exists: bool, lift: Pin2Element | None, square: int | None,
-                 detail: str = ""):
-        self._set(exists, lift, square, detail)
+    _defaults = {"detail": ""}
 
     def as_dict(self):
         return {
@@ -172,33 +169,16 @@ class QuotientLabel(Frozen):
 
     __slots__ = ("upstairs", "sheet")
 
-    def __init__(self, upstairs: PinStructureDescriptor, sheet: str):
-        self._set(upstairs, sheet)
-
     def describe(self) -> str:
         return f"{self.upstairs.label}/{self.sheet}"
 
 
 class DescentReport(Frozen):
-    __slots__ = ("base", "cover", "kind", "mode", "squares", "qualifying", "labels", "count",
-                 "torsor_count", "exists_downstairs", "consistent")
-
-    def __init__(
-        self,
-        base: str,
-        cover: str,
-        kind: str,
-        mode: str,                 # "geometric" | "count-only"
-        squares: dict[str, int],   # upstairs label -> square
-        qualifying: tuple[str, ...],
-        labels: tuple[QuotientLabel, ...],
-        count: int,
-        torsor_count: int,
-        exists_downstairs: bool,
-        consistent: bool,
-    ):
-        self._set(base, cover, kind, mode, squares, qualifying, labels, count, torsor_count,
-                  exists_downstairs, consistent)
+    __slots__ = ("base", "cover", "kind",
+                 "mode",     # "geometric" | "count-only"
+                 "squares",  # upstairs label -> square
+                 "qualifying", "labels", "count", "torsor_count", "exists_downstairs",
+                 "consistent")
 
     def as_dict(self):
         return {
@@ -280,15 +260,6 @@ class BoundaryLiftTable(Frozen):
 
     __slots__ = ("kind", "rows", "rho", "tau3_rho")
 
-    def __init__(
-        self,
-        kind: str,
-        rows: dict[str, tuple[tuple[Pin2Element, Pin2Element], tuple[Pin2Element, Pin2Element]]],
-        rho: Pin2Element,
-        tau3_rho: Pin2Element,
-    ):
-        self._set(kind, rows, rho, tau3_rho)
-
     def relative_sign(self, theta_const) -> int | None:
         """+1 or -1 when tau3_rho = +-rho on the circle theta = theta_const * pi, else None."""
         rho, tau3_rho = _at_theta(self.rho, theta_const), _at_theta(self.tau3_rho, theta_const)
@@ -360,25 +331,10 @@ def _deck_glued_holonomy(a: int, kind: str) -> int:
     return scalar_value(end)
 
 
-class DoubleStructureResult(Frozen):
-    __slots__ = ("input_label", "kind", "tags", "induced", "canonical_holonomy",
-                 "identity_conversion_flip")
-
-    def __init__(
-        self,
-        input_label: str,
-        kind: str,
-        tags: tuple[str, str],
-        induced: PinStructureDescriptor,
-        canonical_holonomy: int,         # holonomy of the d-tilde-tau3 glued double
-        identity_conversion_flip: bool,  # the one-seam sign from rho vs tau3-transported rho
-    ):
-        self._set(input_label, kind, tags, induced, canonical_holonomy, identity_conversion_flip)
-
-
 def double_structure(xi: PinStructureDescriptor,
-                     tags: tuple[str, str] | None = None) -> DoubleStructureResult:
-    """Glue two copies of a cylinder structure along the boundary; classify the result.
+                     tags: tuple[str, str] | None = None) -> PinStructureDescriptor:
+    """Glue two copies of a cylinder structure along the boundary; the torus
+    structure the glued double induces.
 
     tags give the gluing on the two boundary circles relative to the identity
     of the shared total space; an overall flip of both is an equivalence, so
@@ -390,7 +346,7 @@ def double_structure(xi: PinStructureDescriptor,
     if len(tags) != 2 or any(t not in (IDENTITY, GAMMA) for t in tags):
         raise ValueError("tags must be two of identity|gamma")
     a, _ = xi.twist_coefficients
-    hol = _deck_glued_holonomy(a, xi.kind)
+    hol = _deck_glued_holonomy(a, xi.kind)  # of the d-tilde-tau3 glued double
     # the identity gluing differs from the canonical one by a sign at the seam
     # theta = pi exactly when tau3 rho and rho differ there; at theta = 0 they agree
     witness = boundary_lift_table(xi.kind)
@@ -401,9 +357,7 @@ def double_structure(xi: PinStructureDescriptor,
     base_class = 0 if hol == 1 else 1     # class of the canonical-glued double
     tag_flip = 1 if tags.count(GAMMA) % 2 else 0
     result_index = (base_class + flip + tag_flip) % 2
-    induced = _torus_descriptor(result_index, 0, xi.kind)
-    return DoubleStructureResult(xi.label, xi.kind, tuple(tags), induced,
-                                 hol, flip == 1)
+    return _torus_descriptor(result_index, 0, xi.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +365,9 @@ def double_structure(xi: PinStructureDescriptor,
 
 
 class MoebiusReport(Frozen):
-    __slots__ = ("tau4_squares", "tau3_lift_exists", "descending")
-
-    def __init__(
-        self,
-        tau4_squares: dict[str, dict[str, int]],  # kind -> label -> square
-        tau3_lift_exists: dict[str, dict[str, bool]],
-        descending: dict[str, tuple[str, ...]],   # kind -> labels through the diagram
-    ):
-        self._set(tau4_squares, tau3_lift_exists, descending)
+    __slots__ = ("tau4_squares",  # kind -> label -> square
+                 "tau3_lift_exists",
+                 "descending")    # kind -> labels through the diagram
 
     def as_dict(self):
         return {

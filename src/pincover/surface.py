@@ -25,8 +25,6 @@ from .records import Frozen, Record
 # annotations are strings (PEP 563); this keeps typing itself out of the import
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable
-
     import numpy as np
 
 Point = tuple[Fraction, Fraction]  # units of pi
@@ -44,9 +42,6 @@ class Lattice(Frozen):
     """Points as int64 coordinate arrays; `period` lattice units make 2pi."""
 
     __slots__ = ("x", "y", "period")
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, period: int):
-        self._set(x, y, period)
 
     def __iter__(self):  # x, y, period = lattice
         return iter((self.x, self.y, self.period))
@@ -109,28 +104,15 @@ class SurfaceModel(Frozen):
     holds its deck involution, double, lift domain and structure twists."""
 
     __slots__ = ("name", "model_kind", "word", "orientable", "boundary_components", "x_wrap",
-                 "y_wrap", "genus", "cross_caps", "deck", "double", "periodic_vars", "twists")
-
-    def __init__(
-        self,
-        name: str,
-        model_kind: str,
-        word: GluingWord,
-        orientable: bool,
-        boundary_components: int,
-        x_wrap: str = WRAP_STRAIGHT,
-        y_wrap: str = WRAP_STRAIGHT,
-        genus: int = 0,
-        cross_caps: int = 0,
-        # the geometry of a named model; family-only models have none
-        deck: Involution | None = None,  # on the orientation double cover
-        double: Double | None = None,    # the closed double of a model with boundary
-        periodic_vars: tuple[str, ...] | None = None,  # period-2pi lift coordinates
-        # label -> (a, b) of R_{a theta + b phi}
-        twists: tuple[tuple[str, tuple[int, int]], ...] = (),
-    ):
-        self._set(name, model_kind, word, orientable, boundary_components, x_wrap, y_wrap,
-                  genus, cross_caps, deck, double, periodic_vars, twists)
+                 "y_wrap", "genus", "cross_caps",
+                 # the geometry of a named model; family-only models have none
+                 "deck",           # on the orientation double cover
+                 "double",         # the closed double of a model with boundary
+                 "periodic_vars",  # period-2pi lift coordinates
+                 # label -> (a, b) of R_{a theta + b phi}
+                 "twists")
+    _defaults = {"x_wrap": WRAP_STRAIGHT, "y_wrap": WRAP_STRAIGHT, "genus": 0, "cross_caps": 0,
+                 "deck": None, "double": None, "periodic_vars": None, "twists": ()}
 
     @property
     def complex(self) -> PolygonComplex:
@@ -172,17 +154,10 @@ class SurfaceModel(Frozen):
 class Involution(Frozen):
     """Affine map (x, y) -> M (x, y) + c on the square, or the sphere's equatorial one."""
 
-    __slots__ = ("name", "matrix", "shift", "domain", "fixed_point_free")
-
-    def __init__(
-        self,
-        name: str,
-        matrix: tuple[tuple[int, int], tuple[int, int]] | None,  # None for equatorial
-        shift: tuple[Fraction, Fraction] | None,                 # units of pi
-        domain: SurfaceModel,
-        fixed_point_free: bool,
-    ):
-        self._set(name, matrix, shift, domain, fixed_point_free)
+    __slots__ = ("name",
+                 "matrix",  # None for equatorial
+                 "shift",   # units of pi
+                 "domain", "fixed_point_free")
 
     @classmethod
     def affine(cls, name, matrix, shift, domain, fixed_point_free):
@@ -276,9 +251,6 @@ class Double(Frozen):
     involution and the lattice kernel that embeds the half in the total."""
 
     __slots__ = ("tau", "embedding")
-
-    def __init__(self, tau: Involution, embedding: Callable[[SurfaceModel, Lattice], Lattice]):
-        self._set(tau, embedding)
 
     @property
     def total(self) -> SurfaceModel:
@@ -387,9 +359,6 @@ class OrientationCover(Frozen):
 
     __slots__ = ("base", "total", "deck")
 
-    def __init__(self, base: SurfaceModel, total: SurfaceModel, deck: Involution | None):
-        self._set(base, total, deck)
-
     def has_geometry(self) -> bool:
         return self.deck is not None
 
@@ -436,22 +405,12 @@ class CoverDiagram(Record):
     implementation bug, not a mathematical fact).
     """
 
-    __slots__ = ("base", "tilde", "half_double", "master", "prime",
+    __slots__ = ("base",         # X
+                 "tilde",        # X~ (cyl)
+                 "half_double",  # X^d (k2)
+                 "master",       # X~^d (t2)
+                 "prime",        # X' (t2)
                  "tau1", "tau2", "tau3", "tau4")
-
-    def __init__(
-        self,
-        base: SurfaceModel,         # X
-        tilde: SurfaceModel,        # X~ (cyl)
-        half_double: SurfaceModel,  # X^d (k2)
-        master: SurfaceModel,       # X~^d (t2)
-        prime: SurfaceModel,        # X' (t2)
-        tau1: Involution,
-        tau2: Involution,
-        tau3: Involution,
-        tau4: Involution,
-    ):
-        self._set(base, tilde, half_double, master, prime, tau1, tau2, tau3, tau4)
 
     @property
     def denominator(self) -> int:

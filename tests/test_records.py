@@ -1,6 +1,9 @@
 """The record classes: value equality within a class, hashing, immutability,
-_replace and repr, for every record pincover defines."""
+_replace and repr, for every record pincover defines, and the shared
+__init__ that binds the fields of the records without checks."""
 
+import gc
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -28,14 +31,12 @@ from pincover.reporting import Report
 from pincover.structures import (
     BoundaryLiftTable,
     DescentReport,
-    DoubleStructureResult,
     LiftResult,
     MoebiusReport,
     PinStructureDescriptor,
     QuotientLabel,
     boundary_lift_table,
     descend,
-    double_structure,
     enumerate_structures,
     lift_involution,
     moebius_descent,
@@ -83,8 +84,6 @@ FROZEN = {
     QuotientLabel: lambda: QuotientLabel(_torus_xi(), "P/dtau"),
     DescentReport: lambda: descend(build("k2"), PIN_MINUS),
     BoundaryLiftTable: lambda: boundary_lift_table(PIN_PLUS),
-    DoubleStructureResult: lambda: double_structure(enumerate_structures(build("cyl"),
-                                                                         PIN_MINUS)[0]),
     MoebiusReport: lambda: moebius_descent(build("moebius")),
     SurfaceModel: lambda: build("n(2,1)"),
     Involution: lambda: Involution.affine("tau", ((1, 0), (0, -1)), (1, 0), build("t2"), True),
@@ -216,3 +215,60 @@ def test_repr_names_the_fields():
     assert repr(Pin2Element(PIN_PLUS, pin2.EVEN, AngleForm())) == (
         "Pin2Element(kind='pin+', parity='even', angle=AngleForm(theta=Fraction(0, 1),"
         " phi=Fraction(0, 1), const=Fraction(0, 1)))")
+
+
+# records whose __init__ is Record's: their fields bind by position, keyword or default
+SHARED_INIT = [cls for cls in [*FROZEN, *MUTABLE] if cls.__init__ is Record.__init__]
+
+
+def test_the_records_that_keep_an_init_are_the_checking_ones():
+    own = {cls.__name__ for cls in [*FROZEN, *MUTABLE] if cls not in SHARED_INIT}
+    assert own == {"Signature", "GluingWord", "PolygonComplex", "AngleForm", "Pin2Element",
+                   "O2PathElement", "PinorField", "PinStructureDescriptor"}
+
+
+@pytest.mark.parametrize("cls", [c for c in SHARED_INIT if c not in ARRAY_RECORDS],
+                         ids=lambda c: c.__name__)
+def test_shuffled_keywords_build_the_positional_record(cls):
+    x = {**FROZEN, **MUTABLE}[cls]()
+    values = [getattr(x, name) for name in cls._fields]
+    named = list(zip(cls._fields, values))
+    random.Random(cls.__name__).shuffle(named)
+    assert cls(**dict(named)) == cls(*values) == x
+    # half by position, the rest by keyword
+    half = len(values) // 2
+    assert cls(*values[:half], **dict(zip(cls._fields[half:], values[half:]))) == x
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CriterionResult("1 name", True, "detail", 0.25, "extra"), "takes 4 fields, got 5"),
+    (lambda: CriterionResult("1 name", True, "detail"), "missing field 'seconds'"),
+    (lambda: CriterionResult("1 name", True, "detail", second=0.25), "field 'second' unknown"),
+    (lambda: CriterionResult("1 name", True, "detail", 0.25, passed=False),
+     "field 'passed' given twice"),
+    (lambda: Report("homology", {}, {}, "", anchor=""), "field 'anchor' given twice"),
+    (lambda: Report(command="homology", inputs={}), "missing field 'results'"),
+], ids=["too-many", "missing", "unknown", "twice", "twice-with-default", "missing-by-keyword"])
+def test_a_bad_call_raises_type_error(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
+def test_defaults_fill_the_missing_fields():
+    report = Report("homology", {"surface": "k2"}, {"b1_2": 2})
+    assert report.anchor == ""
+    assert LiftResult(False, None, None).detail == ""
+    word = GluingWord.parse("a a")
+    model = SurfaceModel("rp2-word", "family-only", word, False, 0, cross_caps=1)
+    assert (model.x_wrap, model.y_wrap, model.genus, model.cross_caps) == (
+        "straight", "straight", 0, 1)
+    assert (model.deck, model.double, model.periodic_vars, model.twists) == (None, None, None, ())
+
+
+def test_defaults_must_name_fields():
+    with pytest.raises(TypeError, match="_defaults names no field: colour"):
+        class Bad(Record):  # noqa: F841 - refused as it is defined
+            __slots__ = ("size",)
+            _defaults = {"size": 1, "colour": "red"}
+    gc.collect()
+    assert "Bad" not in {cls.__name__ for cls in _subclasses(Record)}

@@ -220,15 +220,15 @@ def test_double_structure_classes(kind):
     cyl = {xi.label: xi for xi in enumerate_structures(build("cyl"), kind)}
     # identity gluing of xi1 induces xi0 on the torus, and vice versa
     res1 = double_structure(cyl["xi1"], (IDENTITY, IDENTITY))
-    assert res1.induced.label == "xi0"
+    assert res1.label == "xi0" and res1.surface.name == "t2" and res1.kind == kind
     res0 = double_structure(cyl["xi0"], (IDENTITY, IDENTITY))
-    assert res0.induced.label == "xi1"
+    assert res0.label == "xi1"
     # flipping both tags is an overall gamma: same class
-    assert double_structure(cyl["xi1"], (GAMMA, GAMMA)).induced.label == "xi0"
-    assert double_structure(cyl["xi0"], (GAMMA, GAMMA)).induced.label == "xi1"
+    assert double_structure(cyl["xi1"], (GAMMA, GAMMA)).label == "xi0"
+    assert double_structure(cyl["xi0"], (GAMMA, GAMMA)).label == "xi1"
     # flipping exactly one tag moves to the other class
-    assert double_structure(cyl["xi1"], (IDENTITY, GAMMA)).induced.label == "xi1"
-    assert double_structure(cyl["xi0"], (GAMMA, IDENTITY)).induced.label == "xi0"
+    assert double_structure(cyl["xi1"], (IDENTITY, GAMMA)).label == "xi1"
+    assert double_structure(cyl["xi0"], (GAMMA, IDENTITY)).label == "xi0"
 
 
 @pytest.mark.parametrize("kind", KINDS)
