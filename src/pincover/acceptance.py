@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import pin2
 from .characteristic import w1
 from .clifford import (
+    TOL,
     Multivector,
     Signature,
     _sandwich,
@@ -48,8 +49,6 @@ from .surface import build, cover_diagram, orientation_double_cover
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Callable
-
-TOL = 1e-9
 
 
 class CriterionResult(Frozen):

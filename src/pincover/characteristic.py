@@ -12,6 +12,8 @@ reversing seam" into an exact GF(2) solve; w2 is the Euler characteristic mod
 
 from __future__ import annotations
 
+import functools
+
 from .homology import b1_mod2, solve_rows
 from .records import Frozen
 from .surface import SurfaceModel
@@ -49,10 +51,6 @@ def _require_closed(model: SurfaceModel):
         raise ValueError(f"{model.name} is not closed")
 
 
-def _single_vertex(model: SurfaceModel) -> bool:
-    return model.complex.vertex_count == 1
-
-
 class Z2Cocycle(Frozen):
     """Functional on H1(X, Z2), one bit per generator letter of the polygon."""
 
@@ -65,38 +63,40 @@ class Z2Cocycle(Frozen):
         return all(v == 0 for v in self.bits.values())
 
 
-def _seam_solution(model: SurfaceModel) -> tuple[list[str], int, int]:
-    """(letters, eps, v), bit-packed by letter, with G v = eps for the chord form G.
+@functools.lru_cache(maxsize=1)
+def _wu_class(model: SurfaceModel) -> tuple[tuple[str, ...], int, int]:
+    """(letters, diag, v), bit-packed by letter, with G v = diag G for the chord form G.
 
-    eps marks the one-sided letters, whose edges cross an orientation-reversing
-    seam.  The chords are dual to the edge loops, so v is the seam-crossing
-    cocycle evaluated on the edge-loop basis.
+    diag marks the one-sided letters, whose edges cross an orientation-reversing
+    seam.  By Wu's relation v is w1 on the edge loops, which the chords are
+    dual to.  The last model's answer is kept, so that the w1 and w1_cup_w1
+    calls of one obstructions call share one chord form and one solve.
     """
     _require_closed(model)
     word = model.word
-    letters = word.letters
-    eps = sum(1 << i for i, g in enumerate(letters) if word.same_exponent(g))
-    if not eps:
+    letters = tuple(word.letters)  # immutable: every caller shares the cached answer
+    diag = sum(1 << i for i, g in enumerate(letters) if word.same_exponent(g))
+    if not diag:
         return letters, 0, 0
     _, gram = chord_gram_matrix(model)
-    v = solve_rows(gram, eps, len(letters))
+    v = solve_rows(gram, diag, len(letters))
     if v is None:
         raise ValueError("degenerate intersection form")
-    return letters, eps, v
+    return letters, diag, v
 
 
 def w1(model: SurfaceModel) -> Z2Cocycle:
     """First Stiefel-Whitney class: 1 on the generators whose loops reverse orientation."""
-    letters, eps, v = _seam_solution(model)
-    if eps and not _single_vertex(model):
+    letters, diag, v = _wu_class(model)
+    if diag and model.complex.vertex_count != 1:
         raise ValueError("w1 needs a one-vertex polygon model")
     return Z2Cocycle({g: v >> i & 1 for i, g in enumerate(letters)})
 
 
 def w1_cup_w1(model: SurfaceModel) -> int:
-    """<w1 cup w1, [X]> via the intersection form."""
-    _, eps, v = _seam_solution(model)
-    return (eps & v).bit_count() % 2
+    """<w1 cup w1, [X]> = <w1, diag G> via the intersection form."""
+    _, diag, v = _wu_class(model)
+    return (diag & v).bit_count() % 2
 
 
 def w2(model: SurfaceModel) -> int:

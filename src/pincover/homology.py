@@ -360,16 +360,10 @@ class GluingWord(Frozen):
         """The letters in order of first occurrence."""
         return list(self._exponents)
 
-    def interior_letters(self) -> list[str]:
-        return [g for g in self.letters if g not in self.boundary_letters]
-
     def same_exponent(self, letter: str) -> bool:
         """Chart transition across this edge reverses orientation."""
         exps = self._exponents.get(letter, ())
         return len(exps) == 2 and exps[0] == exps[1]
-
-    def is_orientable_word(self) -> bool:
-        return all(not self.same_exponent(g) for g in self.interior_letters())
 
 
 class PolygonComplex(Record):
@@ -459,19 +453,14 @@ class PolygonComplex(Record):
         return self.vertex_count - len(self.edges) + len(self.faces)
 
     def is_orientable(self) -> bool:
-        """Can the faces be oriented so every interior edge gets both exponents?"""
-        # union-find with parity on the face flip states
-        parent = list(range(len(self.faces)))
-        parity = [0] * len(self.faces)
+        """Can the faces be oriented so every interior edge gets both exponents?
 
-        def find(x):
-            if parent[x] == x:
-                return x, 0
-            root, par = find(parent[x])
-            parent[x] = root
-            parity[x] ^= par
-            return root, parity[x]
-
+        One GF(2) unknown per face, its flip: an edge whose two occurrences
+        have the same exponent needs its two faces' flips to differ, any other
+        interior edge needs them equal.
+        """
+        rows: list[int] = []
+        rhs = 0
         first: dict[str, tuple[int, int]] = {}  # edge -> (face, exponent) of its first occurrence
         for fb, face in enumerate(self.faces):
             for name, eb in face:
@@ -479,20 +468,9 @@ class PolygonComplex(Record):
                     first[name] = fb, eb
                     continue
                 fa, ea = first[name]
-                need = 1 if ea == eb else 0  # flips must differ iff exponents agree
-                if fa == fb:
-                    if need:
-                        return False
-                    continue
-                ra, pa = find(fa)
-                rb, pb = find(fb)
-                if ra == rb:
-                    if pa ^ pb != need:
-                        return False
-                else:
-                    parent[ra] = rb
-                    parity[ra] = pa ^ pb ^ need
-        return True
+                rhs |= (ea == eb) << len(rows)
+                rows.append(1 << fa ^ 1 << fb)  # 0 = rhs when both lie on one face
+        return solve_rows(rows, rhs, len(self.faces)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ ROTATION = "rotation"
 REFLECTION = "reflection"
 
 
-def _frac(x) -> Fraction:
+def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -45,7 +45,7 @@ class AngleForm(Frozen):
     __slots__ = ("theta", "phi", "const")
 
     def __init__(self, theta=Fraction(0), phi=Fraction(0), const=Fraction(0)):
-        self._set(_frac(theta), _frac(phi), _frac(const) % 2)
+        self._set(frac(theta), frac(phi), frac(const) % 2)
 
     def __add__(self, other: "AngleForm") -> "AngleForm":
         return AngleForm(self.theta + other.theta, self.phi + other.phi,
@@ -60,10 +60,10 @@ class AngleForm(Frozen):
 
     def shifted(self, half_turns) -> "AngleForm":
         """Add a rational multiple of pi."""
-        return AngleForm(self.theta, self.phi, self.const + _frac(half_turns))
+        return AngleForm(self.theta, self.phi, self.const + frac(half_turns))
 
     def scaled(self, factor) -> "AngleForm":
-        f = _frac(factor)
+        f = frac(factor)
         return AngleForm(self.theta * f, self.phi * f, self.const * f)
 
     def substitute(self, theta: "AngleForm", phi: "AngleForm") -> "AngleForm":
@@ -106,7 +106,7 @@ ZERO_ANGLE = AngleForm()
 
 
 def angle(theta=0, phi=0, const=0) -> AngleForm:
-    return AngleForm(_frac(theta), _frac(phi), _frac(const))
+    return AngleForm(frac(theta), frac(phi), frac(const))
 
 
 class Pin2Element(Frozen):
@@ -278,11 +278,6 @@ def lift_o2(g: O2PathElement, kind: str) -> tuple[Pin2Element, Pin2Element]:
     return first, -first
 
 
-def rotation_lift(kind: str, a: AngleForm) -> Pin2Element:
-    """The canonical-branch lift of the rotation by a (continuous in the angle)."""
-    return lift_o2(rotation(a), kind)[0]
-
-
 def canonical_sign(x: Pin2Element) -> Pin2Element:
     """Representative with constant in [0, 1) (the other lift is angle + pi)."""
     if x.angle.const % 2 < 1:
@@ -290,10 +285,15 @@ def canonical_sign(x: Pin2Element) -> Pin2Element:
     return -x
 
 
+def canonical_lift(g: O2PathElement, kind: str) -> Pin2Element:
+    """The preimage of g under project whose constant lies in [0, 1)."""
+    return canonical_sign(lift_o2(g, kind)[0])
+
+
 def is_periodic(x: Pin2Element, shift, var: str = "theta") -> bool:
     """Does substituting var -> var + shift (shift in units of pi) fix x exactly?"""
     coeff = x.angle.theta if var == "theta" else x.angle.phi
-    return (coeff * _frac(shift)) % 2 == 0
+    return (coeff * frac(shift)) % 2 == 0
 
 
 def evaluate(x: Pin2Element, theta0: float = 0.0, phi0: float = 0.0) -> Multivector:

@@ -22,14 +22,12 @@ from .pin2 import (
     ROTATION,
     angle,
     at,
-    canonical_sign,
+    canonical_lift,
     compose,
     is_periodic,
-    lift_o2,
     mul,
     o2_inverse,
     rotation,
-    rotation_lift,
     scalar_value,
 )
 from .records import Frozen
@@ -88,7 +86,7 @@ def enumerate_structures(model: SurfaceModel, kind: str) -> list[PinStructureDes
     if model.model_kind == TWO_DISC:
         # the clutching R_{-2 theta} lifts to a single-valued loop, so the two
         # trivial halves glue; H^1(S^2, Z2) = 0 leaves nothing else
-        clutch = rotation_lift(kind, angle(theta=-2))
+        clutch = canonical_lift(rotation(angle(theta=-2)), kind)
         if not is_periodic(clutch, 2):
             raise AssertionError("sphere clutching lift must be single-valued")
     return [PinStructureDescriptor(model, kind, rotation(angle(theta=a, phi=b)), label)
@@ -119,7 +117,7 @@ def equivalence_lift(xi: PinStructureDescriptor, eta: PinStructureDescriptor):
     if xi.surface.name != eta.surface.name or xi.kind != eta.kind:
         raise ValueError("structures live on different surfaces or kinds")
     target = compose(o2_inverse(eta.twist), xi.twist)
-    rho = canonical_sign(lift_o2(target, xi.kind)[0])
+    rho = canonical_lift(target, xi.kind)
     ok = all(is_periodic(rho, 2, var) for var in periodic_vars(xi.surface))
     return rho, ok
 
@@ -146,9 +144,11 @@ class LiftResult(Frozen):
 
 def lift_involution(xi: PinStructureDescriptor, tau: Involution) -> LiftResult:
     """Solve the lifting diagram for d-tilde-tau and compute its exact square."""
+    if tau.domain.name != xi.surface.name:
+        raise ValueError(f"{tau.name} acts on {tau.domain.name}, not on {xi.surface.name}")
     th, ph = tau_coordinate_forms(tau)
     rhs = compose(o2_inverse(at(xi.twist, th, ph)), compose(jacobian(tau), xi.twist))
-    lift = canonical_sign(lift_o2(rhs, xi.kind)[0])
+    lift = canonical_lift(rhs, xi.kind)
     if not all(is_periodic(lift, 2, var) for var in periodic_vars(xi.surface)):
         return LiftResult(False, None, None,
                           "no single-valued lift: the candidate changes sign under a deck shift")
@@ -163,21 +163,11 @@ def lift_involution(xi: PinStructureDescriptor, tau: Involution) -> LiftResult:
 # descent through the orientation double cover
 
 
-class QuotientLabel(Frozen):
-    """A pin structure on the base, named by (upstairs descriptor, lift sign);
-    the sheet is "P/dtau" or "P/(dtau.gamma)"."""
-
-    __slots__ = ("upstairs", "sheet")
-
-    def describe(self) -> str:
-        return f"{self.upstairs.label}/{self.sheet}"
-
-
 class DescentReport(Frozen):
     __slots__ = ("base", "cover", "kind",
                  "mode",     # "geometric" | "count-only"
                  "squares",  # upstairs label -> square
-                 "qualifying", "labels", "count", "torsor_count", "exists_downstairs",
+                 "qualifying", "count", "torsor_count", "exists_downstairs",
                  "consistent")
 
     def as_dict(self):
@@ -188,7 +178,9 @@ class DescentReport(Frozen):
             "mode": self.mode,
             "squares": dict(sorted(self.squares.items())),
             "qualifying": list(self.qualifying),
-            "structures": [lab.describe() for lab in self.labels],
+            # each qualifying structure descends twice, by the lift and by its negative
+            "structures": [f"{label}/{sheet}" for label in self.qualifying
+                           for sheet in ("P/dtau", "P/(dtau.gamma)")],
             "count": self.count,
             "torsor_count": self.torsor_count,
             "exists": self.exists_downstairs,
@@ -198,6 +190,8 @@ class DescentReport(Frozen):
 
 def descend(base: SurfaceModel, kind: str) -> DescentReport:
     """Structures on a closed non-orientable base from invariant ones upstairs."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
     if base.orientable:
         raise ValueError(f"{base.name} is orientable; nothing to descend to")
     if base.boundary_components:
@@ -208,10 +202,9 @@ def descend(base: SurfaceModel, kind: str) -> DescentReport:
     cover = orientation_double_cover(base)
     if not cover.has_geometry():
         return DescentReport(base.name, cover.total.name, kind, "count-only",
-                             {}, (), (), torsor, torsor, exists, True)
+                             {}, (), torsor, torsor, exists, True)
     squares = {}
     qualifying = []
-    labels = []
     for xi in enumerate_structures(cover.total, kind):
         res = lift_involution(xi, cover.deck)
         if not res.exists:
@@ -219,12 +212,9 @@ def descend(base: SurfaceModel, kind: str) -> DescentReport:
         squares[xi.label] = res.square
         if res.square == 1:
             qualifying.append(xi.label)
-            labels.append(QuotientLabel(xi, "P/dtau"))
-            labels.append(QuotientLabel(xi, "P/(dtau.gamma)"))
     count = 2 * len(qualifying)
     return DescentReport(base.name, cover.total.name, kind, "geometric",
-                         squares, tuple(qualifying), tuple(labels),
-                         count, torsor, exists, count == torsor)
+                         squares, tuple(qualifying), count, torsor, exists, count == torsor)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +240,7 @@ def boundary_fiber(xi: PinStructureDescriptor, at_pi: bool) -> tuple[Pin2Element
     """The two points of the pin fiber over the embedded boundary frame."""
     twist_at = _at_theta(xi.twist, 1 if at_pi else 0)
     target = compose(o2_inverse(twist_at), embedded_boundary_frame(at_pi))
-    first = canonical_sign(lift_o2(target, xi.kind)[0])
+    first = canonical_lift(target, xi.kind)
     return first, -first
 
 
@@ -292,9 +282,8 @@ def boundary_lift_table(kind: str) -> BoundaryLiftTable:
         "tau3*xi0": (boundary_fiber(star0, False), boundary_fiber(star0, True)),
         "tau3*xi1": (boundary_fiber(star1, False), boundary_fiber(star1, True)),
     }
-    rho = canonical_sign(lift_o2(compose(o2_inverse(xi1.twist), xi0.twist), kind)[0])
-    tau3_rho = canonical_sign(
-        lift_o2(compose(o2_inverse(star1.twist), star0.twist), kind)[0])
+    rho = canonical_lift(compose(o2_inverse(xi1.twist), xi0.twist), kind)
+    tau3_rho = canonical_lift(compose(o2_inverse(star1.twist), star0.twist), kind)
     return BoundaryLiftTable(kind, rows, rho, tau3_rho)
 
 
@@ -313,11 +302,10 @@ def _deck_glued_holonomy(a: int, kind: str) -> int:
         raise AssertionError("tau3 lift must exist for theta twists")
     seam = res.lift  # constant odd element
     # copy 1: z1(theta) = lift of R_{-a theta}, continuous from 1
-    z1 = rotation_lift(kind, angle(theta=-a))
+    z1 = canonical_lift(rotation(angle(theta=-a)), kind)
     z2_at_pi = mul(_at_theta(seam, 1), _at_theta(z1, 1))
     # copy 2 family: lift of R_{-a theta'} j1, canonical branch
-    family = canonical_sign(
-        lift_o2(compose(rotation(angle(theta=-a)), pin2.J1), kind)[0])
+    family = canonical_lift(compose(rotation(angle(theta=-a)), pin2.J1), kind)
     fam_at_pi = _at_theta(family, 1)
     if z2_at_pi == fam_at_pi:
         eps = 1

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import pin2
 from .homology import GluingWord, PolygonComplex
-from .pin2 import O2PathElement, angle, reflection
+from .pin2 import O2PathElement, angle, frac, reflection
 from .records import Frozen, Record
 
 # annotations are strings (PEP 563); this keeps typing itself out of the import
@@ -32,10 +32,6 @@ Point = tuple[Fraction, Fraction]  # units of pi
 FLAT_SQUARE = "flat-square"
 TWO_DISC = "two-disc"
 FAMILY_ONLY = "family-only"
-
-
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class Lattice(Frozen):
@@ -297,25 +293,16 @@ def _geometric_models() -> dict[str, SurfaceModel]:
 MODELS = _geometric_models()
 
 
-def _sigma_word(g: int) -> GluingWord:
-    parts = []
-    for i in range(1, g + 1):
-        parts += [f"a{i}", f"b{i}", f"a{i}'", f"b{i}'"]
-    return GluingWord.parse(" ".join(parts))
+def _family_word(g: int, tail: str = "") -> GluingWord:
+    """g handles a_i b_i a_i' b_i', then the tail's letters."""
+    handles = (f"a{i} b{i} a{i}' b{i}'" for i in range(1, g + 1))
+    return GluingWord.parse(" ".join((*handles, tail)))
 
 
 def _sigma(g: int, name: str) -> SurfaceModel:
     if g <= 1:
         return MODELS["s2" if g == 0 else "t2"]
-    return SurfaceModel(name, FAMILY_ONLY, _sigma_word(g), True, 0, genus=g)
-
-
-def _n_gk_word(g: int, k: int) -> GluingWord:
-    parts = []
-    for i in range(1, g + 1):
-        parts += [f"a{i}", f"b{i}", f"a{i}'", f"b{i}'"]
-    parts += ["x", "x"] if k == 1 else ["c", "d", "c", "d'"]
-    return GluingWord.parse(" ".join(parts))
+    return SurfaceModel(name, FAMILY_ONLY, _family_word(g), True, 0, genus=g)
 
 
 _NAME_RE = re.compile(r"^(?:sigma\((\d+)\)|n\((\d+),([12])\))$")
@@ -343,7 +330,8 @@ def build(name: str) -> SurfaceModel:
     k = int(k)
     if g == 0:
         return MODELS["rp2" if k == 1 else "k2"]
-    return SurfaceModel(key, FAMILY_ONLY, _n_gk_word(g, k), False, 0, genus=g, cross_caps=k)
+    tail = "x x" if k == 1 else "c d c d'"
+    return SurfaceModel(key, FAMILY_ONLY, _family_word(g, tail), False, 0, genus=g, cross_caps=k)
 
 
 SURFACE_NAMES = [*MODELS, "sigma(g)", "n(g,1)", "n(g,2)"]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pincover import characteristic
 from pincover.characteristic import chord_gram_matrix, obstructions, w1, w1_cup_w1, w2
 from pincover.homology import (
     gf2_row_reduce,
@@ -178,8 +179,8 @@ def all_closed_models():
 def test_w1_zero_iff_orientable():
     for model in all_closed_models():
         assert w1(model).is_zero() == model.orientable
-        # the gluing-word characterization of orientability
-        assert model.word.is_orientable_word() == model.orientable
+        # the face-flip solve of orientability
+        assert model.word.complex.is_orientable() == model.orientable
 
 
 def test_w1_spans_kernel_of_pullback():
@@ -234,6 +235,21 @@ def test_pin_minus_always_exists_pin_plus_iff_even_chi():
         assert r.pin_plus_exists == (model.euler_characteristic() % 2 == 0)
         if r.pin_plus_exists:
             assert r.count_pin_plus == r.count_pin_minus == 2 ** r.h1_z2_dim
+
+
+def test_obstructions_builds_one_chord_form(monkeypatch):
+    # w1 and w1_cup_w1 share one Wu solve; a renamed model is one no call has seen
+    calls = []
+
+    def counted(model):
+        calls.append(model.name)
+        return chord_gram_matrix(model)
+
+    monkeypatch.setattr(characteristic, "chord_gram_matrix", counted)
+    model = build("n(3,1)")._replace(name="unseen n(3,1)")
+    r = obstructions(model)
+    assert calls == ["unseen n(3,1)"]
+    assert r.w1_cup_w1 == 1 and r.as_dict()["w1"] == obstructions(build("n(3,1)")).as_dict()["w1"]
 
 
 def test_obstructions_rejects_boundary():

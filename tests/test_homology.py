@@ -474,7 +474,7 @@ def family_words(max_g):
 
 FAMILIES_TO_8 = family_words(8)
 NONORIENTABLE_TO_6 = {name: word for name, word in family_words(6).items()
-                      if not word.is_orientable_word()}
+                      if not word.complex.is_orientable()}
 
 
 @pytest.mark.parametrize("word", FAMILIES_TO_8.values(), ids=list(FAMILIES_TO_8))

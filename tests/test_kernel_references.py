@@ -230,7 +230,7 @@ def closed_words():
 
 
 def model_of(word):
-    return SurfaceModel("w", FAMILY_ONLY, word, word.is_orientable_word(), 0)
+    return SurfaceModel("w", FAMILY_ONLY, word, word.complex.is_orientable(), 0)
 
 
 # ---------------------------------------------------------------------------

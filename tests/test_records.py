@@ -34,7 +34,6 @@ from pincover.structures import (
     LiftResult,
     MoebiusReport,
     PinStructureDescriptor,
-    QuotientLabel,
     boundary_lift_table,
     descend,
     enumerate_structures,
@@ -81,7 +80,6 @@ FROZEN = {
                                        PinorField.constant(2, [0.0, 1.0]), 0.0),
     PinStructureDescriptor: _torus_xi,
     LiftResult: _klein_lift,
-    QuotientLabel: lambda: QuotientLabel(_torus_xi(), "P/dtau"),
     DescentReport: lambda: descend(build("k2"), PIN_MINUS),
     BoundaryLiftTable: lambda: boundary_lift_table(PIN_PLUS),
     MoebiusReport: lambda: moebius_descent(build("moebius")),

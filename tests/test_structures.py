@@ -127,7 +127,7 @@ def test_descend_rp2():
     minus = descend(build("rp2"), PIN_MINUS)
     assert minus.count == 2 and minus.consistent
     assert minus.qualifying == ("xi_s2",)
-    assert len(minus.labels) == 2
+    assert len(minus.as_dict()["structures"]) == 2
     plus = descend(build("rp2"), PIN_PLUS)
     assert plus.count == 0 and plus.consistent
     assert not plus.exists_downstairs
@@ -141,9 +141,8 @@ def test_descend_k2():
     assert minus.qualifying == ("xi1", "xi3")
     assert minus.count == 4 and minus.consistent
     # the two quotient labels per qualifying structure form the Phi fiber
-    names = [lab.describe() for lab in minus.labels]
-    assert names == ["xi1/P/dtau", "xi1/P/(dtau.gamma)",
-                     "xi3/P/dtau", "xi3/P/(dtau.gamma)"]
+    assert minus.as_dict()["structures"] == ["xi1/P/dtau", "xi1/P/(dtau.gamma)",
+                                             "xi3/P/dtau", "xi3/P/(dtau.gamma)"]
 
 
 def test_descend_count_only_families():
@@ -159,6 +158,20 @@ def test_descend_count_only_families():
 def test_descend_rejects_orientable():
     with pytest.raises(ValueError):
         descend(build("t2"), PIN_PLUS)
+
+
+@pytest.mark.parametrize("name", ["n(2,1)", "k2"])
+def test_descend_rejects_an_unknown_kind(name):
+    # the count-only path enumerates no structure, so nothing else would catch it
+    with pytest.raises(ValueError, match="unknown kind 'spin'"):
+        descend(build(name), "spin")
+
+
+def test_lift_involution_rejects_an_involution_of_another_surface():
+    # the RP^2 deck acts on S^2, not on the torus
+    xi = torus_structures(PIN_PLUS)["xi0"]
+    with pytest.raises(ValueError, match="rp2-deck acts on s2, not on t2"):
+        lift_involution(xi, orientation_double_cover(build("rp2")).deck)
 
 
 # ---------------------------------------------------------------------------
