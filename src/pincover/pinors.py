@@ -144,40 +144,37 @@ def _involution_node_map(tau: Involution, n: int):
     return image.x, image.y
 
 
-def _lift_matrices(xi: PinStructureDescriptor, tau: Involution, r: GammaRep, n: int):
-    """rep(L(tau x)) at every grid node, where L is the involution lift."""
+def _deck_action(s: PinorField, xi: PinStructureDescriptor, tau: Involution, sign: int,
+                 r: GammaRep, needs: str = "") -> PinorField:
+    """sign * (d-tilde-tau action on sections)(x) = sign * rep(L(tau x)) s(tau x).
+
+    A missing lift is refused; so is a lift squaring to -1 when needs names
+    what requires +1.
+    """
     import numpy as np
 
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     res = lift_involution(xi, tau)
     if not res.exists:
         raise ValueError(f"no lift of {tau.name} for {xi.label} ({xi.kind})")
+    if needs and res.square != 1:
+        raise ValueError(f"{needs}: the lift squares to -1 for {xi.label} ({xi.kind})")
+    n = s.size
     lift_at_tau = at(res.lift, *tau_coordinate_forms(tau))
     angles = _grid_angles(n)
     tt, pp = np.meshgrid(angles, angles, indexing="ij")
-    return _rep_at(lift_at_tau, r, lift_at_tau.angle.evaluate(tt, pp)), res
-
-
-def _deck_action(s: PinorField, xi: PinStructureDescriptor, tau: Involution,
-                 r: GammaRep):
-    """(d-tilde-tau action on sections)(x) = rep(L(tau x)) s(tau x)."""
-    import numpy as np
-
-    n = s.size
-    mats, res = _lift_matrices(xi, tau, r, n)
+    mats = _rep_at(lift_at_tau, r, lift_at_tau.angle.evaluate(tt, pp))
     ti, tj = _involution_node_map(tau, n)
     pulled = s.values[ti, tj]
-    moved = np.einsum("ijab,ijb->ija", mats, pulled)
-    return PinorField(moved), res
+    return PinorField(np.einsum("ijab,ijb->ija", mats, pulled)).scale(sign)
 
 
 def invariance_residual(s: PinorField, xi: PinStructureDescriptor, tau: Involution,
                         sign: int, r: GammaRep | None = None) -> float:
     """max_x || s(x) - sign * rep(L(tau x)) s(tau x) ||."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     r = r or GammaRep.standard(xi.kind)
-    moved, _ = _deck_action(s, xi, tau, r)
-    return (s - moved.scale(sign)).max_norm()
+    return (s - _deck_action(s, xi, tau, sign, r)).max_norm()
 
 
 def project_invariant(s: PinorField, xi: PinStructureDescriptor, tau: Involution,
@@ -187,14 +184,8 @@ def project_invariant(s: PinorField, xi: PinStructureDescriptor, tau: Involution
     Requires the lift to square to +1, otherwise the average is not idempotent
     (which is exactly why square -1 structures do not descend).
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     r = r or GammaRep.standard(xi.kind)
-    moved, res = _deck_action(s, xi, tau, r)
-    if res.square != 1:
-        raise ValueError(
-            f"no invariant projector: the lift squares to -1 for {xi.label} ({xi.kind})")
-    return (s + moved.scale(sign)).scale(0.5)
+    return (s + _deck_action(s, xi, tau, sign, r, "no invariant projector")).scale(0.5)
 
 
 class SpinorCouple(Frozen):
@@ -210,11 +201,7 @@ def couple_split(s: PinorField, xi: PinStructureDescriptor, tau: Involution,
     import numpy as np
 
     r = r or GammaRep.standard(xi.kind)
-    n = s.size
     plus = PinorField(np.einsum("ab,ijb->ija", (np.eye(2) + r.omega) / 2, s.values))
     minus = PinorField(np.einsum("ab,ijb->ija", (np.eye(2) - r.omega) / 2, s.values))
-    moved, res = _deck_action(plus, xi, tau, r)
-    if res.square != 1:
-        raise ValueError("couple splitting needs a lift squaring to +1")
-    residual = (minus - moved.scale(sign)).max_norm()
-    return SpinorCouple(plus, minus, residual)
+    moved = _deck_action(plus, xi, tau, sign, r, "no couple splitting")
+    return SpinorCouple(plus, minus, (minus - moved).max_norm())

@@ -159,6 +159,15 @@ def lift_involution(xi: PinStructureDescriptor, tau: Involution) -> LiftResult:
     return LiftResult(True, lift, square)
 
 
+def _lift_table(tau: Involution, kind: str) -> dict[str, LiftResult]:
+    """The lift of tau for each structure of the kind on its domain, by label.
+
+    A structure descends through tau when its lift exists and squares to +1;
+    descend and moebius_descent read that off this one table.
+    """
+    return {xi.label: lift_involution(xi, tau) for xi in enumerate_structures(tau.domain, kind)}
+
+
 # ---------------------------------------------------------------------------
 # descent through the orientation double cover
 
@@ -203,18 +212,12 @@ def descend(base: SurfaceModel, kind: str) -> DescentReport:
     if not cover.has_geometry():
         return DescentReport(base.name, cover.total.name, kind, "count-only",
                              {}, (), torsor, torsor, exists, True)
-    squares = {}
-    qualifying = []
-    for xi in enumerate_structures(cover.total, kind):
-        res = lift_involution(xi, cover.deck)
-        if not res.exists:
-            continue
-        squares[xi.label] = res.square
-        if res.square == 1:
-            qualifying.append(xi.label)
+    squares = {label: res.square for label, res in _lift_table(cover.deck, kind).items()
+               if res.exists}
+    qualifying = tuple(label for label, square in squares.items() if square == 1)
     count = 2 * len(qualifying)
     return DescentReport(base.name, cover.total.name, kind, "geometric",
-                         squares, tuple(qualifying), count, torsor, exists, count == torsor)
+                         squares, qualifying, count, torsor, exists, count == torsor)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +333,8 @@ def double_structure(xi: PinStructureDescriptor,
     """
     if xi.surface.double is None or not xi.surface.orientable:
         raise ValueError("double_structure expects a cylinder structure")
-    tags = tags or (IDENTITY, IDENTITY)
+    if tags is None:
+        tags = (IDENTITY, IDENTITY)
     if len(tags) != 2 or any(t not in (IDENTITY, GAMMA) for t in tags):
         raise ValueError("tags must be two of identity|gamma")
     a, _ = xi.twist_coefficients
@@ -371,20 +375,13 @@ def moebius_descent(x: SurfaceModel) -> MoebiusReport:
     from .surface import cover_diagram
 
     diagram = cover_diagram(x)
-    tau4, tau3 = diagram.tau4, diagram.tau3
     squares = {}
     exists = {}
     descending = {}
     for kind in KINDS:
-        squares[kind] = {}
-        exists[kind] = {}
-        good = []
-        for xi in enumerate_structures(diagram.master, kind):
-            r4 = lift_involution(xi, tau4)
-            r3 = lift_involution(xi, tau3)
-            squares[kind][xi.label] = r4.square if r4.exists else None
-            exists[kind][xi.label] = r3.exists
-            if r4.exists and r4.square == 1 and r3.exists:
-                good.append(xi.label)
-        descending[kind] = tuple(good)
+        tau4, tau3 = _lift_table(diagram.tau4, kind), _lift_table(diagram.tau3, kind)
+        squares[kind] = {label: res.square for label, res in tau4.items()}
+        exists[kind] = {label: res.exists for label, res in tau3.items()}
+        descending[kind] = tuple(label for label, res in tau4.items()
+                                 if res.square == 1 and tau3[label].exists)
     return MoebiusReport(squares, exists, descending)

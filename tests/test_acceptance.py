@@ -3,6 +3,7 @@
 import pytest
 
 from pincover.acceptance import CRITERIA
+from pincover.pin2 import PIN_MINUS
 
 SEED = 0
 
@@ -55,3 +56,51 @@ def test_cylinder_classes_follow_the_witness(monkeypatch):
     passed, detail = acceptance.check_cylinder_classes(SEED)
     assert not passed
     assert detail == "pin+: xi1 u_id xi1 does not induce xi0"
+
+
+def test_klein_table_reads_the_descend_report(monkeypatch):
+    """Criterion 3 checks the squares that `descend` reports: swapping two of
+    them, with the counts left intact, fails it."""
+    from pincover import acceptance, structures
+
+    def swapped(base, kind):
+        rep = structures.descend(base, kind)
+        squares = dict(rep.squares, xi0=rep.squares["xi1"], xi1=rep.squares["xi0"])
+        return rep._replace(squares=squares)
+
+    monkeypatch.setattr(acceptance, "descend", swapped)
+    passed, detail = acceptance.check_klein_table(SEED)
+    assert not passed
+    assert detail == "pin+: squares {'xi0': -1, 'xi1': 1, 'xi2': 1, 'xi3': -1}"
+
+
+def test_moebius_table_reads_the_moebius_report(monkeypatch):
+    """Criterion 4 checks the tau4 squares that `moebius` reports."""
+    from pincover import acceptance, structures
+
+    def flipped(x):
+        rep = structures.moebius_descent(x)
+        minus = dict(rep.tau4_squares[PIN_MINUS])
+        minus["xi2"] = -minus["xi2"]
+        return rep._replace(tau4_squares=dict(rep.tau4_squares, **{PIN_MINUS: minus}))
+
+    monkeypatch.setattr(acceptance, "moebius_descent", flipped)
+    passed, detail = acceptance.check_moebius_table(SEED)
+    assert not passed
+    assert detail.startswith("pin-: tau4 squares {'xi0': -1, 'xi1': -1, 'xi2': -1, 'xi3': 1}")
+
+
+def test_splitting_is_checked_against_the_classification(monkeypatch):
+    """Maps with b1(2) of the cover and dim coker pi^* both raised by 2 are
+    self-consistent, but no longer cover N_h by the genus h - 1 surface."""
+    from pincover import acceptance, homology
+
+    def inflated(cover):
+        maps = homology.induced_maps(cover)
+        return maps._replace(b1_mod2_total=maps.b1_mod2_total + 2,
+                             coker_pull_dim=maps.coker_pull_dim + 2)
+
+    monkeypatch.setattr(acceptance, "induced_maps", inflated)
+    passed, detail = acceptance.check_splitting(SEED)
+    assert not passed
+    assert detail == "rp2: (k, b1(2) base, b1(2) cover) = (2, 1, 2) for h = 1"

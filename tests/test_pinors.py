@@ -140,6 +140,24 @@ def test_projector_refuses_square_minus_one():
         project_invariant(s, xi, klein_deck(), 1)
 
 
+@pytest.mark.parametrize("act", [invariance_residual, project_invariant, couple_split],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("sign", [0, 2])
+def test_sign_must_be_plus_or_minus_one(act, sign):
+    # a sign of 0 or 2 is no deck action; couple_split used to certify it anyway
+    xi = torus_structures(PIN_PLUS)["xi0"]
+    s = PinorField.constant(N, [1.0, 0.0])
+    with pytest.raises(ValueError, match="sign must be"):
+        act(s, xi, klein_deck(), sign)
+
+
+def test_couple_split_refuses_square_minus_one():
+    xi = torus_structures(PIN_MINUS)["xi0"]
+    s = PinorField.constant(N, [1.0, 0.0])
+    with pytest.raises(ValueError, match="squares to -1 for xi0"):
+        couple_split(s, xi, klein_deck(), 1)
+
+
 def test_anti_invariant_input_projects_to_zero():
     xi = torus_structures(PIN_PLUS)["xi0"]
     rng = np.random.default_rng(3)

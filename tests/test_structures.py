@@ -244,6 +244,15 @@ def test_double_structure_classes(kind):
     assert double_structure(cyl["xi0"], (GAMMA, IDENTITY)).label == "xi0"
 
 
+@pytest.mark.parametrize("tags", [(), [], (IDENTITY,), (IDENTITY, "other")], ids=repr)
+def test_double_structure_refuses_bad_tags(tags):
+    # only None means the default identity gluing; an empty sequence is no gluing
+    xi = enumerate_structures(build("cyl"), PIN_PLUS)[0]
+    with pytest.raises(ValueError, match=r"two of identity\|gamma"):
+        double_structure(xi, tags)
+    assert double_structure(xi) == double_structure(xi, (IDENTITY, IDENTITY))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_canonical_glued_holonomy(kind):
     # the d-tilde-tau3 glued double of xi_a induces xi_a itself
