@@ -2,16 +2,18 @@
 
 ``PolygonComplex`` (edge listing, corner union, vertex numbering,
 orientability), ``orientation_double_cover_complex``, ``gf2_row_reduce``,
-``chord_gram_matrix`` and the pinor grid's node map are compared output for
-output with their earlier versions, kept here verbatim as ``_Ref*``/``_ref_*``:
-on random multi-face gluing words with boundary letters, on the orientation
-double covers of every family up to g = 16, on random packed rows, on
-relabelled family words and on the flat involutions of the pinor grids.
+``homology_groups``, ``z2_betti``, ``chord_gram_matrix`` and the pinor grid's
+node map are compared output for output with their earlier versions, kept
+here verbatim as ``_Ref*``/``_ref_*``: on random multi-face gluing words with
+boundary letters, on the orientation double covers of every family up to
+g = 16, on random packed rows, on relabelled family words and on the flat
+involutions of the pinor grids.
 """
 
 import functools
 import operator
 import random
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,19 @@ from hypothesis import strategies as st
 from pincover.characteristic import chord_gram_matrix
 from pincover.homology import (
     GluingWord,
+    GradedGroups,
+    H1Basis,
     PolygonComplex,
+    _back_substitute,
+    _columns,
+    _factor,
     gf2_row_reduce,
+    homology_groups,
+    mat_mul,
     orientation_double_cover_complex,
+    pack_rows,
+    smith_normal_form,
+    z2_betti,
 )
 from pincover.pinors import _involution_node_map
 from pincover.surface import FAMILY_ONLY, SurfaceModel, build, cover_diagram, double, \
@@ -159,6 +171,40 @@ def _ref_gf2_row_reduce(a):
     return [rows[b] for b in bits], [b.bit_length() - 1 for b in bits]
 
 
+def _ref_homology_groups(cx):
+    """The first homology_groups: the ranks and the torsion that H1Basis read
+    off the Smith forms of d1, of the kernel lattice and of the d2 solve."""
+    d1, d2 = cx.d1(), cx.d2()
+    n_edges = len(d2)
+    if any(any(row) for row in mat_mul(d1, d2)):
+        raise ValueError("d1 * d2 != 0")
+    _, dd1, v1 = smith_normal_form(d1)
+    rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
+    kernel = [row[rank1:] for row in v1]
+    k = n_edges - rank1
+    first = [next(compress(range(k), row), k) for row in kernel]
+    order = sorted(range(n_edges), key=first.__getitem__)
+    x = _back_substitute(_factor([kernel[e] for e in order]), _columns([d2[e] for e in order]))
+    if x is None:
+        raise ValueError("image of d2 does not lie in the kernel of d1")
+    _, dx, _ = smith_normal_form([[col.get(i, 0) for col in x] for i in range(k)])
+    n_diag = min(len(dx), len(dx[0]) if dx else 0)
+    orders = [dx[i][i] if i < n_diag else 0 for i in range(k)]
+    free_rank = sum(1 for o in orders if o == 0)
+    torsion = tuple(o for o in orders if o > 1)
+    rank2 = sum(1 for o in orders if o)
+    return GradedGroups((cx.vertex_count - rank1, ()),
+                        (free_rank, torsion),
+                        (len(cx.faces) - rank2, ()))
+
+
+def _ref_z2_betti(cx):
+    r1 = len(gf2_row_reduce(pack_rows(cx.d1()))[1])
+    r2 = len(gf2_row_reduce(pack_rows(cx.d2()))[1])
+    n0, n1, n2 = cx.vertex_count, len(cx.edges), len(cx.faces)
+    return n0 - r1, n1 - r1 - r2, n2 - r2
+
+
 def _ref_occurrence_positions(word, letter):
     return [i for i, (name, _) in enumerate(word.word) if name == letter]
 
@@ -287,6 +333,33 @@ def test_complex_and_cover_match_reference_on_families(word):
 def test_cover_matches_reference_on_random_words(fb):
     faces, boundary = fb
     assert_same_cover(GluingWord(faces[0], boundary))
+
+
+# ---------------------------------------------------------------------------
+# homology_groups and z2_betti
+
+
+def assert_same_homology(cx):
+    groups = homology_groups(cx)
+    assert groups == _ref_homology_groups(cx)
+    assert z2_betti(cx) == _ref_z2_betti(cx)
+    # the Smith factors of the boundary maps and H1Basis's kernel lattice are
+    # two independent integral paths to H1
+    basis = H1Basis(cx.d1(), cx.d2())
+    assert (basis.free_rank, basis.torsion) == groups.h1
+
+
+@settings(max_examples=300, deadline=None)
+@given(gluing_faces())
+def test_homology_matches_reference_on_random_gluings(fb):
+    faces, boundary = fb
+    assert_same_homology(PolygonComplex(faces, boundary))
+
+
+@pytest.mark.parametrize("word", FAMILY_WORDS.values(), ids=list(FAMILY_WORDS))
+def test_homology_matches_reference_on_family_bases_and_covers(word):
+    assert_same_homology(word.complex)
+    assert_same_homology(orientation_double_cover_complex(word).total)
 
 
 # ---------------------------------------------------------------------------
