@@ -59,9 +59,6 @@ class Z2Cocycle(Frozen):
     def __call__(self, letter: str) -> int:
         return self.bits[letter]
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.bits.values())
-
 
 @functools.lru_cache(maxsize=1)
 def _wu_class(model: SurfaceModel) -> tuple[tuple[str, ...], int, int]:

@@ -304,22 +304,6 @@ def orthogonal_matrix(u: Multivector | PinElement) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def is_pin_element(u: Multivector | PinElement, tol: float = TOL) -> bool:
-    """Check u maps vectors to vectors and u * reverse(u) = +-1."""
-    import numpy as np
-
-    value = u.value if isinstance(u, PinElement) else u
-    sig = value.signature
-    s = geometric_product(value, value.reverse())
-    if not s.is_grade(0, tol) or abs(abs(s.scalar_part) - 1.0) > tol:
-        return False
-    try:
-        m = orthogonal_matrix(value)
-    except ValueError:
-        return False
-    return bool(np.allclose(m.T @ m, np.eye(sig.n), atol=math.sqrt(tol)))
-
-
 def _canonical_sign(u: Multivector) -> int:
     """+1 if the lowest bitmask among top-grade blades has positive coefficient."""
     top = max((m.bit_count() for m, c in u.coefficients.items() if abs(c) > TOL),

@@ -43,28 +43,6 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def mat_det(a: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination (Bareiss)."""
-    n = len(a)
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else 1
-
-
 def smith_normal_form(a: list[list[int]]):
     """U, D, V with U*a*V = D diagonal, divisibility chain, U and V unimodular."""
     d = [row[:] for row in a]
@@ -193,6 +171,12 @@ def _factor(a: list[list[int]]):
     return _columns(u), [d[i][i] for i in range(min(len(u), len(v)))], _columns(v)
 
 
+def _invariant_factors(a: list[list[int]]) -> list[int]:
+    """The nonzero diagonal entries of a's Smith normal form, in their divisibility chain."""
+    d = smith_normal_form(a)[1]
+    return [row[i] for i, row in enumerate(d) if i < len(row) and row[i]]
+
+
 def _back_substitute(factors, b: list[dict[int, int]]) -> list[dict[int, int]] | None:
     """The columns of X with a*X = b, given factors = _factor(a) and b as
     sparse columns, or None: x = V * D^-1 * U * b, where each entry of U * b
@@ -286,10 +270,6 @@ def gf2_row_reduce(a) -> tuple[list[int], list[int]]:
         rows[p] = row
     pivots = sorted(rows)
     return [rows[p] for p in pivots], pivots
-
-
-def gf2_rank(a) -> int:
-    return len(gf2_row_reduce(pack_rows(a))[1])
 
 
 def nullspace_rows(rows: list[int], cols: int) -> list[int]:
@@ -537,9 +517,6 @@ class H1Basis:
         self.torsion_indices = [i for i, o in enumerate(self.orders) if o > 1]
         self.free_rank = len(self.free_indices)
         self.torsion = tuple(self.orders[i] for i in self.torsion_indices)
-        self.rank_d1 = rank1
-        # d2 = K * x and K has full column rank, so rank d2 = rank x
-        self.rank_d2 = sum(1 for o in self.orders if o)
 
     def coordinates(self, chain: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if len(chain) != self._n_edges:
@@ -567,16 +544,43 @@ class H1Basis:
 
 
 def homology_groups(cx: PolygonComplex) -> GradedGroups:
-    basis = H1Basis(cx.d1(), cx.d2())
-    return GradedGroups((cx.vertex_count - basis.rank_d1, ()),
-                        (basis.free_rank, basis.torsion),
-                        (len(cx.faces) - basis.rank_d2, ()))
+    """H0, H1 and H2 from the Smith invariant factors of d1 and d2.
+
+    With r1 = rank d1 and d_1 .. d_r2 the nonzero factors of d2: C1 / im d2 is
+    H1 (+) im d1, and im d1 lies in the free C0, so H1 = Z^(E - r1 - r2) (+)
+    the Z/d_i with d_i > 1, H0 = Z^(V - r1) and H2 = Z^(F - r2).
+    """
+    d1, d2 = cx.d1(), cx.d2()
+    if any(any(row) for row in mat_mul(d1, d2)):
+        raise ValueError("d1 * d2 != 0")
+    r1 = len(_invariant_factors(d1))
+    factors = _invariant_factors(d2)
+    r2 = len(factors)
+    return GradedGroups((cx.vertex_count - r1, ()),
+                        (len(cx.edges) - r1 - r2, tuple(f for f in factors if f > 1)),
+                        (len(cx.faces) - r2, ()))
 
 
 def z2_betti(cx: PolygonComplex) -> tuple[int, int, int]:
-    """Z2 Betti numbers by rank: the independent path that cross-checks h1_z2_basis."""
-    r1 = gf2_rank(cx.d1())
-    r2 = gf2_rank(cx.d2())
+    """Z2 Betti numbers by rank: the independent path that cross-checks h1_z2_basis.
+
+    d1 and d2 are packed mod 2 straight from the cells, d2 by faces (its
+    transpose has its rank): a loop's two ends, and an edge met twice on one
+    face, XOR the same bit twice and cancel.
+    """
+    idx = cx.edge_index
+    d1 = [0] * cx.vertex_count
+    for name, (t, h) in cx.edge_ends.items():
+        d1[t] ^= 1 << idx[name]
+        d1[h] ^= 1 << idx[name]
+    d2 = []
+    for face in cx.faces:
+        row = 0
+        for name, _ in face:
+            row ^= 1 << idx[name]
+        d2.append(row)
+    r1 = len(gf2_row_reduce(d1)[1])
+    r2 = len(gf2_row_reduce(d2)[1])
     n0, n1, n2 = cx.vertex_count, len(cx.edges), len(cx.faces)
     return n0 - r1, n1 - r1 - r2, n2 - r2
 

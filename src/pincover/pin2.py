@@ -143,10 +143,6 @@ def one(kind: str) -> Pin2Element:
     return even(kind, ZERO_ANGLE)
 
 
-def minus_one(kind: str) -> Pin2Element:
-    return even(kind, angle(const=1))
-
-
 def e1(kind: str) -> Pin2Element:
     return odd(kind, ZERO_ANGLE)
 
@@ -247,17 +243,6 @@ def o2_inverse(g: O2PathElement) -> O2PathElement:
 def at(x: Pin2Element | O2PathElement, theta: AngleForm, phi: AngleForm):
     """The path x with its coordinates replaced by affine forms, e.g. x(tau(theta, phi))."""
     return x._replace(angle=x.angle.substitute(theta, phi))
-
-
-def o2_matrix(g: O2PathElement, theta0: float = 0.0, phi0: float = 0.0):
-    import numpy as np
-
-    t = g.angle.evaluate(theta0, phi0)
-    if g.parity == ROTATION:
-        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-    # negate the unit vector at angle t, fix its orthogonal line
-    return np.array([[-math.cos(2 * t), -math.sin(2 * t)],
-                     [-math.sin(2 * t), math.cos(2 * t)]])
 
 
 def project(x: Pin2Element) -> O2PathElement:

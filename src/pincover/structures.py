@@ -122,11 +122,6 @@ def equivalence_lift(xi: PinStructureDescriptor, eta: PinStructureDescriptor):
     return rho, ok
 
 
-def are_equivalent(xi: PinStructureDescriptor, eta: PinStructureDescriptor) -> bool:
-    """True iff an equivalence over the identity exists (lift periodicity holds)."""
-    return equivalence_lift(xi, eta)[1]
-
-
 class LiftResult(Frozen):
     """A solved lifting diagram: the lift and its square (+1 | -1) when it exists."""
 

@@ -143,9 +143,6 @@ class SurfaceModel(Frozen):
         # edge representatives: the wrapped coordinate's seam is taken at 0
         return Lattice(x, y, period)
 
-    def same_point(self, p: Point, q: Point) -> bool:
-        return self.reduce(p) == self.reduce(q)
-
 
 class Involution(Frozen):
     """Affine map (x, y) -> M (x, y) + c on the square, or the sphere's equatorial one."""

@@ -11,13 +11,25 @@ from pincover.clifford import (
     bilinear_form,
     fiber_group_tag,
     geometric_product,
-    is_pin_element,
     lift_orthogonal,
     orthogonal_matrix,
     twisted_adjoint,
 )
 
 TOL = 1e-9
+
+
+def is_pin_element(u, tol=TOL):
+    """Check u maps vectors to vectors and u * reverse(u) = +-1."""
+    value = u.value
+    s = geometric_product(value, value.reverse())
+    if not s.is_grade(0, tol) or abs(abs(s.scalar_part) - 1.0) > tol:
+        return False
+    try:
+        m = orthogonal_matrix(value)
+    except ValueError:
+        return False
+    return bool(np.allclose(m.T @ m, np.eye(value.signature.n), atol=math.sqrt(tol)))
 
 
 def rotation2(t):

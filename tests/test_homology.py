@@ -13,13 +13,11 @@ from pincover.homology import (
     PolygonComplex,
     Z2Matrix,
     b1_mod2,
-    gf2_rank,
     gf2_row_reduce,
     h1_z2_basis,
     homology_groups,
     identity,
     induced_maps,
-    mat_det,
     mat_mul,
     nullspace_rows,
     orientation_double_cover_complex,
@@ -57,6 +55,33 @@ def n_g2_word(g):
         parts += [f"a{i}", f"b{i}", f"a{i}'", f"b{i}'"]
     parts += ["c", "d", "c", "d'"]
     return GluingWord.parse(" ".join(parts))
+
+
+def mat_det(a):
+    """Exact determinant by fraction-free elimination (Bareiss)."""
+    n = len(a)
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def gf2_rank(a):
+    """The GF(2) rank of a dense integer matrix, read mod 2."""
+    return len(gf2_row_reduce(pack_rows(a))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +389,28 @@ def test_boundary_surfaces():
     assert g.h0 == (1, ()) and g.h1 == (1, ())
     cx = PolygonComplex.from_word(cyl)
     assert cx.euler_characteristic() == 0
+
+
+def test_homology_groups_checks_that_d1_d2_vanishes(monkeypatch):
+    cx = PolygonComplex.from_word(S2)  # two vertices, so d1 is not zero
+    assert cx.d1() == [[-1], [1]]
+    monkeypatch.setattr(PolygonComplex, "d2", lambda self: [[1]])
+    with pytest.raises(ValueError, match=r"d1 \* d2 != 0"):
+        homology_groups(cx)
+
+
+def test_homology_groups_needs_no_h1_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("homology_groups built an H1Basis")
+
+    monkeypatch.setattr(homology, "H1Basis", refuse)
+    assert groups(K2).h1 == (1, (2,))
+    assert groups(n_g2_word(3)).as_dict() == {
+        "h0": {"free": 1, "torsion": []},
+        "h1": {"free": 7, "torsion": [2]},
+        "h2": {"free": 0, "torsion": []},
+    }
+    assert homology_groups(orientation_double_cover_complex(n_g2_word(3)).total).h1 == (14, ())
 
 
 def test_z2_betti_torus_and_klein():

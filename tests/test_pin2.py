@@ -19,9 +19,7 @@ from pincover.pin2 import (
     inverse,
     is_periodic,
     lift_o2,
-    minus_one,
     mul,
-    o2_matrix,
     odd,
     one,
     project,
@@ -31,6 +29,21 @@ from pincover.pin2 import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def minus_one(kind):
+    """-1 written as the even element at angle pi, apart from the negation."""
+    return even(kind, angle(const=1))
+
+
+def o2_matrix(g, theta0=0.0, phi0=0.0):
+    """The 2x2 matrix of an O(2) path element at (theta0, phi0)."""
+    t = g.angle.evaluate(theta0, phi0)
+    if g.parity == pin2.ROTATION:
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    # negate the unit vector at angle t, fix its orthogonal line
+    return np.array([[-math.cos(2 * t), -math.sin(2 * t)],
+                     [-math.sin(2 * t), math.cos(2 * t)]])
 
 
 def test_angle_form_normalizes_constant_mod_two():

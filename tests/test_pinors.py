@@ -13,6 +13,7 @@ from pincover.pinors import (
 )
 from pincover.structures import enumerate_structures, lift_involution
 from pincover.surface import build, orientation_double_cover
+from test_pin2 import minus_one
 
 TOL = 1e-9
 KINDS = (PIN_PLUS, PIN_MINUS)
@@ -62,7 +63,7 @@ def test_rep_basis_elements(kind):
     assert np.allclose(rep(pin2.one(kind), r), np.eye(2), atol=TOL)
     assert np.allclose(rep(pin2.e2(kind), r), r.gamma2, atol=TOL)
     assert np.allclose(rep(pin2.e1(kind), r), r.gamma1, atol=TOL)
-    assert np.allclose(rep(pin2.minus_one(kind), r), -np.eye(2), atol=TOL)
+    assert np.allclose(rep(minus_one(kind), r), -np.eye(2), atol=TOL)
     # omega commutes with even elements
     ev = rep(pin2.even(kind, angle(const=1, theta=0)), r)
     assert np.allclose(r.omega @ ev, ev @ r.omega, atol=TOL)

@@ -28,6 +28,7 @@ from pincover.pin2 import PIN_MINUS, PIN_PLUS, AngleForm, O2PathElement, Pin2Ele
 from pincover.pinors import GammaRep, PinorField, SpinorCouple
 from pincover.records import Frozen, Record
 from pincover.reporting import Report
+from test_pin2 import minus_one
 from pincover.structures import (
     BoundaryLiftTable,
     DescentReport,
@@ -156,7 +157,7 @@ def test_normalised_values_hash_alike():
     r1 = pin2.reflection(angle(const=Fraction(1, 4)))
     r2 = pin2.reflection(angle(const=Fraction(5, 4)))
     assert r1 == r2 and hash(r1) == hash(r2)
-    assert -pin2.one(PIN_PLUS) == pin2.minus_one(PIN_PLUS)
+    assert -pin2.one(PIN_PLUS) == minus_one(PIN_PLUS)
     assert {pin2.e1(PIN_MINUS), pin2.e1(PIN_MINUS)._replace()} == {pin2.e1(PIN_MINUS)}
 
 

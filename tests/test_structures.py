@@ -3,24 +3,30 @@ from fractions import Fraction
 import pytest
 
 from pincover import pin2
-from pincover.pin2 import PIN_MINUS, PIN_PLUS, angle, project, o2_matrix
+from pincover.pin2 import PIN_MINUS, PIN_PLUS, angle, project
 from pincover.structures import (
     GAMMA,
     IDENTITY,
-    are_equivalent,
     boundary_lift_table,
     descend,
     double_structure,
     enumerate_structures,
+    equivalence_lift,
     lift_involution,
     moebius_descent,
     pullback,
 )
 from pincover.surface import build, cover_diagram, orientation_double_cover
+from test_pin2 import o2_matrix
 
 F = Fraction
 T2 = build("t2")
 KINDS = (PIN_PLUS, PIN_MINUS)
+
+
+def are_equivalent(xi, eta):
+    """True iff an equivalence over the identity exists (lift periodicity holds)."""
+    return equivalence_lift(xi, eta)[1]
 
 
 def torus_structures(kind):
