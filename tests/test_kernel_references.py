@@ -172,7 +172,7 @@ def _ref_gf2_row_reduce(a):
 
 
 def _ref_homology_groups(cx):
-    """The first homology_groups: the ranks and the torsion that H1Basis read
+    """The earlier homology_groups: the ranks and the torsion that H1Basis read
     off the Smith forms of d1, of the kernel lattice and of the d2 solve."""
     d1, d2 = cx.d1(), cx.d2()
     n_edges = len(d2)
