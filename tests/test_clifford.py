@@ -208,7 +208,7 @@ def test_lift_round_trip_random():
 
 def test_orthogonal_matrix_is_bit_identical_to_twisted_adjoint_columns():
     rng = np.random.default_rng(31)
-    for case in range(50):
+    for case in range(300):
         n = 1 + case % 6
         m = random_orthogonal(rng, n)
         for sig in (Signature(n, 0), Signature(0, n)):
