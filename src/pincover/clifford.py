@@ -46,16 +46,6 @@ class Signature(Frozen):
         return 1 if i < self.p else -1
 
 
-def _reorder_sign(a: int, b: int) -> int:
-    """Sign from moving blade b's generators past blade a's into canonical order."""
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1 if swaps & 1 else 1
-
-
 class Multivector:
     """Element of Cl(p, q); immutable sparse blade/coefficient map."""
 
@@ -71,6 +61,15 @@ class Multivector:
                 coeffs[mask] = float(c)
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "coefficients", coeffs)
+
+    @classmethod
+    def _trusted(cls, signature: Signature, coefficients: dict[int, float]) -> "Multivector":
+        """The algebra's own float results: zeros dropped, masks and types unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "coefficients",
+                           {m: c for m, c in coefficients.items() if c != 0.0})
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("Multivector is immutable")
@@ -98,14 +97,11 @@ class Multivector:
 
     # -- structure ---------------------------------------------------------
 
-    def __iter__(self):
-        return iter(sorted(self.coefficients.items()))
-
     def coefficient(self, mask: int) -> float:
         return self.coefficients.get(mask, 0.0)
 
     def grade_part(self, k: int) -> "Multivector":
-        return Multivector(
+        return Multivector._trusted(
             self.signature,
             {m: c for m, c in self.coefficients.items() if m.bit_count() == k},
         )
@@ -140,13 +136,19 @@ class Multivector:
         out = dict(self.coefficients)
         for m, c in other.coefficients.items():
             out[m] = out.get(m, 0.0) + c
-        return Multivector(self.signature, out)
+        return Multivector._trusted(self.signature, out)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + (-1.0) * other
+        """self + (-1.0) * other, bit for bit: x - c is x + (-c) in IEEE arithmetic."""
+        self._check_same(other)
+        out = dict(self.coefficients)
+        for m, c in other.coefficients.items():
+            out[m] = out.get(m, 0.0) - c
+        return Multivector._trusted(self.signature, out)
 
     def __rmul__(self, scalar: float) -> "Multivector":
-        return Multivector(
+        scalar = float(scalar)
+        return Multivector._trusted(
             self.signature, {m: scalar * c for m, c in self.coefficients.items()}
         )
 
@@ -156,7 +158,7 @@ class Multivector:
     # -- involutions ---------------------------------------------------------
 
     def grade_involution(self) -> "Multivector":
-        return Multivector(
+        return Multivector._trusted(
             self.signature,
             {m: (-c if m.bit_count() & 1 else c) for m, c in self.coefficients.items()},
         )
@@ -166,7 +168,7 @@ class Multivector:
         for m, c in self.coefficients.items():
             k = m.bit_count()
             out[m] = -c if (k * (k - 1) // 2) & 1 else c
-        return Multivector(self.signature, out)
+        return Multivector._trusted(self.signature, out)
 
     # -- geometric product ----------------------------------------------------
 
@@ -209,15 +211,9 @@ def _sign_rows(sig: Signature) -> list[list[int] | None]:
     return [None] * (1 << sig.n)
 
 
-def _blade_sign(sig: Signature, a: int, b: int) -> int:
-    """Reordering sign of blades a, b, negated once per shared e_i with e_i^2 = -1."""
-    sign = _reorder_sign(a, b)
-    return -sign if ((a & b) >> sig.p).bit_count() & 1 else sign
-
-
 @functools.cache
 def _twist_masks(sig: Signature) -> list[int]:
-    """t[b] with _blade_sign(sig, a, b) = -1 iff a & t[b] has an odd bit count.
+    """t[b] with e_a e_b = -e_(a xor b) iff a & t[b] has an odd bit count.
 
     Bit i of t[b] is the parity of b's bits below i (the swaps e_i makes
     passing b's generators) xor bit i of b when e_i^2 = -1.  Adding b's lowest
@@ -233,24 +229,26 @@ def _twist_masks(sig: Signature) -> list[int]:
 
 
 def _sign_row(sig: Signature, a: int) -> list[int]:
-    """[_blade_sign(sig, a, b) for every blade b], from the twist masks."""
+    """The sign s of e_a e_b = s e_(a xor b) for every blade b, from the twist masks."""
     return [-1 if (a & t).bit_count() & 1 else 1 for t in _twist_masks(sig)]
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Clifford product with e_i e_j = -e_j e_i (i != j) and e_i^2 = metric."""
-    a._check_same(b)
     sig = a.signature
+    if sig is not b.signature:
+        a._check_same(b)
     rows = _sign_rows(sig)
+    b_items = list(b.coefficients.items())
     out: dict[int, float] = {}
     for ma, ca in a.coefficients.items():
         row = rows[ma]
         if row is None:
             row = rows[ma] = _sign_row(sig, ma)
-        for mb, cb in b.coefficients.items():
+        for mb, cb in b_items:
             mask = ma ^ mb
             out[mask] = out.get(mask, 0.0) + row[mb] * ca * cb
-    return Multivector(sig, out)
+    return Multivector._trusted(sig, out)
 
 
 def bilinear_form(v: Multivector, w: Multivector) -> float:
@@ -291,17 +289,50 @@ def twisted_adjoint(u: Multivector | PinElement, v: Multivector) -> Multivector:
 
 
 def orthogonal_matrix(u: Multivector | PinElement) -> np.ndarray:
-    """Matrix of the twisted adjoint action on basis vectors (columnwise)."""
+    """Matrix of the twisted adjoint action on basis vectors (columnwise).
+
+    Column i is _sandwich's (alpha(u) e_i) u^-1, float for float.  The terms
+    of alpha(u) e_i are alpha(u)'s, in its order, with mask m ^ e_i and
+    coefficient sign(m, e_i) c; the product's terms are
+    sign(m ^ e_i, b) (sign(m, e_i) c) c_b, which is +-(c c_b) exactly, and
+    one np.bincount per column sums them in row-major order,
+    geometric_product's loop order.  Only the grade check's tolerance, from
+    a norm summed in another order, may differ in its last bits.
+    """
     import numpy as np
 
     value = u.value if isinstance(u, PinElement) else u
     sig = value.signature
+    n, size = sig.n, 1 << sig.n
     alpha_u, u_inv = value.grade_involution(), value.inverse()
-    cols = [
-        _sandwich(alpha_u, Multivector.basis_vector(sig, i), u_inv).vector_part()
-        for i in range(sig.n)
-    ]
-    return np.column_stack(cols)
+    twist = _twist_masks(sig)
+    left, right = alpha_u.coefficients, u_inv.coefficients
+    left_masks = np.array(list(left), dtype=np.int64)
+    right_masks = np.array(list(right), dtype=np.int64)
+    right_twists = np.array([twist[m] for m in right], dtype=np.int64)
+    odd = np.zeros(size, dtype=np.int64)  # bit-count parity of every mask
+    for k in range(n):
+        odd[1 << k:2 << k] = 1 - odd[:1 << k]
+    # sign(m ^ e_i, b) = sign(m, b) * -1 ** (bit i of t[b]): one sign per
+    # pair for every column, and per column one per left and one per right term
+    pairs = (1 - 2 * odd[left_masks[:, None] & right_twists]) * np.multiply.outer(
+        np.array(list(left.values())), np.array(list(right.values())))
+    left_signs = 1 - 2 * odd[np.array([twist[1 << i] for i in range(n)])[:, None] & left_masks]
+    right_signs = 1 - 2 * (right_twists >> np.arange(n)[:, None] & 1)
+    # column i's terms land on m ^ b ^ e_i; cols[i] holds them at m ^ b
+    targets = (left_masks[:, None] ^ right_masks).ravel()
+    cols = np.empty((n, size))
+    for i in range(n):
+        weights = pairs * left_signs[i][:, None] * right_signs[i]
+        cols[i] = np.bincount(targets, weights.ravel(), minlength=size)
+    vectors = 1 << np.arange(n)
+    at = np.arange(n), vectors[:, None] ^ vectors  # e_j of column i, at e_j ^ e_i
+    out = cols[at]
+    tol = 1e-7 * np.maximum(1.0, np.sqrt(np.add.reduce(cols * cols, axis=1)))
+    cols[at] = 0.0
+    if not (np.abs(cols) <= tol[:, None]).all():
+        raise ValueError("twisted adjoint did not preserve grade 1; u is not a versor")
+    return out
 
 
 def _canonical_sign(u: Multivector) -> int:
@@ -329,21 +360,23 @@ def lift_orthogonal(M, sig: Signature) -> tuple[PinElement, PinElement]:
     if M.shape != (n, n):
         raise ValueError("matrix size must match the signature")
     eye = np.eye(n)
-    if not np.allclose(M.T @ M, eye, atol=TOL):
+    if not (np.abs(M.T @ M - eye) <= TOL).all():
         raise ValueError("matrix is not orthogonal within tolerance")
 
     work = M.copy()
     u = Multivector.scalar(sig, 1.0)
     factors = 0
     for _ in range(n + 1):
-        deviations = np.linalg.norm(work - eye, axis=0)
+        d = work - eye
+        deviations = np.sqrt(np.add.reduce(d * d, axis=0))  # np.linalg.norm(d, axis=0)
         k = int(np.argmax(deviations))  # lowest index wins exact ties
         if deviations[k] <= 1e-12:
             break
         v = work[:, k] - eye[:, k]
         v = v / np.linalg.norm(v)
-        work = (eye - 2.0 * np.outer(v, v)) @ work
-        u = geometric_product(u, Multivector.from_vector(sig, v))
+        work = (eye - 2.0 * (v[:, None] * v[None, :])) @ work  # np.outer(v, v)
+        u = geometric_product(
+            u, Multivector._trusted(sig, {1 << i: c for i, c in enumerate(v.tolist())}))
         factors += 1
     else:
         raise ValueError("reflection factorization failed to terminate")

@@ -218,11 +218,6 @@ def _bits(x: int):
         x ^= low
 
 
-def pack_rows(matrix) -> list[int]:
-    """Rows of an integer matrix, read mod 2, as ints."""
-    return [sum(1 << j for j, e in enumerate(row) if e % 2) for row in matrix]
-
-
 class Z2Matrix(Frozen):
     """A GF(2) matrix as bit-packed rows; cols keeps the width of a matrix
     with no rows, so a 1x0 matrix and a 0x1 one stay apart."""
@@ -561,13 +556,10 @@ def homology_groups(cx: PolygonComplex) -> GradedGroups:
                         (len(cx.faces) - r2, ()))
 
 
-def z2_betti(cx: PolygonComplex) -> tuple[int, int, int]:
-    """Z2 Betti numbers by rank: the independent path that cross-checks h1_z2_basis.
-
-    d1 and d2 are packed mod 2 straight from the cells, d2 by faces (its
-    transpose has its rank): a loop's two ends, and an edge met twice on one
-    face, XOR the same bit twice and cancel.
-    """
+def _packed_boundaries(cx: PolygonComplex) -> tuple[list[int], list[int]]:
+    """d1 by vertices and d2 by faces (its transpose), mod 2, packed by edge
+    straight from the cells: a loop's two ends, and an edge met twice on one
+    face, XOR the same bit twice and cancel."""
     idx = cx.edge_index
     d1 = [0] * cx.vertex_count
     for name, (t, h) in cx.edge_ends.items():
@@ -579,6 +571,13 @@ def z2_betti(cx: PolygonComplex) -> tuple[int, int, int]:
         for name, _ in face:
             row ^= 1 << idx[name]
         d2.append(row)
+    return d1, d2
+
+
+def z2_betti(cx: PolygonComplex) -> tuple[int, int, int]:
+    """Z2 Betti numbers by rank: the path that cross-checks h1_z2_basis, with
+    which it shares only the packed boundary rows."""
+    d1, d2 = _packed_boundaries(cx)
     r1 = len(gf2_row_reduce(d1)[1])
     r2 = len(gf2_row_reduce(d2)[1])
     n0, n1, n2 = cx.vertex_count, len(cx.edges), len(cx.faces)
@@ -651,14 +650,14 @@ def h1_z2_basis(cx: PolygonComplex):
     for basis row i.
     """
     n = len(cx.edges)
-    cycles = nullspace_rows(pack_rows(cx.d1()), n)
+    d1, d2 = _packed_boundaries(cx)
+    cycles = nullspace_rows(d1, n)
     top = n + len(cycles) - 1
     # One echelon of [boundaries; cycles], cycle i tagged with bit top - i above
     # the edge columns.  Rows pivoting on a tag are the relations among the
     # cycles modulo the boundaries, and the pivot of each is its latest cycle:
     # exactly the cycles that the boundaries and the earlier cycles span.
-    reduced, pivots = gf2_row_reduce(pack_rows(zip(*cx.d2()))
-                                     + [c | 1 << top - i for i, c in enumerate(cycles)])
+    reduced, pivots = gf2_row_reduce(d2 + [c | 1 << top - i for i, c in enumerate(cycles)])
     spanned = {top - p for p in pivots if p >= n}
     kept = [i for i in range(len(cycles)) if i not in spanned]
     # The echelon is fully reduced, so reducing a vector XORs exactly the rows

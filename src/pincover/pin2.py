@@ -281,10 +281,13 @@ def is_periodic(x: Pin2Element, shift, var: str = "theta") -> bool:
     return (coeff * frac(shift)) % 2 == 0
 
 
+_PLUS_PLANE, _MINUS_PLANE = Signature(2, 0), Signature(0, 2)
+
+
 def evaluate(x: Pin2Element, theta0: float = 0.0, phi0: float = 0.0) -> Multivector:
     """Numeric multivector in Cl(2,0) (pin+) or Cl(0,2) (pin-)."""
-    sig = Signature(2, 0) if x.kind == PIN_PLUS else Signature(0, 2)
+    sig = _PLUS_PLANE if x.kind == PIN_PLUS else _MINUS_PLANE
     t = x.angle.evaluate(theta0, phi0)
     if x.parity == EVEN:
-        return Multivector(sig, {0: math.cos(t), 0b11: math.sin(t)})
-    return Multivector(sig, {0b01: math.cos(t), 0b10: math.sin(t)})
+        return Multivector._trusted(sig, {0: math.cos(t), 0b11: math.sin(t)})
+    return Multivector._trusted(sig, {0b01: math.cos(t), 0b10: math.sin(t)})

@@ -11,10 +11,10 @@ from pincover.homology import (
     induced_maps,
     nullspace_rows,
     orientation_double_cover_complex,
-    pack_rows,
     solve_rows,
 )
 from pincover.surface import build
+from test_homology import pack_rows
 
 # ---------------------------------------------------------------------------
 # independent oracle: simplicial Z2 cohomology with cup products

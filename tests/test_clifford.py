@@ -6,7 +6,6 @@ import pytest
 from pincover.clifford import (
     Multivector,
     Signature,
-    _blade_sign,
     _sign_row,
     bilinear_form,
     fiber_group_tag,
@@ -128,6 +127,22 @@ def test_memoized_product_is_bit_identical_to_termwise(sig):
         assert geometric_product(a, b).coefficients == termwise_product(a, b).coefficients
 
 
+def _reorder_sign(a, b):
+    """Sign from moving blade b's generators past blade a's into canonical order."""
+    a >>= 1
+    swaps = 0
+    while a:
+        swaps += (a & b).bit_count()
+        a >>= 1
+    return -1 if swaps & 1 else 1
+
+
+def _blade_sign(sig, a, b):
+    """Reordering sign of blades a, b, negated once per shared e_i with e_i^2 = -1."""
+    sign = _reorder_sign(a, b)
+    return -sign if ((a & b) >> sig.p).bit_count() & 1 else sign
+
+
 def test_sign_rows_match_blade_sign_exhaustively():
     """Every sign row from the twist masks against the shift-loop reference
     _blade_sign, for every blade pair of every signature with n <= 8."""
@@ -232,6 +247,13 @@ def test_invertible_non_versor_fails_the_grade_check():
 def test_lift_rejects_non_orthogonal():
     with pytest.raises(ValueError):
         lift_orthogonal(np.array([[1.0, 1.0], [0.0, 1.0]]), Signature(2, 0))
+
+
+@pytest.mark.parametrize("diagonal", [(1 + 1e-6, 1.0), (1.0, -1 - 2e-6)])
+def test_lift_rejects_a_diagonal_off_by_more_than_the_tolerance(diagonal):
+    # within np.allclose's default rtol of 1e-5, but 1e-6 off in M^T M
+    with pytest.raises(ValueError, match="not orthogonal within tolerance"):
+        lift_orthogonal(np.diag(diagonal), Signature(2, 0))
 
 
 def test_signature_validation():

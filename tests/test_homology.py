@@ -21,7 +21,6 @@ from pincover.homology import (
     mat_mul,
     nullspace_rows,
     orientation_double_cover_complex,
-    pack_rows,
     smith_normal_form,
     solve_integer,
     solve_rows,
@@ -77,6 +76,12 @@ def mat_det(a):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1] if n else 1
+
+
+def pack_rows(matrix):
+    """Rows of an integer matrix, read mod 2, as ints: the dense reference
+    for the rows homology packs straight from the cells."""
+    return [sum(1 << j for j, e in enumerate(row) if e % 2) for row in matrix]
 
 
 def gf2_rank(a):

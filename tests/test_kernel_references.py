@@ -2,7 +2,8 @@
 
 ``PolygonComplex`` (edge listing, corner union, vertex numbering,
 orientability), ``orientation_double_cover_complex``, ``gf2_row_reduce``,
-``homology_groups``, ``z2_betti``, ``chord_gram_matrix``, the pinor grid's
+``homology_groups``, ``z2_betti`` (and the packed boundary rows it shares
+with ``h1_z2_basis``), ``chord_gram_matrix``, the pinor grid's
 node map, the Clifford oracle (``geometric_product``, the ``Multivector``
 operations, ``lift_orthogonal``, ``orthogonal_matrix``) and ``pin2.evaluate``
 are compared output for output with their earlier versions, kept here
@@ -49,8 +50,8 @@ from pincover.homology import (
     gf2_row_reduce,
     homology_groups,
     mat_mul,
+    _packed_boundaries,
     orientation_double_cover_complex,
-    pack_rows,
     smith_normal_form,
     z2_betti,
 )
@@ -58,6 +59,7 @@ from pincover.pin2 import EVEN, KINDS, ODD, PIN_PLUS, Pin2Element, angle, evalua
 from pincover.pinors import _involution_node_map
 from pincover.surface import FAMILY_ONLY, SurfaceModel, build, cover_diagram, double, \
     orientation_double_cover
+from test_homology import pack_rows
 from test_pinned_answers import canonical_word, relabel
 
 # ---------------------------------------------------------------------------
@@ -511,6 +513,9 @@ def assert_same_homology(cx):
     # two independent integral paths to H1
     basis = H1Basis(cx.d1(), cx.d2())
     assert (basis.free_rank, basis.torsion) == groups.h1
+    # the GF(2) rows packed from the cells are the dense boundary matrices mod 2
+    d2_by_face = [[row[f] for row in cx.d2()] for f in range(len(cx.faces))]
+    assert _packed_boundaries(cx) == (pack_rows(cx.d1()), pack_rows(d2_by_face))
 
 
 @settings(max_examples=300, deadline=None)
