@@ -317,7 +317,7 @@ def check_property_suites(seed: int) -> tuple[bool, str]:
             pin2.odd(kind, angle(const=Fraction(1, 2))),
             pin2.even(kind, angle(const=1)),
         ]
-        products = [[mul(x, y) for y in gens] for x in gens]  # exact, so drawn once
+        products = [[mul(x, y) for y in gens] for x in gens]  # exact: built once per kind
         for _ in range(500):
             i = rng.integers(len(gens))
             j = rng.integers(len(gens))

@@ -307,25 +307,26 @@ def orthogonal_matrix(u: Multivector | PinElement) -> np.ndarray:
     alpha_u, u_inv = value.grade_involution(), value.inverse()
     twist = _twist_masks(sig)
     left, right = alpha_u.coefficients, u_inv.coefficients
-    left_masks = np.array(list(left), dtype=np.int64)
-    right_masks = np.array(list(right), dtype=np.int64)
-    right_twists = np.array([twist[m] for m in right], dtype=np.int64)
-    odd = np.zeros(size, dtype=np.int64)  # bit-count parity of every mask
+    left_masks = np.array(list(left))
+    right_masks = np.array(list(right))
+    right_twists = np.array([twist[m] for m in right])
+    sign = np.ones(size)  # -1 to the bit count of every mask
     for k in range(n):
-        odd[1 << k:2 << k] = 1 - odd[:1 << k]
+        sign[1 << k:2 << k] = -sign[:1 << k]
+    vectors = 1 << np.arange(n)
     # sign(m ^ e_i, b) = sign(m, b) * -1 ** (bit i of t[b]): one sign per
     # pair for every column, and per column one per left and one per right term
-    pairs = (1 - 2 * odd[left_masks[:, None] & right_twists]) * np.multiply.outer(
-        np.array(list(left.values())), np.array(list(right.values())))
-    left_signs = 1 - 2 * odd[np.array([twist[1 << i] for i in range(n)])[:, None] & left_masks]
-    right_signs = 1 - 2 * (right_twists >> np.arange(n)[:, None] & 1)
+    pairs = sign[left_masks[:, None] & right_twists] * (
+        np.array(list(left.values()))[:, None] * np.array(list(right.values())))
+    left_signs = sign[np.array([twist[1 << i] for i in range(n)], dtype=int)[:, None]
+                      & left_masks]
+    right_signs = sign[vectors[:, None] & right_twists]
     # column i's terms land on m ^ b ^ e_i; cols[i] holds them at m ^ b
     targets = (left_masks[:, None] ^ right_masks).ravel()
     cols = np.empty((n, size))
     for i in range(n):
         weights = pairs * left_signs[i][:, None] * right_signs[i]
         cols[i] = np.bincount(targets, weights.ravel(), minlength=size)
-    vectors = 1 << np.arange(n)
     at = np.arange(n), vectors[:, None] ^ vectors  # e_j of column i, at e_j ^ e_i
     out = cols[at]
     tol = 1e-7 * np.maximum(1.0, np.sqrt(np.add.reduce(cols * cols, axis=1)))
