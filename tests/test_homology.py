@@ -122,6 +122,16 @@ def test_snf_klein_relation_matrix():
     assert diag == [2, 0][:1] or diag[:1] == [2]
 
 
+@pytest.mark.parametrize("a,diag", [
+    ([[2, 0], [0, 3]], [1, 6]),
+    ([[4, 0], [0, 6]], [2, 12]),
+    ([[0, 2], [3, 0]], [1, 6]),
+])
+def test_snf_divisibility_chain_of_a_diagonal_input(a, diag):
+    # each input is already diagonal, or a permutation of one, with d1 not dividing d2
+    assert check_snf(a) == diag
+
+
 def test_snf_random_matrices():
     rng = np.random.default_rng(3)
     for _ in range(60):

@@ -10,6 +10,10 @@ maybe reversal, letter inversions, fresh names; fixed seeds).  Per group:
 - ``induced``: every field of ``induced_maps`` and both mod-2 Betti numbers;
 - ``descend``: ``descend`` for both kinds.
 
+At the large genera, up to ``GENUS_LIMIT``, one entry per canonical word
+pins ``homology_groups`` of the base and of the cover and every field of
+``induced_maps``.
+
 A change to the integral bookkeeping that alters any bit of these answers
 (the canonical bases included) changes a digest.
 """
@@ -259,3 +263,25 @@ PINNED = {
                          ids=[f"{f}-{g}" for f in CROSS_CAPS for g in GENERA])
 def test_answers_match_the_pinned_digests(family, g):
     assert answers(family, g) == PINNED[f"{family}-{g}"]
+
+
+def large_genus_answers(family, g) -> str:
+    word = GluingWord(tuple(canonical_word(family, g)))
+    cover = orientation_double_cover_complex(word)
+    return digest({
+        "groups": [homology_groups(cx).as_dict() for cx in (word.complex, cover.total)],
+        "induced": induced_answers(word),
+    })
+
+
+PINNED_LARGE = {
+    "n2-64": "d2a23493c34c0064081b250a2109bf2a1cddba9b4b73d246862bd2f0d59cd8b6",
+    "n1-150": "d1d134f599525a9c319c43ab8e3fc8dc14017b1a1d70356f6f9e59a39bec1534",
+    "n2-150": "1dc5287992612fb6a75e77a84f65ccdb75a43f85a3b87fb72f355e87ac68e13f",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_LARGE)
+def test_large_genus_answers_match_the_pinned_digests(name):
+    family, g = name.split("-")
+    assert large_genus_answers(family, int(g)) == PINNED_LARGE[name]
