@@ -43,102 +43,96 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def smith_normal_form(a: list[list[int]]):
-    """U, D, V with U*a*V = D diagonal, divisibility chain, U and V unimodular."""
-    d = [row[:] for row in a]
+def _pivot(d: list[list[int]], t: int, rows: int, cols: int):
+    """(|entry|, i, j) of the smallest nonzero entry of the block d[t:, t:],
+    first in row-major order, or None when the block is zero."""
+    best = None
+    for i in range(t, rows):
+        row = d[i]
+        for j in range(t, cols):
+            e = row[j]
+            if e and (best is None or abs(e) < best[0]):
+                best = (abs(e), i, j)
+                if best[0] == 1:  # no entry is below 1: the full scan would keep it
+                    return best
+    return best
+
+
+def _eliminate(d: list[list[int]]):
+    """Reduce d in place to its Smith normal form, yielding each step as it is
+    applied: (on_rows, i, j, q) adds q times row (or column) i to row (or
+    column) j, or swaps the two when q is None.
+
+    A slot is finished only when its pivot divides every entry left, so the
+    diagonal is a divisibility chain, and its sign is made positive then.
+    """
     rows = len(d)
     cols = len(d[0]) if rows else 0
-    u = identity(rows)
-    v = identity(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):  # row dst += q * row src
-        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def pivot_at(t):
-        # smallest |entry|, first in row-major order; no entry is below 1, so
-        # the first unit entry is the one the full scan would pick
-        best = None
-        for i in range(t, rows):
-            row = d[i]
-            for j in range(t, cols):
-                e = row[j]
-                if e and (best is None or abs(e) < best[0]):
-                    best = (abs(e), i, j)
-                    if best[0] == 1:
-                        return best
-        return best
-
     t = 0
-    while True:
-        best = pivot_at(t)
+    while t < min(rows, cols):
+        best = _pivot(d, t, rows, cols)
         if best is None:
-            break
+            return
         _, pi, pj = best
         if pi != t:
-            swap_rows(t, pi)
+            d[t], d[pi] = d[pi], d[t]
+            yield True, t, pi, None
         if pj != t:
-            swap_cols(t, pj)
+            for row in d:
+                row[t], row[pj] = row[pj], row[t]
+            yield False, t, pj, None
+        top = d[t]
+        p = top[t]
         dirty = False
         for i in range(t + 1, rows):
             if d[i][t]:
-                q = -(d[i][t] // d[t][t])
-                add_row(t, i, q)
+                q = -(d[i][t] // p)
+                d[i] = [x + q * y for x, y in zip(d[i], top)]
+                yield True, t, i, q
                 if d[i][t]:
                     dirty = True
         for j in range(t + 1, cols):
-            if d[t][j]:
-                q = -(d[t][j] // d[t][t])
-                add_col(t, j, q)
-                if d[t][j]:
+            if top[j]:
+                q = -(top[j] // p)
+                for row in d:
+                    row[j] += q * row[t]
+                yield False, t, j, q
+                if top[j]:
                     dirty = True
         if dirty:
             continue  # remainders reappeared; repick the pivot at the same slot
+        if abs(p) != 1 and t + 1 < cols:
+            # p must divide the block left below and right of it; where it
+            # does not, take the first row with a remainder into row t and repick
+            rest = next((i for i in range(t + 1, rows) if any(e % p for e in d[i])), None)
+            if rest is not None:
+                d[t] = [x + y for x, y in zip(top, d[rest])]
+                yield True, rest, t, 1
+                continue
+        if p < 0:
+            top[t] = -p  # row t is zero past the pivot
+            yield True, t, t, -2
         t += 1
-        if t >= min(rows, cols):
-            break
 
-    # enforce the divisibility chain d[t] | d[t+1]
-    changed = True
-    while changed:
-        changed = False
-        for t in range(min(rows, cols) - 1):
-            x, y = d[t][t], d[t + 1][t + 1]
-            if x and y and y % x != 0:
-                add_col(t + 1, t, 1)
-                # euclidean steps inside the 2x2 block until d[t][t] = gcd(x, y)
-                while d[t + 1][t]:
-                    if abs(d[t + 1][t]) <= abs(d[t][t]):
-                        add_row(t + 1, t, -(d[t][t] // d[t + 1][t]))
-                        if d[t][t] == 0:
-                            swap_rows(t, t + 1)
-                    else:
-                        add_row(t, t + 1, -(d[t + 1][t] // d[t][t]))
-                # the gcd divides the whole block, so this clears the corner
-                add_col(t, t + 1, -(d[t][t + 1] // d[t][t]))
-                changed = True
-    for t in range(min(rows, cols)):
-        if d[t][t] < 0:
-            for j in range(cols):
-                d[t][j] = -d[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
+
+def smith_normal_form(a: list[list[int]]):
+    """U, D, V with U*a*V = D diagonal, divisibility chain, U and V unimodular:
+    one elimination of a, its row steps replayed onto U and its column steps
+    onto V."""
+    d = [row[:] for row in a]
+    u, v = identity(len(d)), identity(len(d[0]) if d else 0)
+    for on_rows, i, j, q in _eliminate(d):
+        if on_rows:
+            if q is None:
+                u[i], u[j] = u[j], u[i]
+            else:
+                u[j] = [x + q * y for x, y in zip(u[j], u[i])]
+        elif q is None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+        else:
+            for row in v:
+                row[j] += q * row[i]
     return u, d, v
 
 
@@ -172,8 +166,11 @@ def _factor(a: list[list[int]]):
 
 
 def _invariant_factors(a: list[list[int]]) -> list[int]:
-    """The nonzero diagonal entries of a's Smith normal form, in their divisibility chain."""
-    d = smith_normal_form(a)[1]
+    """The nonzero diagonal entries of a's Smith normal form, in their
+    divisibility chain: the elimination alone, with no factor built."""
+    d = [row[:] for row in a]
+    for _ in _eliminate(d):
+        pass
     return [row[i] for i, row in enumerate(d) if i < len(row) and row[i]]
 
 

@@ -652,6 +652,16 @@ def test_snf_calls_of_induced_maps_do_not_grow_with_genus(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_homology_groups_builds_no_smith_factors(monkeypatch):
+    def refuse(a):
+        raise AssertionError("homology_groups needs only the invariant factors")
+
+    monkeypatch.setattr(homology, "smith_normal_form", refuse)
+    cx = orientation_double_cover_complex(n_g2_word(4)).total
+    assert homology_groups(cx).h1 == (18, ())  # the cover of N_10 is sigma(9)
+    assert homology_groups(PolygonComplex.from_word(n_g1_word(1))).h1 == (2, (2,))
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         GluingWord.parse("a a a")
