@@ -29,6 +29,12 @@ def _kind(value: str) -> str:
     return value
 
 
+def _seed(value: int) -> int:
+    if value < 0:
+        raise UsageError(f"--seed must be non-negative, got {value}")
+    return value
+
+
 def cmd_surfaces(args) -> Report:
     rows = []
     for model in MODELS.values():
@@ -119,6 +125,7 @@ def cmd_pinors(args) -> Report:
     if args.grid <= 0 or args.grid % 2:
         raise UsageError(f"--grid must be positive and even, got {args.grid}")
     kind = _kind(args.kind)
+    seed = _seed(args.seed)
     if args.surface != "t2":
         raise UsageError("pinor grids are modelled on t2 (the Klein deck involution)")
     sign = {"+": 1, "-": -1}[args.sign]
@@ -134,7 +141,7 @@ def cmd_pinors(args) -> Report:
     results: dict = {"lift": lift.as_dict()}
     import numpy as np
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     s = PinorField.random(args.grid, rng)
     if lift.square == 1:
         projected = project_invariant(s, xi, tau, sign)
@@ -154,7 +161,7 @@ def cmd_pinors(args) -> Report:
 def cmd_verify(args):
     from . import acceptance
 
-    results = acceptance.run_all(args.seed)
+    results = acceptance.run_all(_seed(args.seed))
     lines, criteria = [], []
     for r in results:
         line = f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}"

@@ -82,7 +82,9 @@ def enumerate_structures(model: SurfaceModel, kind: str) -> list[PinStructureDes
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if not model.twists:
-        raise ValueError(f"no explicit structures on {model.name}; use descend or obstructions")
+        # descend and obstructions refuse a bounded base
+        hint = "moebius_descent" if model.boundary_components else "descend or obstructions"
+        raise ValueError(f"no explicit structures on {model.name}; use {hint}")
     if model.model_kind == TWO_DISC:
         # the clutching R_{-2 theta} lifts to a single-valued loop, so the two
         # trivial halves glue; H^1(S^2, Z2) = 0 leaves nothing else

@@ -138,6 +138,13 @@ def test_pinors_grid_must_be_positive_and_even(capsys, grid):
     assert "--grid must be positive and even" in err
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["pinors", "check", "t2"]])
+def test_a_negative_seed_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "--seed must be non-negative, got -1" in err
+
+
 def test_verify_passes_and_prints_one_line_per_criterion(capsys):
     code, out, _ = run(capsys, "verify", "--seed", "1")
     assert code == 0

@@ -45,8 +45,10 @@ def test_enumerate_counts():
     assert len(enumerate_structures(T2, PIN_PLUS)) == 4
     assert len(enumerate_structures(build("cyl"), PIN_MINUS)) == 2
     assert len(enumerate_structures(build("s2"), PIN_MINUS)) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="use descend or obstructions"):
         enumerate_structures(build("sigma(2)"), PIN_PLUS)
+    with pytest.raises(ValueError, match="use moebius_descent"):
+        enumerate_structures(build("moebius"), PIN_PLUS)
 
 
 @pytest.mark.parametrize("kind", KINDS)
