@@ -110,14 +110,6 @@ class Multivector:
     def scalar_part(self) -> float:
         return self.coefficients.get(0, 0.0)
 
-    def vector_part(self) -> np.ndarray:
-        import numpy as np
-
-        out = np.zeros(self.signature.n)
-        for i in range(self.signature.n):
-            out[i] = self.coefficients.get(1 << i, 0.0)
-        return out
-
     def norm(self) -> float:
         return math.sqrt(sum(c * c for c in self.coefficients.values()))
 

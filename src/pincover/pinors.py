@@ -53,16 +53,6 @@ class GammaRep(Frozen):
         return self.gamma1 @ self.gamma2
 
 
-def rep(x: Pin2Element, r: GammaRep) -> np.ndarray:
-    """Matrix of a canonical-form element: cos t + sin t g1 g2 or cos t g1 + sin t g2."""
-    import numpy as np
-
-    if x.kind != r.kind:
-        raise ValueError("kind mismatch")
-    t = x.angle.evaluate()
-    return _rep_at(x, r, np.array(t))
-
-
 def _rep_at(x: Pin2Element, r: GammaRep, t: np.ndarray) -> np.ndarray:
     """Representation with the angle evaluated to t (array-valued allowed)."""
     import numpy as np

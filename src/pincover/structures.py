@@ -113,17 +113,6 @@ def pullback(xi: PinStructureDescriptor, tau: Involution) -> PinStructureDescrip
     return PinStructureDescriptor(xi.surface, xi.kind, new_twist, f"{tau.name}*{xi.label}")
 
 
-def equivalence_lift(xi: PinStructureDescriptor, eta: PinStructureDescriptor):
-    """Canonical Pin element path rho with project(rho) = twist_eta^{-1} twist_xi,
-    plus whether rho is well defined (periodic under all deck shifts)."""
-    if xi.surface.name != eta.surface.name or xi.kind != eta.kind:
-        raise ValueError("structures live on different surfaces or kinds")
-    target = compose(o2_inverse(eta.twist), xi.twist)
-    rho = canonical_lift(target, xi.kind)
-    ok = all(is_periodic(rho, 2, var) for var in periodic_vars(xi.surface))
-    return rho, ok
-
-
 class LiftResult(Frozen):
     """A solved lifting diagram: the lift and its square (+1 | -1) when it exists."""
 

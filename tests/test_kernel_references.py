@@ -62,6 +62,7 @@ from pincover.pin2 import EVEN, KINDS, ODD, PIN_PLUS, Pin2Element, angle, evalua
 from pincover.pinors import _involution_node_map
 from pincover.surface import FAMILY_ONLY, SurfaceModel, build, cover_diagram, double, \
     orientation_double_cover
+from test_clifford import vector_part
 from test_homology import pack_rows
 from test_pinned_answers import canonical_word, relabel
 
@@ -456,7 +457,7 @@ def _ref_orthogonal_matrix(u):
     sig = value.signature
     alpha_u, u_inv = value.grade_involution(), value.inverse()
     cols = [
-        _ref_sandwich(alpha_u, Multivector.basis_vector(sig, i), u_inv).vector_part()
+        vector_part(_ref_sandwich(alpha_u, Multivector.basis_vector(sig, i), u_inv))
         for i in range(sig.n)
     ]
     return np.column_stack(cols)

@@ -8,8 +8,8 @@ from pincover.pinors import (
     PinorField,
     couple_split,
     invariance_residual,
+    _rep_at,
     project_invariant,
-    rep,
 )
 from pincover.structures import enumerate_structures, lift_involution
 from pincover.surface import build, orientation_double_cover
@@ -18,6 +18,14 @@ from test_pin2 import minus_one
 TOL = 1e-9
 KINDS = (PIN_PLUS, PIN_MINUS)
 N = 32
+
+
+def rep(x, r):
+    """Matrix of a canonical-form element: cos t + sin t g1 g2 or cos t g1 + sin t g2."""
+    if x.kind != r.kind:
+        raise ValueError("kind mismatch")
+    t = x.angle.evaluate()
+    return _rep_at(x, r, np.array(t))
 
 
 def klein_deck():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from pincover import pin2
-from pincover.pin2 import PIN_MINUS, PIN_PLUS, angle, project
+from pincover.pin2 import PIN_MINUS, PIN_PLUS, angle, canonical_lift, compose, is_periodic, \
+    o2_inverse, project
 from pincover.structures import (
     GAMMA,
     IDENTITY,
@@ -11,9 +12,9 @@ from pincover.structures import (
     descend,
     double_structure,
     enumerate_structures,
-    equivalence_lift,
     lift_involution,
     moebius_descent,
+    periodic_vars,
     pullback,
 )
 from pincover.surface import build, cover_diagram, orientation_double_cover
@@ -22,6 +23,17 @@ from test_pin2 import o2_matrix
 F = Fraction
 T2 = build("t2")
 KINDS = (PIN_PLUS, PIN_MINUS)
+
+
+def equivalence_lift(xi, eta):
+    """Canonical Pin element path rho with project(rho) = twist_eta^{-1} twist_xi,
+    plus whether rho is well defined (periodic under all deck shifts)."""
+    if xi.surface.name != eta.surface.name or xi.kind != eta.kind:
+        raise ValueError("structures live on different surfaces or kinds")
+    target = compose(o2_inverse(eta.twist), xi.twist)
+    rho = canonical_lift(target, xi.kind)
+    ok = all(is_periodic(rho, 2, var) for var in periodic_vars(xi.surface))
+    return rho, ok
 
 
 def are_equivalent(xi, eta):
