@@ -43,13 +43,13 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _pivot(d: list[list[int]], t: int, rows: int, cols: int):
+def _pivot(d: list[list[int]], t: int):
     """(|entry|, i, j) of the smallest nonzero entry of the block d[t:, t:],
     first in row-major order, or None when the block is zero."""
     best = None
-    for i in range(t, rows):
+    for i in range(t, len(d)):
         row = d[i]
-        for j in range(t, cols):
+        for j in range(t, len(row)):
             e = row[j]
             if e and (best is None or abs(e) < best[0]):
                 best = (abs(e), i, j)
@@ -70,7 +70,7 @@ def _eliminate(d: list[list[int]]):
     cols = len(d[0]) if rows else 0
     t = 0
     while t < min(rows, cols):
-        best = _pivot(d, t, rows, cols)
+        best = _pivot(d, t)
         if best is None:
             return
         _, pi, pj = best

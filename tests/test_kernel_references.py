@@ -638,10 +638,14 @@ def test_homology_matches_reference_on_family_bases_and_covers(word):
 # smith_normal_form and the invariant factors
 
 
+def nonzero_diagonal(d):
+    return [row[i] for i, row in enumerate(d) if i < len(row) and row[i]]
+
+
 def assert_same_smith_form(a):
     u, d, v = _ref_smith_normal_form(a)
     assert smith_normal_form(a) == (u, d, v)
-    assert _invariant_factors(a) == [row[i] for i, row in enumerate(d) if i < len(row) and row[i]]
+    assert _invariant_factors(a) == nonzero_diagonal(d)
 
 
 @pytest.mark.parametrize("word", FAMILY_WORDS.values(), ids=list(FAMILY_WORDS))
@@ -676,7 +680,7 @@ def test_smith_form_matches_reference_on_random_matrices():
         a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         d = _ref_smith_normal_form(a)[1]
         assert smith_normal_form(a)[1] == d
-        assert _invariant_factors(a) == [row[i] for i, row in enumerate(d) if i < len(row) and row[i]]
+        assert _invariant_factors(a) == nonzero_diagonal(d)
 
 
 # ---------------------------------------------------------------------------
