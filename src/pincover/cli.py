@@ -133,8 +133,7 @@ def cmd_pinors(args) -> Report:
     if not 0 <= args.structure < len(structures):
         raise UsageError(f"--structure must be 0..{len(structures) - 1}")
     xi = structures[args.structure]
-    tau = orientation_double_cover(build("k2")).deck
-    lift = lift_involution(xi, tau)
+    lift = lift_involution(xi, orientation_double_cover(build("k2")).deck)
     inputs = {"surface": args.surface, "kind": args.kind,
               "structure": xi.label, "sign": args.sign,
               "grid": args.grid, "seed": args.seed}
@@ -143,18 +142,18 @@ def cmd_pinors(args) -> Report:
 
     rng = np.random.default_rng(seed)
     s = PinorField.random(args.grid, rng)
-    if lift.square == 1:
-        projected = project_invariant(s, xi, tau, sign)
-        couple = couple_split(projected, xi, tau, sign)
+    if lift.descends:
+        projected = project_invariant(s, lift, sign)
+        couple = couple_split(projected, lift, sign)
         results.update({
-            "projector_residual": invariance_residual(projected, xi, tau, sign),
-            "idempotency_gap": (project_invariant(projected, xi, tau, sign)
+            "projector_residual": invariance_residual(projected, lift, sign),
+            "idempotency_gap": (project_invariant(projected, lift, sign)
                                 - projected).max_norm(),
             "couple_certificate_residual": couple.certificate_residual,
         })
     else:
         results["projector"] = "unavailable: the lift squares to -1"
-        results["raw_residual_sign_plus"] = invariance_residual(s, xi, tau, 1)
+        results["raw_residual_sign_plus"] = invariance_residual(s, lift, 1)
     return Report("pinors", inputs, results, anchor="tables/pinor-invariance")
 
 

@@ -304,6 +304,9 @@ class GluingWord(Frozen):
             expected = 1 if name in boundary_letters else 2
             if len(exps) != expected:
                 raise ValueError(f"letter {name} occurs {len(exps)} times, expected {expected}")
+        absent = sorted(boundary_letters - exponents.keys())
+        if absent:
+            raise ValueError(f"boundary letter {', '.join(absent)} does not occur in the word")
         self._set(word, boundary_letters)
         object.__setattr__(self, "_complex", None)
         object.__setattr__(self, "_exponents", exponents)
@@ -341,18 +344,17 @@ class GluingWord(Frozen):
 class PolygonComplex(Record):
     """CW complex: named edges, one boundary word per 2-cell.
 
-    The edges default to the letters in order of first occurrence; the
-    vertices, edge indices and edge ends are derived from the fields.
+    The edges (the letters in order of first occurrence), the vertices,
+    edge indices and edge ends are derived from the fields.
     """
 
     __slots__ = ("faces", "boundary_letters", "edges", "vertex_count", "edge_index", "edge_ends")
-    _fields = ("faces", "boundary_letters", "edges")
+    _fields = ("faces", "boundary_letters")
 
     def __init__(self, faces: list[tuple[Occurrence, ...]],
-                 boundary_letters: frozenset[str] = frozenset(), edges: list[str] | None = None):
-        if not edges:
-            edges = list(dict.fromkeys(name for face in faces for name, _ in face))
-        self._set(faces, boundary_letters, edges)
+                 boundary_letters: frozenset[str] = frozenset()):
+        self._set(faces, boundary_letters)
+        self.edges = list(dict.fromkeys(name for face in faces for name, _ in face))
         self._build()
 
     @classmethod

@@ -13,7 +13,7 @@ import functools
 
 from .pin2 import EVEN, PIN_MINUS, PIN_PLUS, Pin2Element, at
 from .records import Frozen
-from .structures import PinStructureDescriptor, lift_involution, tau_coordinate_forms
+from .structures import LiftResult, tau_coordinate_forms
 from .surface import Involution, Lattice
 
 # annotations are strings (PEP 563); this keeps typing itself out of the import
@@ -134,24 +134,25 @@ def _involution_node_map(tau: Involution, n: int):
     return image.x, image.y
 
 
-def _deck_action(s: PinorField, xi: PinStructureDescriptor, tau: Involution, sign: int,
-                 r: GammaRep, needs: str = "") -> PinorField:
-    """sign * (d-tilde-tau action on sections)(x) = sign * rep(L(tau x)) s(tau x).
+def _deck_action(s: PinorField, lift: LiftResult, sign: int, r: GammaRep,
+                 needs: str = "") -> PinorField:
+    """sign * (d-tilde-tau action on sections)(x) = sign * rep(L(tau x)) s(tau x),
+    for the involution tau and the lift L that lift solved.
 
-    A missing lift is refused; so is a lift squaring to -1 when needs names
-    what requires +1.
+    A missing lift is refused; so is a lift that does not descend (it squares
+    to -1) when needs names what requires descent.
     """
     import numpy as np
 
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    res = lift_involution(xi, tau)
-    if not res.exists:
+    xi, tau = lift.structure, lift.involution
+    if not lift.exists:
         raise ValueError(f"no lift of {tau.name} for {xi.label} ({xi.kind})")
-    if needs and res.square != 1:
+    if needs and not lift.descends:
         raise ValueError(f"{needs}: the lift squares to -1 for {xi.label} ({xi.kind})")
     n = s.size
-    lift_at_tau = at(res.lift, *tau_coordinate_forms(tau))
+    lift_at_tau = at(lift.lift, *tau_coordinate_forms(tau))
     angles = _grid_angles(n)
     tt, pp = np.meshgrid(angles, angles, indexing="ij")
     mats = _rep_at(lift_at_tau, r, lift_at_tau.angle.evaluate(tt, pp))
@@ -160,22 +161,22 @@ def _deck_action(s: PinorField, xi: PinStructureDescriptor, tau: Involution, sig
     return PinorField(np.einsum("ijab,ijb->ija", mats, pulled)).scale(sign)
 
 
-def invariance_residual(s: PinorField, xi: PinStructureDescriptor, tau: Involution,
-                        sign: int, r: GammaRep | None = None) -> float:
+def invariance_residual(s: PinorField, lift: LiftResult, sign: int,
+                        r: GammaRep | None = None) -> float:
     """max_x || s(x) - sign * rep(L(tau x)) s(tau x) ||."""
-    r = r or GammaRep.standard(xi.kind)
-    return (s - _deck_action(s, xi, tau, sign, r)).max_norm()
+    r = r or GammaRep.standard(lift.structure.kind)
+    return (s - _deck_action(s, lift, sign, r)).max_norm()
 
 
-def project_invariant(s: PinorField, xi: PinStructureDescriptor, tau: Involution,
-                      sign: int, r: GammaRep | None = None) -> PinorField:
+def project_invariant(s: PinorField, lift: LiftResult, sign: int,
+                      r: GammaRep | None = None) -> PinorField:
     """Average with the deck action: s -> (s + sign * action(s)) / 2.
 
     Requires the lift to square to +1, otherwise the average is not idempotent
     (which is exactly why square -1 structures do not descend).
     """
-    r = r or GammaRep.standard(xi.kind)
-    return (s + _deck_action(s, xi, tau, sign, r, "no invariant projector")).scale(0.5)
+    r = r or GammaRep.standard(lift.structure.kind)
+    return (s + _deck_action(s, lift, sign, r, "no invariant projector")).scale(0.5)
 
 
 class SpinorCouple(Frozen):
@@ -184,14 +185,14 @@ class SpinorCouple(Frozen):
     __slots__ = ("plus", "minus", "certificate_residual")
 
 
-def couple_split(s: PinorField, xi: PinStructureDescriptor, tau: Involution,
-                 sign: int = 1, r: GammaRep | None = None) -> SpinorCouple:
+def couple_split(s: PinorField, lift: LiftResult, sign: int = 1,
+                 r: GammaRep | None = None) -> SpinorCouple:
     """Split an invariant pinor into the chirality couple and certify the relation
     s-(x) = sign * rep(L(tau x)) s+(tau x)."""
     import numpy as np
 
-    r = r or GammaRep.standard(xi.kind)
+    r = r or GammaRep.standard(lift.structure.kind)
     plus = PinorField(np.einsum("ab,ijb->ija", (np.eye(2) + r.omega) / 2, s.values))
     minus = PinorField(np.einsum("ab,ijb->ija", (np.eye(2) - r.omega) / 2, s.values))
-    moved = _deck_action(plus, xi, tau, sign, r, "no couple splitting")
+    moved = _deck_action(plus, lift, sign, r, "no couple splitting")
     return SpinorCouple(plus, minus, (minus - moved).max_norm())

@@ -114,10 +114,17 @@ def pullback(xi: PinStructureDescriptor, tau: Involution) -> PinStructureDescrip
 
 
 class LiftResult(Frozen):
-    """A solved lifting diagram: the lift and its square (+1 | -1) when it exists."""
+    """A solved lifting diagram of an involution for a structure: the lift and
+    its square (+1 | -1) when it exists."""
 
-    __slots__ = ("exists", "lift", "square", "detail")
+    __slots__ = ("structure", "involution", "exists", "lift", "square", "detail")
     _defaults = {"detail": ""}
+
+    @property
+    def descends(self) -> bool:
+        """The structure descends through the involution: the lift exists and
+        squares to +1."""
+        return self.exists and self.square == 1
 
     def as_dict(self):
         return {
@@ -136,21 +143,17 @@ def lift_involution(xi: PinStructureDescriptor, tau: Involution) -> LiftResult:
     rhs = compose(o2_inverse(at(xi.twist, th, ph)), compose(jacobian(tau), xi.twist))
     lift = canonical_lift(rhs, xi.kind)
     if not all(is_periodic(lift, 2, var) for var in periodic_vars(xi.surface)):
-        return LiftResult(False, None, None,
+        return LiftResult(xi, tau, False, None, None,
                           "no single-valued lift: the candidate changes sign under a deck shift")
     square = scalar_value(mul(at(lift, th, ph), lift))
     other = -lift
     if scalar_value(mul(at(other, th, ph), other)) != square:
         raise AssertionError("the two lifts must square identically")
-    return LiftResult(True, lift, square)
+    return LiftResult(xi, tau, True, lift, square)
 
 
 def _lift_table(tau: Involution, kind: str) -> dict[str, LiftResult]:
-    """The lift of tau for each structure of the kind on its domain, by label.
-
-    A structure descends through tau when its lift exists and squares to +1;
-    descend and moebius_descent read that off this one table.
-    """
+    """The lift of tau for each structure of the kind on its domain, by label."""
     return {xi.label: lift_involution(xi, tau) for xi in enumerate_structures(tau.domain, kind)}
 
 
@@ -198,9 +201,9 @@ def descend(base: SurfaceModel, kind: str) -> DescentReport:
     if not cover.has_geometry():
         return DescentReport(base.name, cover.total.name, kind, "count-only",
                              {}, (), torsor, torsor, exists, True)
-    squares = {label: res.square for label, res in _lift_table(cover.deck, kind).items()
-               if res.exists}
-    qualifying = tuple(label for label, square in squares.items() if square == 1)
+    lifts = _lift_table(cover.deck, kind)
+    squares = {label: res.square for label, res in lifts.items() if res.exists}
+    qualifying = tuple(label for label, res in lifts.items() if res.descends)
     count = 2 * len(qualifying)
     return DescentReport(base.name, cover.total.name, kind, "geometric",
                          squares, qualifying, count, torsor, exists, count == torsor)
@@ -369,5 +372,5 @@ def moebius_descent(x: SurfaceModel) -> MoebiusReport:
         squares[kind] = {label: res.square for label, res in tau4.items()}
         exists[kind] = {label: res.exists for label, res in tau3.items()}
         descending[kind] = tuple(label for label, res in tau4.items()
-                                 if res.square == 1 and tau3[label].exists)
+                                 if res.descends and tau3[label].exists)
     return MoebiusReport(squares, exists, descending)

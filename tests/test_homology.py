@@ -667,6 +667,9 @@ def test_word_validation():
         GluingWord.parse("a a a")
     with pytest.raises(ValueError):
         GluingWord.parse("a b a")
+    # a boundary letter outside the word would be read as closed rp2
+    with pytest.raises(ValueError, match="boundary letter b does not occur"):
+        GluingWord.parse("x x", boundary="b")
 
 
 def all_test_words():

@@ -1,7 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from pincover import pin2
+from pincover.acceptance import check_property_suites
+from pincover.cli import main
 from pincover.pin2 import PIN_MINUS, PIN_PLUS, angle, mul
 from pincover.pinors import (
     GammaRep,
@@ -30,6 +34,10 @@ def rep(x, r):
 
 def klein_deck():
     return orientation_double_cover(build("k2")).deck
+
+
+def klein_lift(xi):
+    return lift_involution(xi, klein_deck())
 
 
 def torus_structures(kind):
@@ -110,32 +118,32 @@ def test_constant_eigenvector_is_invariant():
     v = vecs[:, np.argmin(np.abs(vals - 1.0))]
     xi = torus_structures(kind)["xi0"]
     s = PinorField.constant(N, v)
-    assert invariance_residual(s, xi, klein_deck(), 1, r) < TOL
+    assert invariance_residual(s, klein_lift(xi), 1, r) < TOL
     # flipped sign: maximal violation 2 ||v||
-    assert invariance_residual(s, xi, klein_deck(), -1, r) == pytest.approx(2.0, abs=1e-9)
+    assert invariance_residual(s, klein_lift(xi), -1, r) == pytest.approx(2.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("xi_kind", qualifying_pairs())
 def test_projector_idempotent_and_invariant(xi_kind):
     xi, kind = xi_kind
     rng = np.random.default_rng(101)
-    tau = klein_deck()
+    lift = klein_lift(xi)
     for sign in (1, -1):
         s = PinorField.random(N, rng)
-        p = project_invariant(s, xi, tau, sign)
-        again = project_invariant(p, xi, tau, sign)
+        p = project_invariant(s, lift, sign)
+        again = project_invariant(p, lift, sign)
         assert (p - again).max_norm() < TOL
-        assert invariance_residual(p, xi, tau, sign) < TOL
+        assert invariance_residual(p, lift, sign) < TOL
 
 
 @pytest.mark.parametrize("xi_kind", qualifying_pairs())
 def test_projectors_sum_to_identity_with_orthogonal_images(xi_kind):
     xi, kind = xi_kind
     rng = np.random.default_rng(7)
-    tau = klein_deck()
+    lift = klein_lift(xi)
     s = PinorField.random(N, rng)
-    p_plus = project_invariant(s, xi, tau, 1)
-    p_minus = project_invariant(s, xi, tau, -1)
+    p_plus = project_invariant(s, lift, 1)
+    p_minus = project_invariant(s, lift, -1)
     assert (p_plus + p_minus - s).max_norm() < TOL
     total = s.inner(s).real
     split = p_plus.inner(p_plus).real + p_minus.inner(p_minus).real
@@ -146,7 +154,7 @@ def test_projector_refuses_square_minus_one():
     xi = torus_structures(PIN_MINUS)["xi0"]  # Klein lift squares to -1 for pin-
     s = PinorField.constant(N, [1.0, 0.0])
     with pytest.raises(ValueError):
-        project_invariant(s, xi, klein_deck(), 1)
+        project_invariant(s, klein_lift(xi), 1)
 
 
 @pytest.mark.parametrize("act", [invariance_residual, project_invariant, couple_split],
@@ -157,23 +165,23 @@ def test_sign_must_be_plus_or_minus_one(act, sign):
     xi = torus_structures(PIN_PLUS)["xi0"]
     s = PinorField.constant(N, [1.0, 0.0])
     with pytest.raises(ValueError, match="sign must be"):
-        act(s, xi, klein_deck(), sign)
+        act(s, klein_lift(xi), sign)
 
 
 def test_couple_split_refuses_square_minus_one():
     xi = torus_structures(PIN_MINUS)["xi0"]
     s = PinorField.constant(N, [1.0, 0.0])
     with pytest.raises(ValueError, match="squares to -1 for xi0"):
-        couple_split(s, xi, klein_deck(), 1)
+        couple_split(s, klein_lift(xi), 1)
 
 
 def test_anti_invariant_input_projects_to_zero():
     xi = torus_structures(PIN_PLUS)["xi0"]
     rng = np.random.default_rng(3)
-    tau = klein_deck()
+    lift = klein_lift(xi)
     s = PinorField.random(N, rng)
-    inv = project_invariant(s, xi, tau, 1)
-    anti = project_invariant(inv, xi, tau, -1)
+    inv = project_invariant(s, lift, 1)
+    anti = project_invariant(inv, lift, -1)
     assert anti.max_norm() < TOL
 
 
@@ -185,9 +193,9 @@ def test_anti_invariant_input_projects_to_zero():
 def test_couple_certificate(xi_kind):
     xi, kind = xi_kind
     rng = np.random.default_rng(11)
-    tau = klein_deck()
-    s = project_invariant(PinorField.random(N, rng), xi, tau, 1)
-    couple = couple_split(s, xi, tau, 1)
+    lift = klein_lift(xi)
+    s = project_invariant(PinorField.random(N, rng), lift, 1)
+    couple = couple_split(s, lift, 1)
     assert couple.certificate_residual < TOL
     # chirality tags
     r = GammaRep.standard(kind)
@@ -200,16 +208,16 @@ def test_couple_certificate(xi_kind):
 def test_gamma_twisted_couple_certificate():
     xi = torus_structures(PIN_PLUS)["xi0"]
     rng = np.random.default_rng(13)
-    tau = klein_deck()
-    s = project_invariant(PinorField.random(N, rng), xi, tau, -1)
-    couple = couple_split(s, xi, tau, -1)
+    lift = klein_lift(xi)
+    s = project_invariant(PinorField.random(N, rng), lift, -1)
+    couple = couple_split(s, lift, -1)
     assert couple.certificate_residual < TOL
 
 
 def test_zero_field_splits_to_zero():
     xi = torus_structures(PIN_PLUS)["xi0"]
     z = PinorField.constant(N, [0.0, 0.0])
-    couple = couple_split(z, xi, klein_deck(), 1)
+    couple = couple_split(z, klein_lift(xi), 1)
     assert couple.plus.max_norm() == 0.0
     assert couple.minus.max_norm() == 0.0
     assert couple.certificate_residual == 0.0
@@ -230,13 +238,53 @@ def test_empty_grid_is_refused(empty):
 def test_orientation_choice_is_immaterial():
     xi = torus_structures(PIN_PLUS)["xi0"]
     rng = np.random.default_rng(29)
-    tau = klein_deck()
+    lift = klein_lift(xi)
     r = GammaRep.standard(PIN_PLUS)
     flipped = GammaRep(PIN_PLUS, r.gamma1, r.gamma2, -r.omega)
-    s = project_invariant(PinorField.random(N, rng), xi, tau, 1, r)
-    c1 = couple_split(s, xi, tau, 1, r)
-    c2 = couple_split(s, xi, tau, 1, flipped)
+    s = project_invariant(PinorField.random(N, rng), lift, 1, r)
+    c1 = couple_split(s, lift, 1, r)
+    c2 = couple_split(s, lift, 1, flipped)
     # the opposite orientation swaps the chiral halves, equal as grid data
     assert np.array_equal(c1.plus.values, c2.minus.values)
     assert np.array_equal(c1.minus.values, c2.plus.values)
     assert c2.certificate_residual < TOL
+
+
+# ---------------------------------------------------------------------------
+# one lift solve per structure
+
+
+@pytest.fixture
+def lift_solves(monkeypatch):
+    """The structures whose lift is solved, counted by rebinding lift_involution
+    in every loaded pincover module; a module imported later would keep the
+    counter, so the modules under test are imported at the top."""
+    from pincover import structures
+
+    original = structures.lift_involution
+    solved = []
+
+    def counted(xi, tau):
+        solved.append(xi.label)
+        return original(xi, tau)
+
+    for name, module in list(sys.modules.items()):
+        if name == "pincover" or name.startswith("pincover."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return solved
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pinors_check_solves_one_lift(lift_solves, kind, capsys):
+    # xi0's Klein lift squares to +1 for pin+ and to -1 for pin-
+    assert main(["pinors", "check", "t2", "--structure", "0", "--kind", kind,
+                 "--format", "json"]) == 0
+    assert lift_solves == ["xi0"]
+
+
+def test_property_suites_solve_one_lift_per_structure(lift_solves):
+    assert check_property_suites(0)[0]
+    # descend(k2) solves the 4 lifts of each kind; the 2 qualifying ones are not solved again
+    assert len(lift_solves) == 12

@@ -256,7 +256,7 @@ def test_a_bad_call_raises_type_error(call, message):
 def test_defaults_fill_the_missing_fields():
     report = Report("homology", {"surface": "k2"}, {"b1_2": 2})
     assert report.anchor == ""
-    assert LiftResult(False, None, None).detail == ""
+    assert LiftResult(None, None, False, None, None).detail == ""
     word = GluingWord.parse("a a")
     model = SurfaceModel("rp2-word", "family-only", word, False, 0, cross_caps=1)
     assert (model.x_wrap, model.y_wrap, model.genus, model.cross_caps) == (
