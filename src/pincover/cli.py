@@ -13,7 +13,7 @@ import sys
 from . import pin2
 from .characteristic import obstructions
 from .homology import b1_mod2, homology_groups, induced_maps, orientation_double_cover_complex
-from .pinors import PinorField, couple_split, invariance_residual, project_invariant
+from .pinors import GRID_LIMIT, PinorField, couple_split, invariance_residual, project_invariant
 from .reporting import Report
 from .structures import descend, enumerate_structures, lift_involution, moebius_descent
 from .surface import MODELS, SURFACE_NAMES, build, orientation_double_cover
@@ -124,6 +124,8 @@ def cmd_moebius(args) -> Report:
 def cmd_pinors(args) -> Report:
     if args.grid <= 0 or args.grid % 2:
         raise UsageError(f"--grid must be positive and even, got {args.grid}")
+    if args.grid > GRID_LIMIT:
+        raise UsageError(f"--grid is at most {GRID_LIMIT}, got {args.grid}")
     kind = _kind(args.kind)
     seed = _seed(args.seed)
     if args.surface != "t2":

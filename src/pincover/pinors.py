@@ -65,6 +65,12 @@ def _rep_at(x: Pin2Element, r: GammaRep, t: np.ndarray) -> np.ndarray:
     return c[..., None, None] * a + s[..., None, None] * b
 
 
+# The largest grid `pincover pinors check` takes.  A cold `--grid 1024` run
+# takes about 1.4 s and 400 MiB on a 2-core host, about 350 B a node, so
+# memory, not time, sets the limit (README, "Grid limit").
+GRID_LIMIT = 1024
+
+
 class PinorField(Frozen):
     """C^2-valued field on the N x N grid over the square (nodes j * 2pi / N);
     values has shape (N, N, 2)."""
@@ -123,8 +129,6 @@ def _involution_node_map(tau: Involution, n: int):
     """Node permutation (arrays of indices) realizing tau on the grid."""
     import numpy as np
 
-    if tau.is_equatorial:
-        raise ValueError("pinor grids need a flat involution")
     c = tau.shift
     if (c[0] * n) % 2 != 0 or (c[1] * n) % 2 != 0:
         raise ValueError("grid is not invariant under tau; use an even size")

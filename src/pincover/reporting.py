@@ -35,12 +35,11 @@ def _convert(value: Any) -> Any:
 
 
 def _flatten(node: Any, prefix: str = ""):
-    if isinstance(node, dict):
-        for k in node:
-            yield from _flatten(node[k], f"{prefix}{k}.")
-    elif isinstance(node, list):
-        for i, item in enumerate(node):
-            yield from _flatten(item, f"{prefix}{i}.")
+    """(dotted key, leaf) rows; an empty list or dict is one row of its own,
+    so a table or csv shows every key the json has."""
+    if isinstance(node, (dict, list)) and node:
+        for k, item in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _flatten(item, f"{prefix}{k}.")
     else:
         yield prefix.rstrip("."), node
 

@@ -97,8 +97,6 @@ def enumerate_structures(model: SurfaceModel, kind: str) -> list[PinStructureDes
 
 def tau_coordinate_forms(tau: Involution):
     """(theta, phi) composed with tau, as affine angle forms."""
-    if tau.is_equatorial:
-        return angle(theta=1, const=1), angle(phi=1)
     m, c = tau.matrix, tau.shift
     return (
         angle(theta=m[0][0], phi=m[0][1], const=c[0]),

@@ -1,19 +1,17 @@
 """Surface models: fundamental polygons, involutions, double covers, doubles.
 
-Flat models live on the square [0, 2pi]^2.  Points are given in units of pi
-as exact rationals, and every map is computed on an integer lattice: a
-`Lattice` holds int64 coordinate arrays with an explicit period (the number
-of lattice units in 2pi), so the identifications are exact modular
-arithmetic over a whole grid at once.  The sphere is a two-disc clutching
-model whose geometry is only ever queried on the equator.  Families beyond
-the base cases (sigma_g, N_{g,1}, N_{g,2} with g >= 1) carry combinatorial
-gluing words only.
+Flat models live on the square [0, 2pi]^2.  Every map takes and returns a
+`Lattice`: int64 coordinate arrays with an explicit period (the number of
+lattice units in 2pi), so the identifications are exact modular arithmetic
+over a whole grid at once.  Every involution is affine, with its shift in
+units of pi.  The sphere is a two-disc clutching model whose geometry is only
+ever queried on the equator chart, where its deck is theta -> theta + pi;
+it has no square coordinates to reduce.  Families beyond the base cases
+(sigma_g, N_{g,1}, N_{g,2} with g >= 1) carry combinatorial gluing words only.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 import re
 from fractions import Fraction
 
@@ -58,37 +56,6 @@ def _units(c: Fraction, period: int) -> int:
     return v.numerator
 
 
-# lifted coordinates stay below this, so the kernels' sums and doublings fit int64
-_LIFT_LIMIT = 2 ** 56
-
-
-def _exact(kernel):
-    """Let a lattice kernel also take and return one point in units of pi.
-
-    The point is lifted onto the lattice whose half period (pi) is twice the
-    common denominator of its coordinates and of the owner's shifts (its
-    `denominator`, if it has one).  No map halves a coordinate twice, so every
-    halving is exact, and the image maps back to Fractions.
-    """
-
-    @functools.wraps(kernel)
-    def on_point(self, p):
-        if isinstance(p, Lattice):
-            return kernel(self, p)
-        import numpy as np
-
-        x, y = frac(p[0]), frac(p[1])
-        half = 2 * math.lcm(x.denominator, y.denominator, getattr(self, "denominator", 1))
-        if max(abs(x), abs(y), 1) * half > _LIFT_LIMIT:
-            raise ValueError(f"point {p} is too large for the int64 lattice")
-        lifted = Lattice(np.array([(x * half).numerator], np.int64),
-                         np.array([(y * half).numerator], np.int64), 2 * half)
-        q = kernel(self, lifted)
-        return (Fraction(int(q.x[0]), half), Fraction(int(q.y[0]), half))
-
-    return on_point
-
-
 # identification rules for the second coordinate wrap, per model
 WRAP_NONE = "none"          # coordinate clamped to [0, 2] (boundary)
 WRAP_STRAIGHT = "straight"  # v ~ v + 2
@@ -117,7 +84,6 @@ class SurfaceModel(Frozen):
     def euler_characteristic(self) -> int:
         return self.complex.euler_characteristic()
 
-    @_exact
     def reduce(self, p: Lattice) -> Lattice:
         """Canonical representatives of points modulo the identifications."""
         import numpy as np
@@ -145,57 +111,29 @@ class SurfaceModel(Frozen):
 
 
 class Involution(Frozen):
-    """Affine map (x, y) -> M (x, y) + c on the square, or the sphere's equatorial one."""
+    """Affine map (x, y) -> M (x, y) + c on the domain's coordinates, M unimodular."""
 
-    __slots__ = ("name",
-                 "matrix",  # None for equatorial
-                 "shift",   # units of pi
-                 "domain", "fixed_point_free")
+    __slots__ = ("name", "matrix", "shift", "domain")  # shift in units of pi
 
-    @classmethod
-    def affine(cls, name, matrix, shift, domain, fixed_point_free):
+    def __init__(self, name, matrix, shift, domain):
         m = tuple(tuple(int(e) for e in row) for row in matrix)
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if abs(det) != 1:
+        if m != tuple(map(tuple, matrix)):
+            raise ValueError(f"{name}: the matrix entries must be integers, got {matrix}")
+        if abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) != 1:
             raise ValueError("linear part must be unimodular")
-        s = (frac(shift[0]), frac(shift[1]))
-        return cls(name, m, s, domain, fixed_point_free)
+        self._set(name, m, (frac(shift[0]), frac(shift[1])), domain)
 
-    @classmethod
-    def equatorial(cls, name, domain):
-        """The sphere's antipodal map z -> -1/conj(z)."""
-        return cls(name, None, None, domain, True)
-
-    @property
-    def is_equatorial(self) -> bool:
-        return self.matrix is None
-
-    @property
-    def denominator(self) -> int:
-        """Common denominator of the shift, in units of pi."""
-        return 1 if self.shift is None else math.lcm(*(c.denominator for c in self.shift))
-
-    @_exact
     def apply_raw(self, p: Lattice) -> Lattice:
         x, y, period = p
-        if self.is_equatorial:
-            # on the equator z = e^{i theta}: theta -> theta + pi
-            return Lattice(x + period // 2, y, period)
         (a, b), (c, d) = self.matrix
         sx, sy = (_units(s, period) for s in self.shift)
         return Lattice(a * x + b * y + sx, c * x + d * y + sy, period)
 
-    @_exact
     def apply(self, p: Lattice) -> Lattice:
-        q = self.apply_raw(p)
-        if self.is_equatorial:
-            return Lattice(q.x % q.period, q.y, q.period)
-        return self.domain.reduce(q)
+        return self.domain.reduce(self.apply_raw(p))
 
     def orthogonal_part(self) -> tuple[tuple[int, int], tuple[int, int]]:
         m = self.matrix
-        if m is None:
-            raise ValueError("equatorial involution has no constant linear part")
         if (m[0][0] * m[0][1] + m[1][0] * m[1][1] != 0
                 or m[0][0] ** 2 + m[1][0] ** 2 != 1
                 or m[0][1] ** 2 + m[1][1] ** 2 != 1):
@@ -206,11 +144,11 @@ class Involution(Frozen):
 def jacobian(tau: Involution) -> O2PathElement:
     """Differential of tau as an O(2) path element.
 
-    Flat involutions have a constant differential; the sphere's antipodal map
-    is only modelled along the equator, where its differential at angle theta
-    is the reflection fixing the line at angle theta.
+    Flat involutions have a constant differential.  On the sphere the deck is
+    theta -> theta + pi on the equator chart, and the antipodal map's
+    differential at angle theta is the reflection fixing the line at angle theta.
     """
-    if tau.is_equatorial:
+    if tau.domain.model_kind == TWO_DISC:
         return reflection(angle(theta=1, const=Fraction(1, 2)))
     m = tau.orthogonal_part()
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -249,7 +187,6 @@ class Double(Frozen):
     def total(self) -> SurfaceModel:
         return self.tau.domain
 
-    @_exact
     def embed(self, p: Lattice) -> Lattice:
         return self.embedding(self.total, p)
 
@@ -266,24 +203,23 @@ def _geometric_models() -> dict[str, SurfaceModel]:
                       periodic_vars=("theta", "phi"),
                       twists=(("xi0", (0, 0)), ("xi1", (1, 0)), ("xi2", (0, 1)), ("xi3", (1, 1))))
     rp2 = SurfaceModel("rp2", TWO_DISC, GluingWord.parse("x x"), False, 0, cross_caps=1,
-                       deck=Involution.equatorial("rp2-deck", s2))
+                       deck=Involution("rp2-deck", ((1, 0), (0, 1)), (1, 0), s2))
     # (0,y) ~ (2pi,y) and (x,0) ~ (2pi-x, 2pi): crossing y flips x
     k2 = SurfaceModel("k2", FLAT_SQUARE, GluingWord.parse("a b a b'"), False, 0,
                       y_wrap=WRAP_FLIP_OTHER, cross_caps=2,
-                      deck=Involution.affine("k2-deck", ((1, 0), (0, -1)), (1, 0), t2, True))
+                      deck=Involution("k2-deck", ((1, 0), (0, -1)), (1, 0), t2))
     # theta runs over [0, pi] only, so the cylinder twists are the theta-only ones
     cyl = SurfaceModel("cyl", FLAT_SQUARE, GluingWord.parse("u a t' a'", boundary="u t"), True, 2,
                        y_wrap=WRAP_NONE,
-                       double=Double(Involution.affine("cyl-double", ((-1, 0), (0, 1)), (0, 0),
-                                                       t2, False), _theta_half),
+                       double=Double(Involution("cyl-double", ((-1, 0), (0, 1)), (0, 0), t2),
+                                     _theta_half),
                        periodic_vars=("phi",), twists=(("xi0", (0, 0)), ("xi1", (1, 0))))
     # (0,y) ~ (2pi, 2pi-y): crossing x flips y
     moebius = SurfaceModel(
         "moebius", FLAT_SQUARE, GluingWord.parse("u a t a", boundary="u t"), False, 1,
         x_wrap=WRAP_FLIP_OTHER, y_wrap=WRAP_NONE, cross_caps=1,
-        deck=Involution.affine("moebius-deck", ((1, 0), (0, -1)), (1, 2), cyl, True),
-        double=Double(Involution.affine("moebius-double", ((-1, 1), (0, 1)), (0, 0), k2, False),
-                      _shear_half))
+        deck=Involution("moebius-deck", ((1, 0), (0, -1)), (1, 2), cyl),
+        double=Double(Involution("moebius-double", ((-1, 1), (0, 1)), (0, 0), k2), _shear_half))
     return {m.name: m for m in (s2, rp2, t2, k2, cyl, moebius)}
 
 
@@ -397,18 +333,11 @@ class CoverDiagram(Record):
                  "prime",        # X' (t2)
                  "tau1", "tau2", "tau3", "tau4")
 
-    @property
-    def denominator(self) -> int:
-        """Common denominator of the four involutions' shifts, in units of pi."""
-        return math.lcm(*(t.denominator for t in (self.tau1, self.tau2, self.tau3, self.tau4)))
-
-    @_exact
     def tau34(self, p: Lattice) -> Lattice:
         return self.master.reduce(self.tau3.apply_raw(self.tau4.apply_raw(p)))
 
     # -- projections ---------------------------------------------------------
 
-    @_exact
     def pi3(self, p: Lattice) -> Lattice:
         """T^2 -> Cyl (fold x into [0, pi]); cylinder coords (u, v) = (y, 2x)."""
         import numpy as np
@@ -417,7 +346,6 @@ class CoverDiagram(Record):
         x = np.where(x > period // 2, period - x, x)
         return self.tilde.reduce(Lattice(y, 2 * x, period))
 
-    @_exact
     def pi1(self, p: Lattice) -> Lattice:
         """Cyl -> M^2, the quotient by tau1(u, v) = (u + pi, 2pi - v)."""
         import numpy as np
@@ -427,7 +355,6 @@ class CoverDiagram(Record):
         return self.base.reduce(Lattice(np.where(first, 2 * u, 2 * u - period),
                                         np.where(first, v, period - v), period))
 
-    @_exact
     def pi4(self, p: Lattice) -> Lattice:
         """T^2 -> K^2, the quotient by tau4; chart (x, y) -> (x + y, 2y) on y in [0, pi)."""
         import numpy as np
@@ -438,36 +365,30 @@ class CoverDiagram(Record):
         x, y = np.where(upper, r.x, q.x), np.where(upper, r.y, q.y)
         return self.half_double.reduce(Lattice(x + y, 2 * y, q.period))
 
-    @_exact
     def pi4_section(self, p: Lattice) -> Lattice:
         """A section of pi4 landing in the y in [0, pi) fundamental domain."""
         big_x, big_y, period = self.half_double.reduce(p)
         half_y = _halve(big_y)
         return self.master.reduce(Lattice(big_x - half_y, half_y, period))
 
-    @_exact
     def pi2(self, p: Lattice) -> Lattice:
         """K^2 -> M^2, induced by pi1 after pi3 through any pi4 preimage."""
         return self.pi1(self.pi3(self.pi4_section(p)))
 
-    @_exact
     def pi34(self, p: Lattice) -> Lattice:
         """T^2 -> X' = T^2 / tau34; chart (x, y) -> (2x, y - x)."""
         x, y, period = self.master.reduce(p)
         return self.prime.reduce(Lattice(2 * x, y - x, period))
 
-    @_exact
     def pi34_section(self, p: Lattice) -> Lattice:
         xp, yp, period = self.prime.reduce(p)
         half_x = _halve(xp)
         return self.master.reduce(Lattice(half_x, yp + half_x, period))
 
-    @_exact
     def tau_prime(self, p: Lattice) -> Lattice:
         """The involution on X' induced by tau3 (equivalently tau4)."""
         return self.pi34(self.tau3.apply(self.pi34_section(p)))
 
-    @_exact
     def pi_prime(self, p: Lattice) -> Lattice:
         """X' -> X."""
         return self.pi1(self.pi3(self.pi34_section(p)))
@@ -530,6 +451,6 @@ def cover_diagram(x: SurfaceModel) -> CoverDiagram:
     tilde = x.deck.domain
     tilde_double = double(tilde)
     master = tilde_double.total
-    tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (1, 1), master, True)
+    tau4 = Involution("tau4", ((-1, 0), (0, 1)), (1, 1), master)
     return CoverDiagram(x, tilde, x.double.total, master, build("t2"),
                         x.deck, x.double.tau, tilde_double.tau, tau4)

@@ -30,7 +30,7 @@ def test_cover_diagram_failure_names_relation_and_point(monkeypatch):
 
     def broken(x):
         d = cover_diagram(x)
-        tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (0, 0), d.master, True)
+        tau4 = Involution("tau4", ((-1, 0), (0, 1)), (0, 0), d.master)
         return d._replace(tau4=tau4)
 
     monkeypatch.setattr(acceptance, "cover_diagram", broken)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -138,6 +139,23 @@ def test_pinors_grid_must_be_positive_and_even(capsys, grid):
     assert "--grid must be positive and even" in err
 
 
+def test_pinors_grid_above_the_limit_is_a_usage_error_before_any_field(capsys, monkeypatch):
+    from pincover.pinors import GRID_LIMIT, PinorField
+
+    class FieldBuilt(Exception):
+        pass
+
+    def no_field(*args):
+        raise FieldBuilt
+
+    monkeypatch.setattr(PinorField, "random", no_field)
+    code, out, err = run(capsys, "pinors", "check", "t2", "--grid", "1026")
+    assert code == 2 and out == "" and f"--grid is at most {GRID_LIMIT}, got 1026" in err
+    # the limit itself passes validation and reaches the field
+    with pytest.raises(FieldBuilt):
+        main(["pinors", "check", "t2", "--grid", str(GRID_LIMIT)])
+
+
 @pytest.mark.parametrize("argv", [["verify"], ["pinors", "check", "t2"]])
 def test_a_negative_seed_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--seed", "-1")
@@ -186,6 +204,27 @@ def test_csv_and_table_formats(capsys):
     assert code == 0 and out.startswith("key,value")
     code, out, _ = run(capsys, "homology", "k2", "--format", "table")
     assert code == 0 and "h1.free" in out
+
+
+def rows(out, fmt):
+    """The (key, value) rows of a csv or table rendering."""
+    if fmt == "csv":
+        return dict(csv.reader(out.splitlines()[1:]))
+    return dict(line.split(None, 1) for line in out.splitlines() if not line.startswith("#"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_csv_and_table_keep_empty_lists_and_dicts(capsys, fmt):
+    # the json of both commands has these keys; the rows used to drop them
+    code, out, _ = run(capsys, "descend", "n(1,1)", "--format", fmt)
+    assert code == 0
+    got = rows(out, fmt)
+    assert (got["squares"], got["qualifying"], got["structures"]) == ("{}", "[]", "[]")
+    code, out, _ = run(capsys, "covermaps", "n(0,1)", "--format", fmt)
+    assert code == 0
+    got = rows(out, fmt)
+    assert (got["push_z.0"], got["push_z2.0"], got["pull_z2"]) == ("[]", "[]", "[]")
+    assert got["kernel_pull.0.0"] == "1"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])

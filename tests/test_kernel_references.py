@@ -354,8 +354,6 @@ def _ref_involution_node_map(tau, n):
     """Node permutation (arrays of indices) realizing tau on the grid."""
     import numpy as np
 
-    if tau.is_equatorial:
-        raise ValueError("pinor grids need a flat involution")
     m, c = tau.matrix, tau.shift
     if (c[0] * n) % 2 != 0 or (c[1] * n) % 2 != 0:
         raise ValueError("grid is not invariant under tau; use an even size")

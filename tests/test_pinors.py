@@ -168,6 +168,17 @@ def test_sign_must_be_plus_or_minus_one(act, sign):
         act(s, klein_lift(xi), sign)
 
 
+def test_a_grid_under_the_sphere_deck_is_refused():
+    # the rp2 deck is theta -> theta + pi on the equator chart; s2 has no
+    # square for a grid to live on
+    xi = enumerate_structures(build("s2"), PIN_MINUS)[0]
+    lift = lift_involution(xi, orientation_double_cover(build("rp2")).deck)
+    assert lift.exists
+    s = PinorField.constant(N, [1.0, 0.0])
+    with pytest.raises(ValueError, match="s2 has no square coordinates"):
+        invariance_residual(s, lift, 1)
+
+
 def test_couple_split_refuses_square_minus_one():
     xi = torus_structures(PIN_MINUS)["xi0"]
     s = PinorField.constant(N, [1.0, 0.0])

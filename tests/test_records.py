@@ -85,7 +85,7 @@ FROZEN = {
     BoundaryLiftTable: lambda: boundary_lift_table(PIN_PLUS),
     MoebiusReport: lambda: moebius_descent(build("moebius")),
     SurfaceModel: lambda: build("n(2,1)"),
-    Involution: lambda: Involution.affine("tau", ((1, 0), (0, -1)), (1, 0), build("t2"), True),
+    Involution: lambda: Involution("tau", ((1, 0), (0, -1)), (1, 0), build("t2")),
     Double: lambda: Double(build("cyl").double.tau, build("cyl").double.embedding),
     OrientationCover: lambda: orientation_double_cover(build("n(1,2)")),
     Lattice: lambda: Lattice(np.arange(2, dtype=np.int64), np.arange(2, 4, dtype=np.int64), 8),
@@ -204,6 +204,8 @@ def test_replace_reruns_the_checks_and_the_normalisation():
         Signature(6, 6)._replace(p=7)
     with pytest.raises(TypeError):
         Signature(1, 1)._replace(r=0)
+    with pytest.raises(ValueError, match="unimodular"):
+        FROZEN[Involution]()._replace(matrix=((2, 0), (0, 1)))
     report = MUTABLE[Report]()
     assert report._replace(anchor="") == Report("homology", {"surface": "k2"}, {"b1_2": 2})
 
@@ -223,10 +225,11 @@ SHARED_INIT = [cls for cls in [*FROZEN, *MUTABLE] if cls.__init__ is Record.__in
 def test_the_records_that_keep_an_init_are_the_checking_ones():
     own = {cls.__name__ for cls in [*FROZEN, *MUTABLE] if cls not in SHARED_INIT}
     assert own == {"Signature", "GluingWord", "PolygonComplex", "AngleForm", "Pin2Element",
-                   "O2PathElement", "PinorField", "PinStructureDescriptor"}
+                   "O2PathElement", "PinorField", "PinStructureDescriptor", "Involution"}
 
 
-@pytest.mark.parametrize("cls", [c for c in SHARED_INIT if c not in ARRAY_RECORDS],
+# Involution's own __init__ must bind the same way: _replace calls it by keyword
+@pytest.mark.parametrize("cls", [c for c in [*SHARED_INIT, Involution] if c not in ARRAY_RECORDS],
                          ids=lambda c: c.__name__)
 def test_shuffled_keywords_build_the_positional_record(cls):
     x = {**FROZEN, **MUTABLE}[cls]()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from pincover import pin2
 from pincover.homology import homology_groups, orientation_double_cover_complex
 from pincover.pin2 import angle
+from pincover.structures import tau_coordinate_forms
 from pincover.surface import (
     GENUS_LIMIT,
     Involution,
@@ -20,8 +22,24 @@ from pincover.surface import (
 F = Fraction
 
 
+def on_point(p, *kernels):
+    """kernels[0](kernels[1](...(p))) at one rational point p, in units of pi.
+
+    Each kernel runs on a one-point Lattice whose half period (pi) is twice the
+    common denominator of the point's coordinates, so both coordinates are
+    even and one halving stays exact; its image maps back to Fractions.
+    """
+    for kernel in reversed(kernels):
+        x, y = F(p[0]), F(p[1])
+        half = 2 * math.lcm(x.denominator, y.denominator)
+        q = kernel(Lattice(np.array([(x * half).numerator], np.int64),
+                           np.array([(y * half).numerator], np.int64), 2 * half))
+        p = (F(int(q.x[0]), half), F(int(q.y[0]), half))
+    return p
+
+
 def same_point(model, p, q):
-    return model.reduce(p) == model.reduce(q)
+    return on_point(p, model.reduce) == on_point(q, model.reduce)
 
 
 def test_build_klein_bottle():
@@ -41,14 +59,14 @@ def test_build_sphere_and_cylinder():
     assert cyl.boundary_components == 2
     assert same_point(cyl, (0, F(1, 2)), (2, F(1, 2)))
     with pytest.raises(ValueError):
-        cyl.reduce((0, 3))
+        on_point((0, 3), cyl.reduce)
 
 
 def test_moebius_seam_flips_the_other_coordinate():
     moebius = build("moebius")
     # (0, y) ~ (2pi, 2pi - y), boundary points included
-    assert moebius.reduce((2, 0)) == (0, 2)
-    assert moebius.reduce((-F(1, 2), F(1, 3))) == (F(3, 2), F(5, 3))
+    assert on_point((2, 0), moebius.reduce) == (0, 2)
+    assert on_point((-F(1, 2), F(1, 3)), moebius.reduce) == (F(3, 2), F(5, 3))
     assert same_point(moebius, (0, F(1, 3)), (2, 2 - F(1, 3)))
 
 
@@ -81,18 +99,19 @@ def grid_points(n=16):
 
 
 def check_involution(tau, points):
+    """tau is a deck involution at the points: it squares to the identity
+    and fixes none of them."""
     for p in points:
-        q = tau.domain.reduce(p)
-        assert tau.apply(tau.apply(q)) == q
-        if tau.fixed_point_free:
-            assert tau.apply(q) != q
+        q = on_point(p, tau.domain.reduce)
+        assert on_point(q, tau.apply, tau.apply) == q
+        assert on_point(q, tau.apply) != q
 
 
 def test_klein_deck_involution():
     cover = orientation_double_cover(build("k2"))
     assert cover.total.name == "t2"
     tau = cover.deck
-    assert tau.apply((F(1, 4), F(1, 3))) == (F(5, 4), 2 - F(1, 3))
+    assert on_point((F(1, 4), F(1, 3)), tau.apply) == (F(5, 4), 2 - F(1, 3))
     check_involution(tau, grid_points())
     # quotient sanity: tau-orbits map to single K^2 points under (x, y) -> folding
     assert jacobian(tau) == pin2.J2
@@ -102,9 +121,13 @@ def test_rp2_deck_involution():
     cover = orientation_double_cover(build("rp2"))
     assert cover.total.name == "s2"
     tau = cover.deck
-    assert tau.is_equatorial
+    assert (tau.matrix, tau.shift, tau.domain) == (((1, 0), (0, 1)), (1, 0), build("s2"))
     # on the equator: theta -> theta + pi
-    assert tau.apply((F(1, 3), 0)) == (F(4, 3), 0)
+    assert on_point((F(1, 3), 0), tau.apply_raw) == (F(4, 3), 0)
+    assert tau_coordinate_forms(tau) == (angle(theta=1, const=1), angle(phi=1))
+    # the two-disc model has no square coordinates to reduce the image in
+    with pytest.raises(ValueError, match="no square coordinates"):
+        on_point((F(1, 3), 0), tau.apply)
     j = jacobian(tau)
     assert j == pin2.reflection(angle(theta=1, const=F(1, 2)))
 
@@ -113,7 +136,7 @@ def test_moebius_deck_involution():
     cover = orientation_double_cover(build("moebius"))
     assert cover.total.name == "cyl"
     tau = cover.deck
-    assert tau.apply((F(1, 4), F(1, 3))) == (F(5, 4), 2 - F(1, 3))
+    assert on_point((F(1, 4), F(1, 3)), tau.apply) == (F(5, 4), 2 - F(1, 3))
     check_involution(tau, [(x, y) for x, y in grid_points() if 0 <= y <= 2])
 
 
@@ -137,10 +160,10 @@ def test_family_cover_genus_from_euler_characteristic_matches_homology(k):
 def test_double_of_cylinder():
     d = double(build("cyl"))
     assert d.total.name == "t2"
-    assert d.tau.apply((F(1, 3), F(1, 5))) == (2 - F(1, 3), F(1, 5))
+    assert on_point((F(1, 3), F(1, 5)), d.tau.apply) == (2 - F(1, 3), F(1, 5))
     # tau3 fixes exactly the boundary image x in {0, pi}
-    assert d.tau.apply((0, F(1, 5))) == (0, F(1, 5))
-    assert d.tau.apply((1, F(1, 5))) == (1, F(1, 5))
+    assert on_point((0, F(1, 5)), d.tau.apply) == (0, F(1, 5))
+    assert on_point((1, F(1, 5)), d.tau.apply) == (1, F(1, 5))
     # euler characteristic additivity: chi(X^d) = 2 chi(X) - chi(boundary)
     assert d.total.euler_characteristic() == 2 * 0 - 0
 
@@ -148,11 +171,11 @@ def test_double_of_cylinder():
 def test_double_of_moebius():
     d = double(build("moebius"))
     assert d.total.name == "k2"
-    assert d.tau.apply((F(1, 3), F(1, 5))) == ((F(1, 5) - F(1, 3)) % 2, F(1, 5))
+    assert on_point((F(1, 3), F(1, 5)), d.tau.apply) == ((F(1, 5) - F(1, 3)) % 2, F(1, 5))
     assert d.total.euler_characteristic() == 2 * 0 - 0
     # the embedding respects the moebius identifications
-    p = d.embed((0, F(1, 3)))
-    q = d.embed((2, 2 - F(1, 3)))
+    p = on_point((0, F(1, 3)), d.embed)
+    q = on_point((2, 2 - F(1, 3)), d.embed)
     assert p == q
 
 
@@ -181,7 +204,7 @@ def test_cover_diagram_tau34_formula():
     diagram = cover_diagram(build("moebius"))
     # tau3(tau4(x, y)) = (x - pi, y + pi), no fixed points mod 2pi
     p = (F(1, 7), F(2, 7))
-    assert diagram.tau34(p) == ((F(1, 7) - 1) % 2, (F(2, 7) + 1) % 2)
+    assert on_point(p, diagram.tau34) == ((F(1, 7) - 1) % 2, (F(2, 7) + 1) % 2)
 
 
 def test_diagram_jacobians():
@@ -197,34 +220,35 @@ def test_cover_diagram_prime_node():
     assert diagram.prime.boundary_components == 0
     # tau' is an involution covering X
     p = (F(3, 8), F(5, 8))
-    assert diagram.pi_prime(diagram.tau_prime(p)) == diagram.pi_prime(p)
+    assert on_point(p, diagram.pi_prime, diagram.tau_prime) == on_point(p, diagram.pi_prime)
 
 
-# each relation of check_relations read at one point through the Fraction-point
-# maps: True when it fails there
+# each relation of check_relations read at one point, one kernel at a time
+# through on_point: True when it fails there
 SCALAR_FAILS = {
-    "pi1_pi3_eq_pi2_pi4": lambda d, p: d.pi1(d.pi3(p)) != d.pi2(d.pi4(p)),
+    "pi1_pi3_eq_pi2_pi4": lambda d, p: on_point(p, d.pi1, d.pi3) != on_point(p, d.pi2, d.pi4),
     "tau3_tau4_commute": lambda d, p: (
-        d.master.reduce(d.tau3.apply_raw(d.tau4.apply_raw(p)))
-        != d.master.reduce(d.tau4.apply_raw(d.tau3.apply_raw(p)))),
+        on_point(p, d.master.reduce, d.tau3.apply_raw, d.tau4.apply_raw)
+        != on_point(p, d.master.reduce, d.tau4.apply_raw, d.tau3.apply_raw)),
     "tau4_restricts_to_tau1": lambda d, p: (
-        d.master.reduce(d.tau4.apply_raw(d.tilde.double.embed(d.tilde.reduce(p))))
-        != d.tilde.double.embed(d.tau1.apply(p))),
+        on_point(p, d.master.reduce, d.tau4.apply_raw, d.tilde.double.embed, d.tilde.reduce)
+        != on_point(p, d.tilde.double.embed, d.tau1.apply)),
     "pi4_restricts_to_pi1": lambda d, p: (
-        d.pi4(d.tilde.double.embed(d.tilde.reduce(p))) != d.base.double.embed(d.pi1(p))),
-    "tau34_fixed_point_free": lambda d, p: d.tau34(p) == d.master.reduce(p),
+        on_point(p, d.pi4, d.tilde.double.embed, d.tilde.reduce)
+        != on_point(p, d.base.double.embed, d.pi1)),
+    "tau34_fixed_point_free": lambda d, p: on_point(p, d.tau34) == on_point(p, d.master.reduce),
     "tau2_involution": lambda d, p: (
-        d.half_double.reduce(d.tau2.apply_raw(d.tau2.apply_raw(d.half_double.reduce(p))))
-        != d.half_double.reduce(p)),
+        on_point(p, d.half_double.reduce, d.tau2.apply_raw, d.tau2.apply_raw, d.half_double.reduce)
+        != on_point(p, d.half_double.reduce)),
     "tau_prime_involution": lambda d, p: (
-        d.tau_prime(d.tau_prime(d.prime.reduce(p))) != d.prime.reduce(p)),
-    "pi_prime_compatible": lambda d, p: d.pi_prime(d.pi34(p)) != d.pi1(d.pi3(p)),
+        on_point(p, d.tau_prime, d.tau_prime, d.prime.reduce) != on_point(p, d.prime.reduce)),
+    "pi_prime_compatible": lambda d, p: on_point(p, d.pi_prime, d.pi34) != on_point(p, d.pi1, d.pi3),
 }
 
 
 def test_mutated_tau4_is_caught_with_counterexamples():
     diagram = cover_diagram(build("moebius"))
-    tau4 = Involution.affine("tau4", ((-1, 0), (0, 1)), (0, 0), diagram.master, True)
+    tau4 = Involution("tau4", ((-1, 0), (0, 1)), (0, 0), diagram.master)
     broken = diagram._replace(tau4=tau4)
     results = broken.check_relations(16)
     assert set(SCALAR_FAILS) == set(results)
@@ -258,6 +282,13 @@ def test_odd_lattice_halving_raises():
             halving(odd)
 
 
-def test_point_too_large_for_the_lattice_raises():
-    with pytest.raises(ValueError, match="too large"):
-        build("t2").reduce((2 ** 60, 0))
+@pytest.mark.parametrize("entry", [1.5, F(1, 2), "1"])
+def test_involution_refuses_a_matrix_entry_that_is_not_an_integer(entry):
+    with pytest.raises(ValueError, match="must be integers"):
+        Involution("t", ((entry, 0), (0, 1)), (0, 0), build("t2"))
+
+
+def test_involution_normalises_integral_entries_to_ints():
+    tau = Involution("t", ((1.0, 0), (F(2, 2), -1)), (0, 1), build("t2"))
+    assert tau.matrix == ((1, 0), (1, -1))
+    assert all(type(e) is int for row in tau.matrix for e in row)
