@@ -242,7 +242,8 @@ SCALAR_FAILS = {
         != on_point(p, d.half_double.reduce)),
     "tau_prime_involution": lambda d, p: (
         on_point(p, d.tau_prime, d.tau_prime, d.prime.reduce) != on_point(p, d.prime.reduce)),
-    "pi_prime_compatible": lambda d, p: on_point(p, d.pi_prime, d.pi34) != on_point(p, d.pi1, d.pi3),
+    "pi_prime_compatible": lambda d, p: (
+        on_point(p, d.pi_prime, d.pi34) != on_point(p, d.pi1, d.pi3)),
 }
 
 
