@@ -222,10 +222,6 @@ class Z2Matrix(Frozen):
     __slots__ = ("rows", "cols")
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), self.cols
-
-    @property
     def T(self) -> Z2Matrix:
         cols = [0] * self.cols
         for i, row in enumerate(self.rows):

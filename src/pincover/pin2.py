@@ -127,9 +127,6 @@ class Pin2Element(Frozen):
     def __str__(self):
         return f"{self.parity}({self.angle})"
 
-    def __mul__(self, other: "Pin2Element") -> "Pin2Element":
-        return mul(self, other)
-
 
 def even(kind: str, a: AngleForm) -> Pin2Element:
     return Pin2Element(kind, EVEN, a)
@@ -245,16 +242,8 @@ def at(x: Pin2Element | O2PathElement, theta: AngleForm, phi: AngleForm):
     return x._replace(angle=x.angle.substitute(theta, phi))
 
 
-def project(x: Pin2Element) -> O2PathElement:
-    """The O(2) element covered by x under the twisted adjoint."""
-    if x.parity == ODD:
-        return reflection(x.angle)
-    factor = 2 if x.kind == PIN_MINUS else -2
-    return rotation(x.angle.scaled(factor))
-
-
 def lift_o2(g: O2PathElement, kind: str) -> tuple[Pin2Element, Pin2Element]:
-    """The two preimages of g under project, differing by an angle shift of pi."""
+    """The two preimages of g under the twisted adjoint, differing by an angle shift of pi."""
     if g.parity == REFLECTION:
         first = odd(kind, g.angle)
     else:
@@ -271,7 +260,7 @@ def canonical_sign(x: Pin2Element) -> Pin2Element:
 
 
 def canonical_lift(g: O2PathElement, kind: str) -> Pin2Element:
-    """The preimage of g under project whose constant lies in [0, 1)."""
+    """The preimage of g under the twisted adjoint whose constant lies in [0, 1)."""
     return canonical_sign(lift_o2(g, kind)[0])
 
 

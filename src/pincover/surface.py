@@ -49,8 +49,8 @@ def _halve(a: np.ndarray) -> np.ndarray:
 
 
 def _units(c: Fraction, period: int) -> int:
-    """A constant in units of pi as a whole number of lattice units."""
-    v = c * (period // 2)
+    """A constant in units of pi as a whole number of lattice units (pi = period / 2)."""
+    v = c * period / 2
     if v.denominator != 1:
         raise ValueError(f"{c}pi is not on the lattice of period {period}")
     return v.numerator

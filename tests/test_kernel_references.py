@@ -4,16 +4,16 @@
 orientability), ``orientation_double_cover_complex``, ``gf2_row_reduce``,
 ``smith_normal_form`` (and the invariant factors alone),
 ``homology_groups``, ``z2_betti`` (and the packed boundary rows it shares
-with ``h1_z2_basis``), ``chord_gram_matrix``, the pinor grid's
-node map, the Clifford oracle (``geometric_product``, the ``Multivector``
-operations, ``lift_orthogonal``, ``orthogonal_matrix``) and ``pin2.evaluate``
-are compared output for output with their earlier versions, kept here
-verbatim as ``_Ref*``/``_ref_*``: on random multi-face gluing words with
-boundary letters, on the orientation double covers of every family up to
-g = 16, on random packed rows, on relabelled family words, on the flat
-involutions of the pinor grids, on random sparse multivectors and random
-orthogonal matrices.  A multivector matches when its items match in value,
-type and order.
+with ``h1_z2_basis``), ``chord_gram_matrix``, the pinor grid's node map
+and deck action, the Clifford oracle (``geometric_product``, the
+``Multivector`` operations, ``lift_orthogonal``, ``orthogonal_matrix``) and
+``pin2.evaluate`` are compared output for output with their earlier
+versions, kept here verbatim as ``_Ref*``/``_ref_*``: on random multi-face
+gluing words with boundary letters, on the orientation double covers of
+every family up to g = 16, on random packed rows, on relabelled family
+words, on the flat involutions of the pinor grids and the odd lifts of
+them, on random sparse multivectors and random orthogonal matrices.  A
+multivector matches when its items match in value, type and order.
 """
 
 import functools
@@ -58,8 +58,9 @@ from pincover.homology import (
     smith_normal_form,
     z2_betti,
 )
-from pincover.pin2 import EVEN, KINDS, ODD, PIN_PLUS, Pin2Element, angle, evaluate
-from pincover.pinors import _involution_node_map
+from pincover.pin2 import EVEN, KINDS, ODD, PIN_PLUS, Pin2Element, angle, at, evaluate
+from pincover.pinors import GammaRep, PinorField, _deck_action, _involution_node_map
+from pincover.structures import enumerate_structures, lift_involution, tau_coordinate_forms
 from pincover.surface import FAMILY_ONLY, SurfaceModel, build, cover_diagram, double, \
     orientation_double_cover
 from test_clifford import vector_part
@@ -365,6 +366,34 @@ def _ref_involution_node_map(tau, n):
     new_i = (m[0][0] * ii + m[0][1] * jj + si) % n
     new_j = (m[1][0] * ii + m[1][1] * jj + sj) % n
     return new_i, new_j
+
+
+def _ref_rep_at(x, r, t):
+    """Representation with the angle evaluated to t (array-valued allowed)."""
+    import numpy as np
+
+    c, s = np.cos(t), np.sin(t)
+    if x.parity == EVEN:
+        a, b = np.eye(2, dtype=complex), r.gamma1 @ r.gamma2
+    else:
+        a, b = r.gamma1, r.gamma2
+    return c[..., None, None] * a + s[..., None, None] * b
+
+
+def _ref_deck_action(s, lift, sign, r):
+    """sign * rep(L(tau x)) s(tau x) through a stack of one 2x2 matrix a node
+    (the sign, existence and descent checks are left out)."""
+    import numpy as np
+
+    tau = lift.involution
+    n = s.size
+    lift_at_tau = at(lift.lift, *tau_coordinate_forms(tau))
+    angles = 2.0 * np.pi * np.arange(n) / n
+    tt, pp = np.meshgrid(angles, angles, indexing="ij")
+    mats = _ref_rep_at(lift_at_tau, r, lift_at_tau.angle.evaluate(tt, pp))
+    ti, tj = _involution_node_map(tau, n)
+    pulled = s.values[ti, tj]
+    return PinorField(np.einsum("ijab,ijb->ija", mats, pulled)).scale(sign)
 
 
 # the Clifford oracle, the Multivector operations under it and pin2.evaluate:
@@ -741,6 +770,25 @@ def test_node_map_refuses_an_odd_grid_under_a_half_turn_shift(name, n):
     for node_map in (_involution_node_map, _ref_involution_node_map):
         with pytest.raises(ValueError, match="even size"):
             node_map(tau, n)
+
+
+# the Klein deck and tau4 lifts of the four torus structures of each kind:
+# every one is odd, and both squares occur
+DECK_LIFTS = {f"{tau.name}-{xi.label}-{kind}": lift_involution(xi, tau)
+              for tau in (GRID_INVOLUTIONS["k2-deck"], GRID_INVOLUTIONS["tau4"])
+              for kind in KINDS for xi in enumerate_structures(build("t2"), kind)}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [2, 8, 32])
+@pytest.mark.parametrize("name", DECK_LIFTS)
+def test_deck_action_matches_the_matrix_stack_reference(name, n, sign):
+    lift = DECK_LIFTS[name]
+    s = PinorField.random(n, np.random.default_rng(n))
+    got = _deck_action(s, lift, sign).values
+    want = _ref_deck_action(s, lift, sign, GammaRep.standard(lift.structure.kind)).values
+    # bytes too, so a signed zero that moved would show
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from pincover import pin2
 from pincover.clifford import geometric_product, orthogonal_matrix
 from pincover.pin2 import (
+    ODD,
     PIN_MINUS,
     PIN_PLUS,
     angle,
@@ -22,13 +23,20 @@ from pincover.pin2 import (
     mul,
     odd,
     one,
-    project,
     reflection,
     rotation,
     scalar_value,
 )
 
 HALF = Fraction(1, 2)
+
+
+def project(x):
+    """The O(2) element covered by x under the twisted adjoint."""
+    if x.parity == ODD:
+        return reflection(x.angle)
+    factor = 2 if x.kind == PIN_MINUS else -2
+    return rotation(x.angle.scaled(factor))
 
 
 def minus_one(kind):

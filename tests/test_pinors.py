@@ -10,13 +10,13 @@ from pincover.pin2 import PIN_MINUS, PIN_PLUS, angle, mul
 from pincover.pinors import (
     GammaRep,
     PinorField,
+    _deck_action,
     couple_split,
     invariance_residual,
-    _rep_at,
     project_invariant,
 )
-from pincover.structures import enumerate_structures, lift_involution
-from pincover.surface import build, orientation_double_cover
+from pincover.structures import enumerate_structures, lift_involution, tau_coordinate_forms
+from pincover.surface import Involution, Lattice, build, cover_diagram, orientation_double_cover
 from test_pin2 import minus_one
 
 TOL = 1e-9
@@ -29,7 +29,21 @@ def rep(x, r):
     if x.kind != r.kind:
         raise ValueError("kind mismatch")
     t = x.angle.evaluate()
-    return _rep_at(x, r, np.array(t))
+    if x.parity == pin2.EVEN:
+        return np.cos(t) * np.eye(2) + np.sin(t) * (r.gamma1 @ r.gamma2)
+    return np.cos(t) * r.gamma1 + np.sin(t) * r.gamma2
+
+
+def constant_field(n, v):
+    """The field with value v at every node of the n x n grid."""
+    out = np.zeros((n, n, 2), dtype=complex)
+    out[:, :] = np.asarray(v, dtype=complex)
+    return PinorField(out)
+
+
+def inner(a, b):
+    """The Hermitian inner product of two fields, summed over the grid."""
+    return complex((a.values.conj() * b.values).sum())
 
 
 def klein_deck():
@@ -117,10 +131,10 @@ def test_constant_eigenvector_is_invariant():
     vals, vecs = np.linalg.eig(r.gamma2)
     v = vecs[:, np.argmin(np.abs(vals - 1.0))]
     xi = torus_structures(kind)["xi0"]
-    s = PinorField.constant(N, v)
-    assert invariance_residual(s, klein_lift(xi), 1, r) < TOL
+    s = constant_field(N, v)
+    assert invariance_residual(s, klein_lift(xi), 1) < TOL
     # flipped sign: maximal violation 2 ||v||
-    assert invariance_residual(s, klein_lift(xi), -1, r) == pytest.approx(2.0, abs=1e-9)
+    assert invariance_residual(s, klein_lift(xi), -1) == pytest.approx(2.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("xi_kind", qualifying_pairs())
@@ -145,14 +159,14 @@ def test_projectors_sum_to_identity_with_orthogonal_images(xi_kind):
     p_plus = project_invariant(s, lift, 1)
     p_minus = project_invariant(s, lift, -1)
     assert (p_plus + p_minus - s).max_norm() < TOL
-    total = s.inner(s).real
-    split = p_plus.inner(p_plus).real + p_minus.inner(p_minus).real
+    total = inner(s, s).real
+    split = inner(p_plus, p_plus).real + inner(p_minus, p_minus).real
     assert abs(total - split) < 1e-6 * max(1.0, total)
 
 
 def test_projector_refuses_square_minus_one():
     xi = torus_structures(PIN_MINUS)["xi0"]  # Klein lift squares to -1 for pin-
-    s = PinorField.constant(N, [1.0, 0.0])
+    s = constant_field(N, [1.0, 0.0])
     with pytest.raises(ValueError):
         project_invariant(s, klein_lift(xi), 1)
 
@@ -163,7 +177,7 @@ def test_projector_refuses_square_minus_one():
 def test_sign_must_be_plus_or_minus_one(act, sign):
     # a sign of 0 or 2 is no deck action; couple_split used to certify it anyway
     xi = torus_structures(PIN_PLUS)["xi0"]
-    s = PinorField.constant(N, [1.0, 0.0])
+    s = constant_field(N, [1.0, 0.0])
     with pytest.raises(ValueError, match="sign must be"):
         act(s, klein_lift(xi), sign)
 
@@ -174,14 +188,58 @@ def test_a_grid_under_the_sphere_deck_is_refused():
     xi = enumerate_structures(build("s2"), PIN_MINUS)[0]
     lift = lift_involution(xi, orientation_double_cover(build("rp2")).deck)
     assert lift.exists
-    s = PinorField.constant(N, [1.0, 0.0])
+    s = constant_field(N, [1.0, 0.0])
     with pytest.raises(ValueError, match="s2 has no square coordinates"):
         invariance_residual(s, lift, 1)
 
 
+@pytest.mark.parametrize("act", [invariance_residual, project_invariant, couple_split],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_even_lift_is_refused(act, kind):
+    # a half turn of t2 keeps the orientation, so xi0's lift of it is even(0):
+    # it exists and descends, and no deck or doubling involution lifts that way
+    shift = Involution("t", ((1, 0), (0, 1)), (1, 0), build("t2"))
+    lift = lift_involution(torus_structures(kind)["xi0"], shift)
+    assert lift.descends and lift.lift.parity == pin2.EVEN
+    with pytest.raises(ValueError, match="orientation-reversing involutions"):
+        act(constant_field(N, [1.0, 0.0]), lift, 1)
+
+
+def gamma_image(mv, r):
+    """A Cl(2,0) or Cl(0,2) multivector as a 2x2 matrix: e1 -> gamma1, e2 -> gamma2."""
+    basis = {0: np.eye(2), 0b01: r.gamma1, 0b10: r.gamma2, 0b11: r.gamma1 @ r.gamma2}
+    return sum(c * basis[m] for m, c in mv.coefficients.items())
+
+
+GRID_INVOLUTIONS = {"k2-deck": klein_deck(), "tau4": cover_diagram(build("moebius")).tau4}
+
+
+@pytest.mark.parametrize("name", GRID_INVOLUTIONS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_deck_action_matches_pin2_evaluate_at_random_nodes(name, kind):
+    # sign * rep(L(tau x)) s(tau x), with rep(L(tau x)) from the exact element's
+    # multivector and tau x from the involution's own lattice map
+    rng = np.random.default_rng(41)
+    r = GammaRep.standard(kind)
+    tau = GRID_INVOLUTIONS[name]
+    for xi in torus_structures(kind).values():
+        lift = lift_involution(xi, tau)
+        moved_lift = pin2.at(lift.lift, *tau_coordinate_forms(tau))
+        s = PinorField.random(N, rng)
+        for sign in (1, -1):
+            action = _deck_action(s, lift, sign).values
+            for i, j in rng.integers(0, N, size=(5, 2)):
+                image = tau.apply(Lattice(np.array(i), np.array(j), N))
+                theta, phi = 2 * np.pi * i / N, 2 * np.pi * j / N
+                m = gamma_image(pin2.evaluate(moved_lift, theta, phi), r)
+                want = sign * m @ s.values[int(image.x), int(image.y)]
+                assert np.abs(action[i, j] - want).max() < 1e-12
+
+
 def test_couple_split_refuses_square_minus_one():
     xi = torus_structures(PIN_MINUS)["xi0"]
-    s = PinorField.constant(N, [1.0, 0.0])
+    s = constant_field(N, [1.0, 0.0])
     with pytest.raises(ValueError, match="squares to -1 for xi0"):
         couple_split(s, klein_lift(xi), 1)
 
@@ -227,7 +285,7 @@ def test_gamma_twisted_couple_certificate():
 
 def test_zero_field_splits_to_zero():
     xi = torus_structures(PIN_PLUS)["xi0"]
-    z = PinorField.constant(N, [0.0, 0.0])
+    z = constant_field(N, [0.0, 0.0])
     couple = couple_split(z, klein_lift(xi), 1)
     assert couple.plus.max_norm() == 0.0
     assert couple.minus.max_norm() == 0.0
@@ -236,7 +294,7 @@ def test_zero_field_splits_to_zero():
 
 @pytest.mark.parametrize("empty", [
     lambda: PinorField(np.zeros((0, 0, 2))),
-    lambda: PinorField.constant(0, [1.0, 0.0]),
+    lambda: constant_field(0, [1.0, 0.0]),
     lambda: PinorField.random(0, np.random.default_rng(0)),
 ], ids=["array", "constant", "random"])
 def test_empty_grid_is_refused(empty):
@@ -246,15 +304,17 @@ def test_empty_grid_is_refused(empty):
         empty()
 
 
-def test_orientation_choice_is_immaterial():
+def test_orientation_choice_is_immaterial(monkeypatch):
     xi = torus_structures(PIN_PLUS)["xi0"]
     rng = np.random.default_rng(29)
     lift = klein_lift(xi)
     r = GammaRep.standard(PIN_PLUS)
     flipped = GammaRep(PIN_PLUS, r.gamma1, r.gamma2, -r.omega)
-    s = project_invariant(PinorField.random(N, rng), lift, 1, r)
-    c1 = couple_split(s, lift, 1, r)
-    c2 = couple_split(s, lift, 1, flipped)
+    s = project_invariant(PinorField.random(N, rng), lift, 1)
+    c1 = couple_split(s, lift, 1)
+    # the pinor layer reads the standard representation; hand it the flipped one
+    monkeypatch.setattr(GammaRep, "standard", staticmethod(lambda kind: flipped))
+    c2 = couple_split(s, lift, 1)
     # the opposite orientation swaps the chiral halves, equal as grid data
     assert np.array_equal(c1.plus.values, c2.minus.values)
     assert np.array_equal(c1.minus.values, c2.plus.values)

@@ -29,6 +29,7 @@ from pincover.pinors import GammaRep, PinorField, SpinorCouple
 from pincover.records import Frozen, Record
 from pincover.reporting import Report
 from test_pin2 import minus_one
+from test_pinors import constant_field
 from pincover.structures import (
     BoundaryLiftTable,
     DescentReport,
@@ -76,9 +77,9 @@ FROZEN = {
     Pin2Element: lambda: pin2.odd(PIN_MINUS, angle(theta=1, const=Fraction(1, 2))),
     O2PathElement: lambda: pin2.reflection(angle(phi=2, const=Fraction(1, 4))),
     GammaRep: lambda: GammaRep.standard(PIN_PLUS),
-    PinorField: lambda: PinorField.constant(2, [1.0, 2.0]),
-    SpinorCouple: lambda: SpinorCouple(PinorField.constant(2, [1.0, 0.0]),
-                                       PinorField.constant(2, [0.0, 1.0]), 0.0),
+    PinorField: lambda: constant_field(2, [1.0, 2.0]),
+    SpinorCouple: lambda: SpinorCouple(constant_field(2, [1.0, 0.0]),
+                                       constant_field(2, [0.0, 1.0]), 0.0),
     PinStructureDescriptor: _torus_xi,
     LiftResult: _klein_lift,
     DescentReport: lambda: descend(build("k2"), PIN_MINUS),

@@ -4,7 +4,7 @@ import pytest
 
 from pincover import pin2
 from pincover.pin2 import PIN_MINUS, PIN_PLUS, angle, canonical_lift, compose, is_periodic, \
-    o2_inverse, project
+    o2_inverse
 from pincover.structures import (
     GAMMA,
     IDENTITY,
@@ -18,7 +18,7 @@ from pincover.structures import (
     pullback,
 )
 from pincover.surface import build, cover_diagram, orientation_double_cover
-from test_pin2 import o2_matrix
+from test_pin2 import o2_matrix, project
 
 F = Fraction
 T2 = build("t2")

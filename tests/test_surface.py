@@ -293,3 +293,16 @@ def test_involution_normalises_integral_entries_to_ints():
     tau = Involution("t", ((1.0, 0), (F(2, 2), -1)), (0, 1), build("t2"))
     assert tau.matrix == ((1, 0), (1, -1))
     assert all(type(e) is int for row in tau.matrix for e in row)
+
+
+def test_a_shift_off_an_odd_period_lattice_is_refused():
+    # at period 3, pi is 1.5 lattice units: a half-turn shift has no image on
+    # the lattice, and a full turn is the identity
+    i = np.arange(3)
+    p = Lattice(*np.meshgrid(i, i, indexing="ij"), 3)
+    half_turn = Involution("t", ((1, 0), (0, 1)), (1, 0), build("t2"))
+    with pytest.raises(ValueError, match="not on the lattice of period 3"):
+        half_turn.apply(p)
+    full_turn = Involution("t", ((1, 0), (0, 1)), (0, 2), build("t2"))
+    image = full_turn.apply(p)
+    assert np.array_equal(image.x, p.x) and np.array_equal(image.y, p.y)
