@@ -32,14 +32,11 @@ def identity(n: int) -> list[list[int]]:
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            if ai[k]:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += ai[k] * bk[j]
+    for ai, oi in zip(a, out):
+        for k in compress(range(inner), ai):
+            bk = b[k]
+            for j in range(cols):
+                oi[j] += ai[k] * bk[j]
     return out
 
 
@@ -115,25 +112,42 @@ def _eliminate(d: list[list[int]]):
         t += 1
 
 
+def _row_step(m: list[list[int]], i: int, j: int, q: int | None):
+    """Add q times row i of m to row j, or swap the two when q is None."""
+    if q is None:
+        m[i], m[j] = m[j], m[i]
+    else:
+        m[j] = [x + q * y for x, y in zip(m[j], m[i])]
+
+
+def _column_step(m: list[list[int]], i: int, j: int, q: int | None):
+    """Add q times column i of m to column j, or swap the two when q is None."""
+    if q is None:
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+    else:
+        for row in m:
+            row[j] += q * row[i]
+
+
 def smith_normal_form(a: list[list[int]]):
-    """U, D, V with U*a*V = D diagonal, divisibility chain, U and V unimodular:
-    one elimination of a, its row steps replayed onto U and its column steps
-    onto V."""
+    """U, D, V, U^-1, V^-1 with U*a*V = D diagonal, divisibility chain, U and V
+    unimodular: one elimination of a, each row step replayed onto U and undone
+    on the columns of U^-1, each column step onto V and undone on the rows of V^-1."""
     d = [row[:] for row in a]
-    u, v = identity(len(d)), identity(len(d[0]) if d else 0)
+    rows, cols = len(d), len(d[0]) if d else 0
+    u, v, u_inv, v_inv = identity(rows), identity(cols), identity(rows), identity(cols)
     for on_rows, i, j, q in _eliminate(d):
+        # a swap and the negation (t, t, -2) undo themselves; adding q times
+        # i to j is undone by adding -q times j to i
+        undo = (i, j, q) if q is None or i == j else (j, i, -q)
         if on_rows:
-            if q is None:
-                u[i], u[j] = u[j], u[i]
-            else:
-                u[j] = [x + q * y for x, y in zip(u[j], u[i])]
-        elif q is None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            _row_step(u, i, j, q)
+            _column_step(u_inv, *undo)
         else:
-            for row in v:
-                row[j] += q * row[i]
-    return u, d, v
+            _column_step(v, i, j, q)
+            _row_step(v_inv, *undo)
+    return u, d, v, u_inv, v_inv
 
 
 def _columns(a: list[list[int]]) -> list[dict[int, int]]:
@@ -155,16 +169,6 @@ def _apply(m: list[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _factor(a: list[list[int]]):
-    """(U, diagonal, V) of smith_normal_form(a), with U and V as sparse columns.
-
-    The unimodular factors of the lattices here are near-permutations (about
-    one nonzero entry per column), so products with them cost their nonzeros.
-    """
-    u, d, v = smith_normal_form(a)
-    return _columns(u), [d[i][i] for i in range(min(len(u), len(v)))], _columns(v)
-
-
 def _invariant_factors(a: list[list[int]]) -> list[int]:
     """The nonzero diagonal entries of a's Smith normal form, in their
     divisibility chain: the elimination alone, with no factor built."""
@@ -174,32 +178,26 @@ def _invariant_factors(a: list[list[int]]) -> list[int]:
     return [row[i] for i, row in enumerate(d) if i < len(row) and row[i]]
 
 
-def _back_substitute(factors, b: list[dict[int, int]]) -> list[dict[int, int]] | None:
-    """The columns of X with a*X = b, given factors = _factor(a) and b as
-    sparse columns, or None: x = V * D^-1 * U * b, where each entry of U * b
-    past the rank must vanish and each other must be divisible by its d_i."""
-    u, diag, v = factors
-    rank = len(diag)
+def solve_integer(a: list[list[int]], b: list[dict[int, int]]) -> list[dict[int, int]] | None:
+    """X with a*X = b over the integers, or None if no solution exists.
+
+    a is a matrix given by rows; b and X are sparse columns ({row: value} per
+    column).  X is V * D^-1 * U * b for a's Smith form: each entry of U * b
+    past the rank must vanish and each other must be divisible by its d_i.
+    """
+    u, d, v, _, _ = smith_normal_form(a)
+    u, v = _columns(u), _columns(v)
     out = []
     for col in b:
         y = {}
         for i, e in _apply(u, col).items():
             if e:
-                di = diag[i] if i < rank else 0
+                di = d[i][i] if i < len(v) else 0
                 if di == 0 or e % di:
                     return None
                 y[i] = e // di
         out.append({i: e for i, e in _apply(v, y).items() if e})
     return out
-
-
-def solve_integer(a: list[list[int]], b: list[dict[int, int]]) -> list[dict[int, int]] | None:
-    """X with a*X = b over the integers, or None if no solution exists.
-
-    a is a matrix given by rows; b and X are sparse columns ({row: value} per
-    column), so a solve costs the nonzeros of b and of a's unimodular factors.
-    """
-    return _back_substitute(_factor(a), b)
 
 
 # ---------------------------------------------------------------------------
@@ -465,44 +463,33 @@ class H1Basis:
 
     Generators are ordered free part first, then torsion (orders in the
     divisibility chain).  ``coordinates`` maps an integer 1-chain in the kernel
-    of d1 to its (free, torsion) coordinate vector.  Each lattice is factored
-    once per basis: the Smith form of the kernel lattice K serves the d2 solve
-    and every ``coordinates`` call, and the generator matrix K * ux^-1 is built
-    on the first ``representative`` call.  The factors, ux and the generators
-    are kept as sparse columns, so a chain costs the nonzeros it meets.
+    of d1 to its (free, torsion) coordinate vector.  Two Smith forms, with
+    their inverse factors, give everything: d1's gives the kernel lattice K and
+    a left inverse W of it, and that of W * d2 gives ux.  The coordinate map
+    ux * W and the generators K * ux^-1 are sparse columns, so a chain costs
+    the nonzeros it meets.
     """
 
     def __init__(self, d1: list[list[int]], d2: list[list[int]]):
         n_edges = len(d2)
         if any(any(row) for row in mat_mul(d1, d2)):
             raise ValueError("d1 * d2 != 0")
-        _, dd1, v1 = smith_normal_form(d1)
+        _, dd1, v1, _, v1_inv = smith_normal_form(d1)
         rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
-        # the Smith diagonal is nonzero exactly up to the rank, so the v1 columns
-        # past the rank span the kernel lattice (saturated, full column rank)
-        kernel = [row[rank1:] for row in v1]
-        k = n_edges - rank1
+        # the Smith diagonal is nonzero exactly up to the rank, so the columns of
+        # V1 past it span the kernel lattice K (saturated, full column rank) and
+        # the rows of V1^-1 past it are a left inverse W of K: z = K * W * z for
+        # every cycle z, so W * d2 is d2 in the basis K
+        kernel = _columns([row[rank1:] for row in v1])
+        w = v1_inv[rank1:]
+        ux, dx, _, ux_inv, _ = smith_normal_form(mat_mul(w, d2))
+        ux = _columns(ux)
+        self._d1 = _columns(d1)
         self._n_edges = n_edges
-        self._kernel = kernel  # by rows, until the generators are built
-        # K has full column rank, so y with K * y = z is unique, whatever factors
-        # find it.  K is factored with its rows (edges) in the order of their
-        # first nonzero column: that puts a near-permutation's pivots on the
-        # diagonal, so its Smith form swaps no columns.
-        first = [next(compress(range(k), row), k) for row in kernel]
-        order = sorted(range(n_edges), key=first.__getitem__)
-        self._slot = {e: r for r, e in enumerate(order)}  # edge -> row of the factored K
-        self._kernel_factors = _factor([kernel[e] for e in order])
-        self._generators = None
-
-        x = _back_substitute(self._kernel_factors, _columns([d2[e] for e in order]))
-        if x is None:
-            raise ValueError("image of d2 does not lie in the kernel of d1")
-        ux, dx, _ = smith_normal_form([[col.get(i, 0) for col in x] for i in range(k)])
-        # new kernel basis K' = K * ux^-1; coordinates of z: ux * solve(K, z)
-        self._ux_rows = ux  # factored again by the first representative call
-        self._ux = _columns(ux)
-        n_diag = min(len(dx), len(dx[0]) if dx else 0)
-        self.orders = [dx[i][i] if i < n_diag else 0 for i in range(k)]
+        # ux * W has no columns when K is 0, but then 0 is the only cycle
+        self._coordinate_map = [_apply(ux, col) for col in _columns(w)]
+        self._generators = [_apply(kernel, col) for col in _columns(ux_inv)]
+        self.orders = [row[i] if i < len(row) else 0 for i, row in enumerate(dx)]
         self.free_indices = [i for i, o in enumerate(self.orders) if o == 0]
         self.torsion_indices = [i for i, o in enumerate(self.orders) if o > 1]
         self.free_rank = len(self.free_indices)
@@ -511,22 +498,16 @@ class H1Basis:
     def coordinates(self, chain: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if len(chain) != self._n_edges:
             raise ValueError(f"a 1-chain has {self._n_edges} entries, got {len(chain)}")
-        z = {self._slot[j]: chain[j] for j in compress(range(len(chain)), chain)}
-        y = _back_substitute(self._kernel_factors, [z])
-        if y is None:
+        z = {j: chain[j] for j in compress(range(len(chain)), chain)}
+        if any(_apply(self._d1, z).values()):
             raise ValueError("chain is not a 1-cycle")
-        c = _apply(self._ux, y[0])
+        c = _apply(self._coordinate_map, z)
         free = tuple(map(c.get, self.free_indices, repeat(0)))
         tors = tuple(c.get(i, 0) % self.orders[i] for i in self.torsion_indices)
         return free, tors
 
     def representative(self, index: int) -> list[int]:
         """1-chain representing the index-th generator (free first, then torsion)."""
-        if self._generators is None:
-            # the columns of ux^-1 solve ux * X = I, one unit column each
-            inv = solve_integer(self._ux_rows, [{i: 1} for i in range(len(self._ux))])
-            kernel = _columns(self._kernel)
-            self._generators = [_apply(kernel, col) for col in inv]
         chain = [0] * self._n_edges
         for e, c in self._generators[(self.free_indices + self.torsion_indices)[index]].items():
             chain[e] = c

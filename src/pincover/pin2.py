@@ -215,8 +215,7 @@ def reflection(a: AngleForm) -> O2PathElement:
     return O2PathElement(REFLECTION, a)
 
 
-J1 = reflection(ZERO_ANGLE)               # (x, y) -> (-x, y)
-J2 = reflection(angle(const=Fraction(1, 2)))  # (x, y) -> (x, -y)
+J1 = reflection(ZERO_ANGLE)  # (x, y) -> (-x, y)
 
 
 def compose(g: O2PathElement, h: O2PathElement) -> O2PathElement:

@@ -241,8 +241,8 @@ def _sigma(g: int, name: str) -> SurfaceModel:
 _NAME_RE = re.compile(r"^(?:sigma\((\d+)\)|n\((\d+),([12])\))$")
 
 # The largest genus a family name may have.  Cold `pincover covermaps
-# 'n(150,2)'` takes about 1.8 s on a 2-core host, most of it rendering the
-# O(g^2) matrices (README, "Genus limit").
+# 'n(150,2)'` takes 0.8-1.2 s (json) to 1.2-1.8 s (table) on a 2-core host,
+# most of it rendering the O(g^2) matrices (README, "Genus limit").
 GENUS_LIMIT = 150
 
 

@@ -94,8 +94,10 @@ def gf2_rank(a):
 
 
 def check_snf(a):
-    u, d, v = smith_normal_form(a)
+    u, d, v, u_inv, v_inv = smith_normal_form(a)
     assert mat_mul(mat_mul(u, a), v) == d
+    assert mat_mul(u, u_inv) == identity(len(u))
+    assert mat_mul(v, v_inv) == identity(len(v))
     assert abs(mat_det(u)) == 1
     assert abs(mat_det(v)) == 1
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
@@ -129,6 +131,17 @@ def test_snf_klein_relation_matrix():
 ])
 def test_snf_divisibility_chain_of_a_diagonal_input(a, diag):
     # each input is already diagonal, or a permutation of one, with d1 not dividing d2
+    assert check_snf(a) == diag
+
+
+@pytest.mark.parametrize("a,diag", [
+    ([[-2]], [2]),
+    ([[0, -3], [5, 0]], [1, 15]),
+    ([[-4, 0], [0, -6]], [2, 12]),
+])
+def test_snf_negative_pivots(a, diag):
+    # a negative pivot is made positive by negating its row; the last two
+    # also take the divisibility repair (3 does not divide 5, 4 not 6)
     assert check_snf(a) == diag
 
 
@@ -169,7 +182,7 @@ def int_matrices(max_rows=6, max_cols=6, bound=9):
 @settings(max_examples=200, deadline=None)
 @given(int_matrices())
 def test_snf_properties(a):
-    check_snf(a)  # U*a*V = D, |det U| = |det V| = 1, divisibility chain, D >= 0
+    check_snf(a)  # U*a*V = D, the inverses, |det U| = |det V| = 1, divisibility chain, D >= 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,7 +216,7 @@ def _ref_sparse_mul(a, b):
 
 
 def _ref_factor(a):
-    u, d, v = smith_normal_form(a)
+    u, d, v, _, _ = smith_normal_form(a)
     return _ref_sparse(u), [d[i][i] for i in range(min(len(u), len(v)))], _ref_sparse(v)
 
 
@@ -607,11 +620,11 @@ def reference_push_z(cover):
 
     def basis_of(cx):
         d1, d2 = cx.d1(), cx.d2()
-        _, dd1, v1 = smith_normal_form(d1)
+        _, dd1, v1, _, _ = smith_normal_form(d1)
         n_edges = len(d2)
         rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
         kernel = [row[rank1:] for row in v1]
-        ux, dx, _ = smith_normal_form(solve_dense(kernel, d2))
+        ux, dx, _, _, _ = smith_normal_form(solve_dense(kernel, d2))
         k = len(kernel[0])
         orders = [dx[i][i] if i < min(len(dx), len(dx[0])) else 0 for i in range(k)]
         order = ([i for i in range(k) if orders[i] == 0]

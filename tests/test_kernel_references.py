@@ -3,7 +3,7 @@
 ``PolygonComplex`` (edge listing, corner union, vertex numbering,
 orientability), ``orientation_double_cover_complex``, ``gf2_row_reduce``,
 ``smith_normal_form`` (and the invariant factors alone),
-``homology_groups``, ``z2_betti`` (and the packed boundary rows it shares
+``homology_groups``, ``H1Basis``, ``z2_betti`` (and the packed boundary rows it shares
 with ``h1_z2_basis``), ``chord_gram_matrix``, the pinor grid's node map
 and deck action, the Clifford oracle (``geometric_product``, the
 ``Multivector`` operations, ``lift_orthogonal``, ``orthogonal_matrix``) and
@@ -20,7 +20,7 @@ import functools
 import math
 import operator
 import random
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 import pytest
@@ -45,9 +45,8 @@ from pincover.homology import (
     GradedGroups,
     H1Basis,
     PolygonComplex,
-    _back_substitute,
+    _apply,
     _columns,
-    _factor,
     _invariant_factors,
     gf2_row_reduce,
     homology_groups,
@@ -56,6 +55,7 @@ from pincover.homology import (
     _packed_boundaries,
     orientation_double_cover_complex,
     smith_normal_form,
+    solve_integer,
     z2_betti,
 )
 from pincover.pin2 import EVEN, KINDS, ODD, PIN_PLUS, Pin2Element, angle, at, evaluate
@@ -296,6 +296,108 @@ def _ref_smith_normal_form(a: list[list[int]]):
     return u, d, v
 
 
+def _ref_factor(a: list[list[int]]):
+    """(U, diagonal, V) of smith_normal_form(a), with U and V as sparse columns.
+
+    The unimodular factors of the lattices here are near-permutations (about
+    one nonzero entry per column), so products with them cost their nonzeros.
+    """
+    u, d, v, _, _ = smith_normal_form(a)
+    return _columns(u), [d[i][i] for i in range(min(len(u), len(v)))], _columns(v)
+
+
+def _ref_back_substitute(factors, b: list[dict[int, int]]) -> list[dict[int, int]] | None:
+    """The columns of X with a*X = b, given factors = _ref_factor(a) and b as
+    sparse columns, or None: x = V * D^-1 * U * b, where each entry of U * b
+    past the rank must vanish and each other must be divisible by its d_i."""
+    u, diag, v = factors
+    rank = len(diag)
+    out = []
+    for col in b:
+        y = {}
+        for i, e in _apply(u, col).items():
+            if e:
+                di = diag[i] if i < rank else 0
+                if di == 0 or e % di:
+                    return None
+                y[i] = e // di
+        out.append({i: e for i, e in _apply(v, y).items() if e})
+    return out
+
+
+class _RefH1Basis:
+    """Canonical basis of H1(C) with coordinates for arbitrary 1-cycles.
+
+    Generators are ordered free part first, then torsion (orders in the
+    divisibility chain).  ``coordinates`` maps an integer 1-chain in the kernel
+    of d1 to its (free, torsion) coordinate vector.  Each lattice is factored
+    once per basis: the Smith form of the kernel lattice K serves the d2 solve
+    and every ``coordinates`` call, and the generator matrix K * ux^-1 is built
+    on the first ``representative`` call.  The factors, ux and the generators
+    are kept as sparse columns, so a chain costs the nonzeros it meets.
+    """
+
+    def __init__(self, d1: list[list[int]], d2: list[list[int]]):
+        n_edges = len(d2)
+        if any(any(row) for row in mat_mul(d1, d2)):
+            raise ValueError("d1 * d2 != 0")
+        _, dd1, v1, _, _ = smith_normal_form(d1)
+        rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
+        # the Smith diagonal is nonzero exactly up to the rank, so the v1 columns
+        # past the rank span the kernel lattice (saturated, full column rank)
+        kernel = [row[rank1:] for row in v1]
+        k = n_edges - rank1
+        self._n_edges = n_edges
+        self._kernel = kernel  # by rows, until the generators are built
+        # K has full column rank, so y with K * y = z is unique, whatever factors
+        # find it.  K is factored with its rows (edges) in the order of their
+        # first nonzero column: that puts a near-permutation's pivots on the
+        # diagonal, so its Smith form swaps no columns.
+        first = [next(compress(range(k), row), k) for row in kernel]
+        order = sorted(range(n_edges), key=first.__getitem__)
+        self._slot = {e: r for r, e in enumerate(order)}  # edge -> row of the factored K
+        self._kernel_factors = _ref_factor([kernel[e] for e in order])
+        self._generators = None
+
+        x = _ref_back_substitute(self._kernel_factors, _columns([d2[e] for e in order]))
+        if x is None:
+            raise ValueError("image of d2 does not lie in the kernel of d1")
+        ux, dx, _, _, _ = smith_normal_form([[col.get(i, 0) for col in x] for i in range(k)])
+        # new kernel basis K' = K * ux^-1; coordinates of z: ux * solve(K, z)
+        self._ux_rows = ux  # factored again by the first representative call
+        self._ux = _columns(ux)
+        n_diag = min(len(dx), len(dx[0]) if dx else 0)
+        self.orders = [dx[i][i] if i < n_diag else 0 for i in range(k)]
+        self.free_indices = [i for i, o in enumerate(self.orders) if o == 0]
+        self.torsion_indices = [i for i, o in enumerate(self.orders) if o > 1]
+        self.free_rank = len(self.free_indices)
+        self.torsion = tuple(self.orders[i] for i in self.torsion_indices)
+
+    def coordinates(self, chain: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if len(chain) != self._n_edges:
+            raise ValueError(f"a 1-chain has {self._n_edges} entries, got {len(chain)}")
+        z = {self._slot[j]: chain[j] for j in compress(range(len(chain)), chain)}
+        y = _ref_back_substitute(self._kernel_factors, [z])
+        if y is None:
+            raise ValueError("chain is not a 1-cycle")
+        c = _apply(self._ux, y[0])
+        free = tuple(map(c.get, self.free_indices, repeat(0)))
+        tors = tuple(c.get(i, 0) % self.orders[i] for i in self.torsion_indices)
+        return free, tors
+
+    def representative(self, index: int) -> list[int]:
+        """1-chain representing the index-th generator (free first, then torsion)."""
+        if self._generators is None:
+            # the columns of ux^-1 solve ux * X = I, one unit column each
+            inv = solve_integer(self._ux_rows, [{i: 1} for i in range(len(self._ux))])
+            kernel = _columns(self._kernel)
+            self._generators = [_apply(kernel, col) for col in inv]
+        chain = [0] * self._n_edges
+        for e, c in self._generators[(self.free_indices + self.torsion_indices)[index]].items():
+            chain[e] = c
+        return chain
+
+
 def _ref_homology_groups(cx):
     """The earlier homology_groups: the ranks and the torsion that H1Basis read
     off the Smith forms of d1, of the kernel lattice and of the d2 solve."""
@@ -303,16 +405,17 @@ def _ref_homology_groups(cx):
     n_edges = len(d2)
     if any(any(row) for row in mat_mul(d1, d2)):
         raise ValueError("d1 * d2 != 0")
-    _, dd1, v1 = smith_normal_form(d1)
+    _, dd1, v1, _, _ = smith_normal_form(d1)
     rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
     kernel = [row[rank1:] for row in v1]
     k = n_edges - rank1
     first = [next(compress(range(k), row), k) for row in kernel]
     order = sorted(range(n_edges), key=first.__getitem__)
-    x = _back_substitute(_factor([kernel[e] for e in order]), _columns([d2[e] for e in order]))
+    x = _ref_back_substitute(_ref_factor([kernel[e] for e in order]),
+                             _columns([d2[e] for e in order]))
     if x is None:
         raise ValueError("image of d2 does not lie in the kernel of d1")
-    _, dx, _ = smith_normal_form([[col.get(i, 0) for col in x] for i in range(k)])
+    _, dx, _, _, _ = smith_normal_form([[col.get(i, 0) for col in x] for i in range(k)])
     n_diag = min(len(dx), len(dx[0]) if dx else 0)
     orders = [dx[i][i] if i < n_diag else 0 for i in range(k)]
     free_rank = sum(1 for o in orders if o == 0)
@@ -632,8 +735,24 @@ def assert_same_homology(cx):
     assert z2_betti(cx) == _ref_z2_betti(cx)
     # the Smith factors of the boundary maps and H1Basis's kernel lattice are
     # two independent integral paths to H1
-    basis = H1Basis(cx.d1(), cx.d2())
+    d1, d2 = cx.d1(), cx.d2()
+    basis, ref = H1Basis(d1, d2), _RefH1Basis(d1, d2)
     assert (basis.free_rank, basis.torsion) == groups.h1
+    assert basis.orders == ref.orders
+    n = basis.free_rank + len(basis.torsion)
+    representatives = [basis.representative(i) for i in range(n)]
+    assert representatives == [ref.representative(i) for i in range(n)]
+    for chain in representatives:
+        assert basis.coordinates(chain) == ref.coordinates(chain)
+    n_edges = len(cx.edges)
+    for e in range(n_edges):
+        chain = [int(j == e) for j in range(n_edges)]
+        if any(row[e] for row in d1):
+            for b in (basis, ref):
+                with pytest.raises(ValueError, match="not a 1-cycle"):
+                    b.coordinates(chain)
+        else:
+            assert basis.coordinates(chain) == ref.coordinates(chain)
     # the GF(2) rows packed from the cells are the dense boundary matrices mod 2
     d2_by_face = [[row[f] for row in cx.d2()] for f in range(len(cx.faces))]
     assert _packed_boundaries(cx) == (pack_rows(cx.d1()), pack_rows(d2_by_face))
@@ -662,15 +781,15 @@ def nonzero_diagonal(d):
 
 def assert_same_smith_form(a):
     u, d, v = _ref_smith_normal_form(a)
-    assert smith_normal_form(a) == (u, d, v)
+    assert smith_normal_form(a)[:3] == (u, d, v)
     assert _invariant_factors(a) == nonzero_diagonal(d)
 
 
 @pytest.mark.parametrize("word", FAMILY_WORDS.values(), ids=list(FAMILY_WORDS))
 def test_smith_form_matches_reference_on_family_matrices(word, monkeypatch):
     # every matrix the layer factors: d1 and d2 of the base and the cover, and
-    # what H1Basis hands to smith_normal_form (d1, the kernel lattice, the d2
-    # solve and, on the first representative call, the inversion of ux)
+    # what H1Basis hands to smith_normal_form (d1 and W * d2, the image of d2
+    # in the kernel basis)
     seen = []
     original = homology.smith_normal_form
 

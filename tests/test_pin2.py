@@ -29,6 +29,7 @@ from pincover.pin2 import (
 )
 
 HALF = Fraction(1, 2)
+J2 = reflection(angle(const=HALF))  # (x, y) -> (x, -y)
 
 
 def project(x):
@@ -165,7 +166,7 @@ def test_lift_sphere_reflection():
 
 def test_lift_j2_is_plus_minus_e2():
     for kind in (PIN_PLUS, PIN_MINUS):
-        got = lift_o2(pin2.J2, kind)
+        got = lift_o2(J2, kind)
         assert got == (e2(kind), -e2(kind))
 
 

@@ -28,7 +28,7 @@ from pincover.pin2 import PIN_MINUS, PIN_PLUS, AngleForm, O2PathElement, Pin2Ele
 from pincover.pinors import GammaRep, PinorField, SpinorCouple
 from pincover.records import Frozen, Record
 from pincover.reporting import Report
-from test_pin2 import minus_one
+from test_pin2 import J2, minus_one
 from test_pinors import constant_field
 from pincover.structures import (
     BoundaryLiftTable,
@@ -198,7 +198,7 @@ def test_mutable_records_are_unhashable(cls):
 
 def test_replace_reruns_the_checks_and_the_normalisation():
     reflected = pin2.J1._replace(angle=angle(const=Fraction(3, 2)))
-    assert reflected == pin2.J2 and reflected.angle.const == Fraction(1, 2)
+    assert reflected == J2 and reflected.angle.const == Fraction(1, 2)
     with pytest.raises(ValueError, match="unknown kind"):
         pin2.e1(PIN_PLUS)._replace(kind="spin")
     with pytest.raises(ValueError, match="at most 12"):

@@ -18,6 +18,7 @@ from pincover.surface import (
     jacobian,
     orientation_double_cover,
 )
+from test_pin2 import J2
 
 F = Fraction
 
@@ -114,7 +115,7 @@ def test_klein_deck_involution():
     assert on_point((F(1, 4), F(1, 3)), tau.apply) == (F(5, 4), 2 - F(1, 3))
     check_involution(tau, grid_points())
     # quotient sanity: tau-orbits map to single K^2 points under (x, y) -> folding
-    assert jacobian(tau) == pin2.J2
+    assert jacobian(tau) == J2
 
 
 def test_rp2_deck_involution():
@@ -211,7 +212,7 @@ def test_diagram_jacobians():
     diagram = cover_diagram(build("moebius"))
     assert jacobian(diagram.tau4) == pin2.J1
     assert jacobian(diagram.tau3) == pin2.J1
-    assert jacobian(diagram.tau1) == pin2.J2
+    assert jacobian(diagram.tau1) == J2
 
 
 def test_cover_diagram_prime_node():
