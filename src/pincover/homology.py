@@ -308,9 +308,9 @@ class GluingWord(Frozen):
     @property
     def complex(self) -> PolygonComplex:
         """The word's polygon complex, built on first use and shared by every
-        caller that reads it (so treat it as read-only)."""
+        caller that reads it; the complex is frozen, so no caller can change it."""
         if self._complex is None:
-            object.__setattr__(self, "_complex", PolygonComplex.from_word(self))
+            object.__setattr__(self, "_complex", PolygonComplex([self.word], self.boundary_letters))
         return self._complex
 
     @classmethod
@@ -335,32 +335,38 @@ class GluingWord(Frozen):
         return len(exps) == 2 and exps[0] == exps[1]
 
 
-class PolygonComplex(Record):
+class PolygonComplex(Frozen):
     """CW complex: named edges, one boundary word per 2-cell.
 
-    The edges (the letters in order of first occurrence), the vertices,
-    edge indices and edge ends are derived from the fields.
+    The edges (the letters in order of first occurrence), the vertices, edge
+    indices and edge ends, each face's exponent sums by edge index and the
+    boundary rows mod 2 are derived from the fields in one pass over the corners.
     """
 
-    __slots__ = ("faces", "boundary_letters", "edges", "vertex_count", "edge_index", "edge_ends")
+    __slots__ = ("faces", "boundary_letters", "edges", "vertex_count", "edge_index",
+                 "edge_ends", "_face_sums", "_d1_rows", "_d2_rows")
     _fields = ("faces", "boundary_letters")
 
     def __init__(self, faces: list[tuple[Occurrence, ...]],
                  boundary_letters: frozenset[str] = frozenset()):
         self._set(faces, boundary_letters)
-        self.edges = list(dict.fromkeys(name for face in faces for name, _ in face))
         self._build()
 
     @classmethod
     def from_word(cls, word: GluingWord) -> "PolygonComplex":
-        return cls([word.word], word.boundary_letters)
+        """The word's one shared complex."""
+        return word.complex
 
     def _build(self):
         # Corners are numbered face by face, and each gluing unions the tails
         # and the heads of an edge's two occurrences.  A union keeps the lower
         # root, so parent[c] <= c and every class is rooted at its first corner.
+        # An edge is numbered at its first occurrence, and the same pass sums each
+        # face's exponents by edge index; the odd sums are the face's d2 row mod 2.
         parent: list[int] = []
-        ends: dict[str, tuple[int, int]] = {}  # edge -> its first (tail, head)
+        ends: dict[str, tuple[int, int, int]] = {}  # edge -> its first (tail, head), its index
+        face_sums: list[dict[int, int]] = []
+        d2_rows: list[int] = []
 
         def union(x, y):
             while parent[x] != x:
@@ -376,15 +382,21 @@ class PolygonComplex(Record):
             first = len(parent)
             last = first + len(face) - 1
             parent.extend(range(first, last + 1))
+            sums: dict[int, int] = {}
             for corner, (name, exp) in enumerate(face, first):
                 after = corner + 1 if corner < last else first
                 tail, head = (corner, after) if exp == 1 else (after, corner)
                 if name in ends:
-                    t, h = ends[name]
+                    t, h, j = ends[name]
                     union(t, tail)
                     union(h, head)
+                    sums[j] = sums.get(j, 0) + exp
                 else:
-                    ends[name] = tail, head
+                    j = len(ends)
+                    ends[name] = tail, head, j
+                    sums[j] = exp
+            face_sums.append(sums)
+            d2_rows.append(sum(1 << j for j, s in sums.items() if s & 1))
 
         # vertices are numbered in the order of their first corners
         vertex = [0] * len(parent)
@@ -395,15 +407,24 @@ class PolygonComplex(Record):
                 count += 1
             else:
                 vertex[c] = vertex[p]  # p < c is in c's class and numbered already
-        self.vertex_count = count
-        self.edge_index = dict(zip(self.edges, range(len(self.edges))))
-        self.edge_ends = {name: (vertex[t], vertex[h]) for name, (t, h) in ends.items()}
+        edge_ends: dict[str, tuple[int, int]] = {}
+        d1_rows = [0] * count
+        for name, (t, h, j) in ends.items():
+            edge_ends[name] = t, h = vertex[t], vertex[h]
+            if t != h:  # a loop's two ends would XOR its bit twice and cancel
+                d1_rows[t] ^= 1 << j
+                d1_rows[h] ^= 1 << j
+        edges = list(ends)
+        derived = {"edges": edges, "vertex_count": count, "edge_ends": edge_ends,
+                   "edge_index": dict(zip(edges, range(len(edges)))), "_face_sums": face_sums,
+                   "_d1_rows": tuple(d1_rows), "_d2_rows": tuple(d2_rows)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def d1(self) -> list[list[int]]:
         """Vertices x edges boundary matrix."""
         m = zeros(self.vertex_count, len(self.edges))
-        for name, (t, h) in self.edge_ends.items():
-            j = self.edge_index[name]
+        for j, (t, h) in enumerate(self.edge_ends.values()):
             m[h][j] += 1
             m[t][j] -= 1
         return m
@@ -411,10 +432,9 @@ class PolygonComplex(Record):
     def d2(self) -> list[list[int]]:
         """Edges x faces boundary matrix (sum of exponents)."""
         m = zeros(len(self.edges), len(self.faces))
-        idx = self.edge_index
-        for fj, face in enumerate(self.faces):
-            for name, exp in face:
-                m[idx[name]][fj] += exp
+        for fj, sums in enumerate(self._face_sums):
+            for j, s in sums.items():
+                m[j][fj] = s
         return m
 
     def euler_characteristic(self) -> int:
@@ -515,7 +535,7 @@ class H1Basis:
 
 
 def homology_groups(cx: PolygonComplex) -> GradedGroups:
-    """H0, H1 and H2 from the Smith invariant factors of d1 and d2.
+    """H0, H1 and H2 from the Smith invariant factors of d1 and d2 (read off d2's transpose).
 
     With r1 = rank d1 and d_1 .. d_r2 the nonzero factors of d2: C1 / im d2 is
     H1 (+) im d1, and im d1 lies in the free C0, so H1 = Z^(E - r1 - r2) (+)
@@ -525,29 +545,18 @@ def homology_groups(cx: PolygonComplex) -> GradedGroups:
     if any(any(row) for row in mat_mul(d1, d2)):
         raise ValueError("d1 * d2 != 0")
     r1 = len(_invariant_factors(d1))
-    factors = _invariant_factors(d2)
+    # d2's transpose has the same Smith diagonal, and its pivot scan reads F
+    # rows (one or two) where d2's reads E one-entry rows
+    factors = _invariant_factors([list(col) for col in zip(*d2)])
     r2 = len(factors)
     return GradedGroups((cx.vertex_count - r1, ()),
                         (len(cx.edges) - r1 - r2, tuple(f for f in factors if f > 1)),
                         (len(cx.faces) - r2, ()))
 
 
-def _packed_boundaries(cx: PolygonComplex) -> tuple[list[int], list[int]]:
-    """d1 by vertices and d2 by faces (its transpose), mod 2, packed by edge
-    straight from the cells: a loop's two ends, and an edge met twice on one
-    face, XOR the same bit twice and cancel."""
-    idx = cx.edge_index
-    d1 = [0] * cx.vertex_count
-    for name, (t, h) in cx.edge_ends.items():
-        d1[t] ^= 1 << idx[name]
-        d1[h] ^= 1 << idx[name]
-    d2 = []
-    for face in cx.faces:
-        row = 0
-        for name, _ in face:
-            row ^= 1 << idx[name]
-        d2.append(row)
-    return d1, d2
+def _packed_boundaries(cx: PolygonComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """d1 by vertices and d2 by faces (its transpose), mod 2, as the corner pass packed them."""
+    return cx._d1_rows, cx._d2_rows
 
 
 def z2_betti(cx: PolygonComplex) -> tuple[int, int, int]:
@@ -633,7 +642,7 @@ def h1_z2_basis(cx: PolygonComplex):
     # the edge columns.  Rows pivoting on a tag are the relations among the
     # cycles modulo the boundaries, and the pivot of each is its latest cycle:
     # exactly the cycles that the boundaries and the earlier cycles span.
-    reduced, pivots = gf2_row_reduce(d2 + [c | 1 << top - i for i, c in enumerate(cycles)])
+    reduced, pivots = gf2_row_reduce([*d2, *(c | 1 << top - i for i, c in enumerate(cycles))])
     spanned = {top - p for p in pivots if p >= n}
     kept = [i for i in range(len(cycles)) if i not in spanned]
     # The echelon is fully reduced, so reducing a vector XORs exactly the rows

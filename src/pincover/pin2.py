@@ -40,12 +40,15 @@ class AngleForm(Frozen):
 
     The constant (in units of pi) is stored mod 2 (a shift by 2*pi is the
     identity for both parities); theta and phi coefficients are compared exactly.
+    The coefficients as floats are kept on the first evaluate, not as a field.
     """
 
-    __slots__ = ("theta", "phi", "const")
+    __slots__ = ("theta", "phi", "const", "_floats")
+    _fields = ("theta", "phi", "const")
 
     def __init__(self, theta=Fraction(0), phi=Fraction(0), const=Fraction(0)):
         self._set(frac(theta), frac(phi), frac(const) % 2)
+        object.__setattr__(self, "_floats", None)
 
     def __add__(self, other: "AngleForm") -> "AngleForm":
         return AngleForm(self.theta + other.theta, self.phi + other.phi,
@@ -79,8 +82,10 @@ class AngleForm(Frozen):
 
     def evaluate(self, theta0: float = 0.0, phi0: float = 0.0) -> float:
         """Value in radians."""
-        return (float(self.theta) * theta0 + float(self.phi) * phi0
-                + float(self.const) * math.pi)
+        if self._floats is None:
+            object.__setattr__(self, "_floats", tuple(map(float, self._values(self))))
+        theta, phi, const = self._floats
+        return theta * theta0 + phi * phi0 + const * math.pi
 
     def __str__(self):
         parts = []

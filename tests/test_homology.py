@@ -1,5 +1,8 @@
+import copy
 import functools
+import itertools
 import operator
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pincover import homology
+from pincover.characteristic import obstructions
 from pincover.homology import (
     GluingWord,
     H1Basis,
@@ -26,6 +30,9 @@ from pincover.homology import (
     solve_rows,
     z2_betti,
 )
+from pincover.structures import descend
+from pincover.surface import FAMILY_ONLY, SurfaceModel
+from test_pinned_answers import canonical_word, relabel
 
 T2 = GluingWord.parse("a b a' b'")
 K2 = GluingWord.parse("a b a b'")
@@ -713,3 +720,98 @@ def test_universal_coefficients_consistency():
         free, torsion = homology_groups(cx).h1
         even_torsion = sum(1 for t in torsion if t % 2 == 0)
         assert z2_betti(cx)[1] == free + even_torsion
+
+
+# ---------------------------------------------------------------------------
+# one complex per word, shared by every op that reads it
+
+
+def test_from_word_is_the_words_shared_complex():
+    word = GluingWord.parse("a b a b'")
+    assert PolygonComplex.from_word(word) is word.complex
+    assert PolygonComplex.from_word(word) is PolygonComplex.from_word(word)
+    # an equal word has its own complex, equal to the first
+    twin = GluingWord.parse("a b a b'")
+    assert twin.complex is not word.complex and twin.complex == word.complex
+
+
+def test_a_shared_complex_refuses_assignment():
+    cx = n_g2_word(2).complex
+    for name in PolygonComplex.__slots__:
+        before = getattr(cx, name)
+        with pytest.raises(AttributeError, match="frozen"):
+            setattr(cx, name, None)
+        with pytest.raises(AttributeError, match="frozen"):
+            delattr(cx, name)
+        assert getattr(cx, name) is before
+
+
+OPS = ("homology", "obstructions", "covermaps", "descend")
+
+
+def _answer(op, word, orientable):
+    """One families op on the word: its answer, or the ValueError it raises."""
+    model = SurfaceModel("w", FAMILY_ONLY, word, orientable, 0)
+    try:
+        if op == "homology":
+            cx = PolygonComplex.from_word(word)
+            return homology_groups(cx), b1_mod2(cx), z2_betti(cx), h1_z2_basis(cx)[0]
+        if op == "obstructions":
+            return obstructions(model)
+        if op == "covermaps":
+            return induced_maps(orientation_double_cover_complex(word))
+        return descend(model, "pin+"), descend(model, "pin-")
+    except ValueError as e:
+        return str(e)
+
+
+def assert_same_answers_in_every_order(word):
+    orientable = GluingWord(word.word).complex.is_orientable()
+    # each op alone on a fresh word
+    want = {op: _answer(op, GluingWord(word.word), orientable) for op in OPS}
+    for order in itertools.permutations(OPS):
+        shared = GluingWord(word.word)
+        assert {op: _answer(op, shared, orientable) for op in order} == want, order
+        # and again, every op on the complex the first ones built
+        assert {op: _answer(op, shared, orientable) for op in reversed(order)} == want
+
+
+FAMILY_WORDS_UP_TO_8 = [canonical_word(family, g) for g in range(9)
+                        for family in ("sigma", "n1", "n2") if g or family != "sigma"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(FAMILY_WORDS_UP_TO_8), st.integers(0, 2 ** 32))
+def test_ops_agree_in_every_order_on_relabelled_family_words(word, seed):
+    assert_same_answers_in_every_order(
+        GluingWord(tuple(relabel(word, random.Random(seed), "s"))))
+
+
+@st.composite
+def closed_words(draw, max_letters=8):
+    """One-polygon words in which each of 1..max_letters letters occurs twice."""
+    letters = [f"e{i}" for i in range(draw(st.integers(1, max_letters)))]
+    names = draw(st.permutations(letters * 2))
+    return GluingWord(tuple((name, draw(st.sampled_from((1, -1)))) for name in names))
+
+
+@settings(max_examples=25, deadline=None)
+@given(closed_words())
+def test_ops_agree_in_every_order_on_random_words(word):
+    assert_same_answers_in_every_order(word)
+
+
+@pytest.mark.parametrize("word", [K2, n_g1_word(3), n_g2_word(4), GluingWord.parse("a b a' c b c")],
+                         ids=["k2", "n31", "n42", "multi-vertex"])
+def test_readers_leave_the_stored_rows_unchanged(word):
+    cover = orientation_double_cover_complex(word)
+    complexes = (word.complex, cover.total)  # a list of faces makes a complex unhashable
+    stored = [{name: copy.deepcopy(getattr(cx, name)) for name in PolygonComplex.__slots__}
+              for cx in complexes]
+    for cx in complexes:
+        h1_z2_basis(cx)
+    induced_maps(cover)
+    induced_maps(orientation_double_cover_complex(word))
+    for cx, slots in zip(complexes, stored):
+        for name, value in slots.items():
+            assert getattr(cx, name) == value, name

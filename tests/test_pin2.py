@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pincover import pin2
 from pincover.clifford import geometric_product, orthogonal_matrix
@@ -10,6 +12,8 @@ from pincover.pin2 import (
     ODD,
     PIN_MINUS,
     PIN_PLUS,
+    ZERO_ANGLE,
+    AngleForm,
     angle,
     canonical_sign,
     compose,
@@ -224,3 +228,50 @@ def test_canonical_sign():
     assert canonical_sign(x) == -x
     y = even(PIN_MINUS, angle(theta=1, const=Fraction(3, 4)))
     assert canonical_sign(y) == y
+
+
+# ---------------------------------------------------------------------------
+# AngleForm: properties over random exact coefficients
+
+coefficients = st.fractions(-6, 6, max_denominator=8)
+forms = st.builds(AngleForm, coefficients, coefficients, coefficients)
+points = st.floats(-7, 7, allow_nan=False)
+
+
+def same_angle(x, y):
+    """x and y are one angle up to a multiple of 2 pi, within the 1e-9 float tolerance."""
+    return abs(math.remainder(x - y, 2 * math.pi)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms, forms, forms)
+def test_angle_forms_are_an_abelian_group(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a + ZERO_ANGLE == a and a + -a == ZERO_ANGLE
+    assert a - b == a + -b and -(-a) == a
+    assert (a - b) + b == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms, forms, forms, coefficients, points, points)
+def test_shifted_scaled_and_substitute_agree_with_evaluate(a, theta, phi, q, t, p):
+    value = a.evaluate(t, p)
+    assert same_angle(a.shifted(q).evaluate(t, p), value + float(q) * math.pi)
+    assert same_angle(a.scaled(q).evaluate(t, p), float(q) * value)
+    assert same_angle(a.substitute(theta, phi).evaluate(t, p),
+                      a.evaluate(theta.evaluate(t, p), phi.evaluate(t, p)))
+    assert same_angle((a + theta).evaluate(t, p), value + theta.evaluate(t, p))
+    assert same_angle((-a).evaluate(t, p), -value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms, points, points)
+def test_evaluate_is_the_float_sum_bit_for_bit(a, t, p):
+    want = float(a.theta) * t + float(a.phi) * p + float(a.const) * math.pi
+    # the first call converts the coefficients, later calls reuse them
+    assert a.evaluate(t, p) == want and a.evaluate(t, p) == want
+    assert a.evaluate() == float(a.const) * math.pi
+    grid = np.linspace(-7, 7, 5)
+    assert np.array_equal(a.evaluate(grid, p),
+                          float(a.theta) * grid + float(a.phi) * p + float(a.const) * math.pi)

@@ -72,6 +72,7 @@ FROZEN = {
     PinElement: lambda: lift_orthogonal(np.diag([-1.0, 1.0]), Signature(2, 0))[0],
     Z2Matrix: lambda: Z2Matrix((0b01, 0b11), 2),
     GluingWord: lambda: GluingWord.parse("u a t a", boundary="u t"),
+    PolygonComplex: lambda: PolygonComplex.from_word(GluingWord.parse("a b a b'")),
     GradedGroups: lambda: homology_groups(GluingWord.parse("a b a b'").complex),
     AngleForm: lambda: angle(theta=1, phi=Fraction(-1, 2), const=Fraction(3, 2)),
     Pin2Element: lambda: pin2.odd(PIN_MINUS, angle(theta=1, const=Fraction(1, 2))),
@@ -93,17 +94,16 @@ FROZEN = {
 }
 
 MUTABLE = {
-    PolygonComplex: lambda: PolygonComplex.from_word(GluingWord.parse("a b a b'")),
     CoverData: lambda: orientation_double_cover_complex(GluingWord.parse("x x")),
     InducedMaps: lambda: induced_maps(orientation_double_cover_complex(GluingWord.parse("x x"))),
     Report: lambda: Report("homology", {"surface": "k2"}, {"b1_2": 2}, anchor="tables/homology"),
     CoverDiagram: lambda: cover_diagram(build("moebius")),
 }
 
-# frozen records whose fields are all hashable (no dict or array)
+# frozen records whose fields are all hashable (no list, dict or array)
 VALUE_RECORDS = [cls for cls in FROZEN if cls not in (
-    Z2Cocycle, ObstructionReport, GammaRep, PinorField, SpinorCouple, DescentReport,
-    BoundaryLiftTable, MoebiusReport, Lattice)]
+    Z2Cocycle, ObstructionReport, PolygonComplex, GammaRep, PinorField, SpinorCouple,
+    DescentReport, BoundaryLiftTable, MoebiusReport, Lattice)]
 
 
 def _subclasses(cls):
