@@ -12,8 +12,6 @@ reversing seam" into an exact GF(2) solve; w2 is the Euler characteristic mod
 
 from __future__ import annotations
 
-import functools
-
 from .homology import b1_mod2, solve_rows
 from .records import Frozen
 from .surface import SurfaceModel
@@ -31,6 +29,7 @@ def chord_gram_matrix(model: SurfaceModel) -> tuple[list[str], list[int]]:
     word = model.word
     letters = word.letters
     index = {g: i for i, g in enumerate(letters)}
+    one_sided = word.one_sided
     gram = [0] * len(letters)
     open_chords = 0  # bit i: letter i has been read once so far
     open_at = [0] * len(letters)  # the chords open where chord i opens
@@ -38,8 +37,7 @@ def chord_gram_matrix(model: SurfaceModel) -> tuple[list[str], list[int]]:
         i = index[name]
         bit = 1 << i
         if open_chords & bit:
-            crossing = (open_chords ^ open_at[i]) & ~bit
-            gram[i] = crossing | bit if word.same_exponent(name) else crossing
+            gram[i] = (open_chords ^ open_at[i]) & ~bit | bit & one_sided
         else:
             open_at[i] = open_chords
         open_chords ^= bit
@@ -60,26 +58,36 @@ class Z2Cocycle(Frozen):
         return self.bits[letter]
 
 
-@functools.lru_cache(maxsize=1)
+_wu_last: tuple = (None, None)  # the last word _wu_class solved, and its answer
+
+
 def _wu_class(model: SurfaceModel) -> tuple[tuple[str, ...], int, int]:
     """(letters, diag, v), bit-packed by letter, with G v = diag G for the chord form G.
 
-    diag marks the one-sided letters, whose edges cross an orientation-reversing
-    seam.  By Wu's relation v is w1 on the edge loops, which the chords are
-    dual to.  The last model's answer is kept, so that the w1 and w1_cup_w1
-    calls of one obstructions call share one chord form and one solve.
+    diag marks the one-sided letters (the word's one_sided), whose edges cross
+    an orientation-reversing seam.  By Wu's relation v is w1 on the edge loops,
+    which the chords are dual to.  The answer for the last word is kept, and
+    found again by the word's identity (a word is frozen), so that the w1 and
+    w1_cup_w1 calls of one obstructions call share one chord form and one solve.
     """
+    global _wu_last
     _require_closed(model)
     word = model.word
-    letters = tuple(word.letters)  # immutable: every caller shares the cached answer
-    diag = sum(1 << i for i, g in enumerate(letters) if word.same_exponent(g))
-    if not diag:
-        return letters, 0, 0
-    _, gram = chord_gram_matrix(model)
-    v = solve_rows(gram, diag, len(letters))
-    if v is None:
-        raise ValueError("degenerate intersection form")
-    return letters, diag, v
+    last, answer = _wu_last
+    if word is last:
+        return answer
+    letters = tuple(word.letters)  # immutable: every caller shares the kept answer
+    diag = word.one_sided
+    if diag:
+        _, gram = chord_gram_matrix(model)
+        v = solve_rows(gram, diag, len(letters))
+        if v is None:
+            raise ValueError("degenerate intersection form")
+    else:
+        v = 0
+    answer = letters, diag, v
+    _wu_last = word, answer
+    return answer
 
 
 def w1(model: SurfaceModel) -> Z2Cocycle:
@@ -130,14 +138,5 @@ def obstructions(model: SurfaceModel) -> ObstructionReport:
     minus = (two + square) % 2 == 0
     dim = b1_mod2(model.complex)
     count = 2 ** dim
-    return ObstructionReport(
-        surface=model.name,
-        w1=klass,
-        w1_cup_w1=square,
-        w2=two,
-        pin_plus_exists=plus,
-        pin_minus_exists=minus,
-        count_pin_plus=count if plus else 0,
-        count_pin_minus=count if minus else 0,
-        h1_z2_dim=dim,
-    )
+    return ObstructionReport(model.name, klass, square, two, plus, minus,
+                             count if plus else 0, count if minus else 0, dim)

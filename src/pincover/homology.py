@@ -11,6 +11,7 @@ transcribed.
 from __future__ import annotations
 
 from itertools import compress, repeat
+from math import gcd
 
 from .records import Frozen, Record
 
@@ -171,7 +172,11 @@ def _apply(m: list[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
 
 def _invariant_factors(a: list[list[int]]) -> list[int]:
     """The nonzero diagonal entries of a's Smith normal form, in their
-    divisibility chain: the elimination alone, with no factor built."""
+    divisibility chain: the elimination alone, with no factor built.  A
+    one-row matrix has the one factor gcd of its entries, when they are not all 0."""
+    if len(a) == 1:
+        g = gcd(*a[0])
+        return [g] if g else []
     d = [row[:] for row in a]
     for _ in _eliminate(d):
         pass
@@ -282,9 +287,14 @@ Occurrence = tuple[str, int]  # (edge name, +1 | -1)
 
 
 class GluingWord(Frozen):
-    """Boundary word of a fundamental polygon; boundary letters occur once."""
+    """Boundary word of a fundamental polygon; boundary letters occur once.
 
-    __slots__ = ("word", "boundary_letters", "_complex", "_exponents")
+    one_sided has bit i set for the i-th letter (in order of first occurrence)
+    when its two occurrences carry the same exponent: the letter's chord is
+    one-sided, and the chart transition across its edge reverses orientation.
+    """
+
+    __slots__ = ("word", "boundary_letters", "one_sided", "_complex", "_index")
     _fields = ("word", "boundary_letters")
 
     def __init__(self, word: tuple[Occurrence, ...],
@@ -294,16 +304,21 @@ class GluingWord(Frozen):
             if exp not in (1, -1):
                 raise ValueError("exponents must be +-1")
             exponents.setdefault(name, []).append(exp)
-        for name, exps in exponents.items():
+        one_sided = 0
+        for i, (name, exps) in enumerate(exponents.items()):
             expected = 1 if name in boundary_letters else 2
             if len(exps) != expected:
                 raise ValueError(f"letter {name} occurs {len(exps)} times, expected {expected}")
+            if expected == 2 and exps[0] == exps[1]:
+                one_sided |= 1 << i
         absent = sorted(boundary_letters - exponents.keys())
         if absent:
             raise ValueError(f"boundary letter {', '.join(absent)} does not occur in the word")
         self._set(word, boundary_letters)
+        object.__setattr__(self, "one_sided", one_sided)
         object.__setattr__(self, "_complex", None)
-        object.__setattr__(self, "_exponents", exponents)
+        # letter -> its number, in order of first occurrence
+        object.__setattr__(self, "_index", dict(zip(exponents, range(len(exponents)))))
 
     @property
     def complex(self) -> PolygonComplex:
@@ -327,24 +342,34 @@ class GluingWord(Frozen):
     @property
     def letters(self) -> list[str]:
         """The letters in order of first occurrence."""
-        return list(self._exponents)
+        return list(self._index)
 
     def same_exponent(self, letter: str) -> bool:
         """Chart transition across this edge reverses orientation."""
-        exps = self._exponents.get(letter, ())
-        return len(exps) == 2 and exps[0] == exps[1]
+        i = self._index.get(letter)
+        return i is not None and self.one_sided >> i & 1 == 1
+
+
+def _root(parent: list[int], x: int) -> int:
+    """The root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 class PolygonComplex(Frozen):
     """CW complex: named edges, one boundary word per 2-cell.
 
     The edges (the letters in order of first occurrence), the vertices, edge
-    indices and edge ends, each face's exponent sums by edge index and the
-    boundary rows mod 2 are derived from the fields in one pass over the corners.
+    indices and edge ends, the connected components, each face's exponent sums
+    by edge index and the boundary rows mod 2 are derived from the fields in
+    one pass over the corners.  The components are those of the faces joined
+    by a shared letter, with the empty faces left out; they are the components
+    of the 1-skeleton, so rank d1 = vertex_count - component_count.
     """
 
-    __slots__ = ("faces", "boundary_letters", "edges", "vertex_count", "edge_index",
-                 "edge_ends", "_face_sums", "_d1_rows", "_d2_rows")
+    __slots__ = ("faces", "boundary_letters", "edges", "vertex_count", "component_count",
+                 "edge_index", "edge_ends", "_face_sums", "_d1_rows", "_d2_rows")
     _fields = ("faces", "boundary_letters")
 
     def __init__(self, faces: list[tuple[Occurrence, ...]],
@@ -363,10 +388,15 @@ class PolygonComplex(Frozen):
         # root, so parent[c] <= c and every class is rooted at its first corner.
         # An edge is numbered at its first occurrence, and the same pass sums each
         # face's exponents by edge index; the odd sums are the face's d2 row mod 2.
+        # A letter whose two occurrences lie on two faces joins their components,
+        # kept as a second union-find over the faces.
         parent: list[int] = []
-        ends: dict[str, tuple[int, int, int]] = {}  # edge -> its first (tail, head), its index
+        # edge -> its first (tail, head), its index and its first face
+        ends: dict[str, tuple[int, int, int, int]] = {}
         face_sums: list[dict[int, int]] = []
         d2_rows: list[int] = []
+        face_parent = list(range(len(self.faces)))
+        components = 0
 
         def union(x, y):
             while parent[x] != x:
@@ -378,22 +408,29 @@ class PolygonComplex(Frozen):
             else:
                 parent[x] = y
 
-        for face in self.faces:
+        for f, face in enumerate(self.faces):
             first = len(parent)
             last = first + len(face) - 1
             parent.extend(range(first, last + 1))
+            if face:
+                components += 1
             sums: dict[int, int] = {}
             for corner, (name, exp) in enumerate(face, first):
                 after = corner + 1 if corner < last else first
                 tail, head = (corner, after) if exp == 1 else (after, corner)
                 if name in ends:
-                    t, h, j = ends[name]
+                    t, h, j, g = ends[name]
                     union(t, tail)
                     union(h, head)
                     sums[j] = sums.get(j, 0) + exp
+                    if g != f:
+                        a, b = _root(face_parent, g), _root(face_parent, f)
+                        if a != b:
+                            face_parent[max(a, b)] = min(a, b)
+                            components -= 1
                 else:
                     j = len(ends)
-                    ends[name] = tail, head, j
+                    ends[name] = tail, head, j, f
                     sums[j] = exp
             face_sums.append(sums)
             d2_rows.append(sum(1 << j for j, s in sums.items() if s & 1))
@@ -409,13 +446,14 @@ class PolygonComplex(Frozen):
                 vertex[c] = vertex[p]  # p < c is in c's class and numbered already
         edge_ends: dict[str, tuple[int, int]] = {}
         d1_rows = [0] * count
-        for name, (t, h, j) in ends.items():
+        for name, (t, h, j, _) in ends.items():
             edge_ends[name] = t, h = vertex[t], vertex[h]
             if t != h:  # a loop's two ends would XOR its bit twice and cancel
                 d1_rows[t] ^= 1 << j
                 d1_rows[h] ^= 1 << j
         edges = list(ends)
-        derived = {"edges": edges, "vertex_count": count, "edge_ends": edge_ends,
+        derived = {"edges": edges, "vertex_count": count, "component_count": components,
+                   "edge_ends": edge_ends,
                    "edge_index": dict(zip(edges, range(len(edges)))), "_face_sums": face_sums,
                    "_d1_rows": tuple(d1_rows), "_d2_rows": tuple(d2_rows)}
         for name, value in derived.items():
@@ -535,22 +573,37 @@ class H1Basis:
 
 
 def homology_groups(cx: PolygonComplex) -> GradedGroups:
-    """H0, H1 and H2 from the Smith invariant factors of d1 and d2 (read off d2's transpose).
+    """H0, H1 and H2 from the rank of d1 and the Smith invariant factors of d2ᵀ.
 
-    With r1 = rank d1 and d_1 .. d_r2 the nonzero factors of d2: C1 / im d2 is
-    H1 (+) im d1, and im d1 lies in the free C0, so H1 = Z^(E - r1 - r2) (+)
-    the Z/d_i with d_i > 1, H0 = Z^(V - r1) and H2 = Z^(F - r2).
+    d1 is a graph's incidence matrix, which is totally unimodular: its Smith
+    form is [I 0] with r1 = V - c ones for the c components the corner pass
+    counted.  With d_1 .. d_r2 the nonzero factors of d2 (those of d2ᵀ, one
+    row a face, built from the face sums): C1 / im d2 is H1 (+) im d1, and
+    im d1 lies in the free C0, so H1 = Z^(E - r1 - r2) (+) the Z/d_i with
+    d_i > 1, H0 = Z^(V - r1) = Z^c and H2 = Z^(F - r2).
     """
-    d1, d2 = cx.d1(), cx.d2()
-    if any(any(row) for row in mat_mul(d1, d2)):
-        raise ValueError("d1 * d2 != 0")
-    r1 = len(_invariant_factors(d1))
-    # d2's transpose has the same Smith diagonal, and its pivot scan reads F
-    # rows (one or two) where d2's reads E one-entry rows
-    factors = _invariant_factors([list(col) for col in zip(*d2)])
+    n_edges = len(cx.edges)
+    ends = list(cx.edge_ends.values())
+    rows = []
+    for sums in cx._face_sums:
+        # the face's column of d1 * d2: each edge with two ends adds its sum at
+        # its head and takes it at its tail
+        at: dict[int, int] = {}
+        row = [0] * n_edges
+        for j, s in sums.items():
+            row[j] = s
+            t, h = ends[j]
+            if t != h:
+                at[h] = at.get(h, 0) + s
+                at[t] = at.get(t, 0) - s
+        if any(at.values()):
+            raise ValueError("d1 * d2 != 0")
+        rows.append(row)
+    r1 = cx.vertex_count - cx.component_count
+    factors = _invariant_factors(rows)
     r2 = len(factors)
-    return GradedGroups((cx.vertex_count - r1, ()),
-                        (len(cx.edges) - r1 - r2, tuple(f for f in factors if f > 1)),
+    return GradedGroups((cx.component_count, ()),
+                        (n_edges - r1 - r2, tuple(f for f in factors if f > 1)),
                         (len(cx.faces) - r2, ()))
 
 
@@ -561,9 +614,10 @@ def _packed_boundaries(cx: PolygonComplex) -> tuple[tuple[int, ...], tuple[int, 
 
 def z2_betti(cx: PolygonComplex) -> tuple[int, int, int]:
     """Z2 Betti numbers by rank: the path that cross-checks h1_z2_basis, with
-    which it shares only the packed boundary rows."""
-    d1, d2 = _packed_boundaries(cx)
-    r1 = len(gf2_row_reduce(d1)[1])
+    which it shares only the packed d2 rows.  d1 has rank V - c mod 2 as over
+    Z, c the components the corner pass counted (a graph's incidence matrix)."""
+    _, d2 = _packed_boundaries(cx)
+    r1 = cx.vertex_count - cx.component_count
     r2 = len(gf2_row_reduce(d2)[1])
     n0, n1, n2 = cx.vertex_count, len(cx.edges), len(cx.faces)
     return n0 - r1, n1 - r1 - r2, n2 - r2
@@ -592,10 +646,11 @@ def orientation_double_cover_complex(word: GluingWord) -> CoverData:
     # sheet 0's face: a letter's first occurrence stays on sheet 0 and its
     # second one crosses over iff the edge reverses orientation; sheet 1's
     # face is the same walk with every copy swapped
+    one_sided, index = word.one_sided, word._index
     seen: set[str] = set()
     copies = []
     for name, _ in word.word:
-        copies.append(1 if name in seen and word.same_exponent(name) else 0)
+        copies.append(one_sided >> index[name] & 1 if name in seen else 0)
         seen.add(name)
     faces = [tuple((lifts[name][copy ^ sheet], exp)
                    for (name, exp), copy in zip(word.word, copies)) for sheet in (0, 1)]

@@ -50,7 +50,7 @@ class GammaRep(Frozen):
 
 
 # The largest grid `pincover pinors check` takes.  A cold `--grid 1024` run
-# takes about 1.5 s and 324 MiB on a 2-core host, about 320 B a node, so
+# takes about 1.2 s and 316 MiB on a 2-core host, about 316 B a node, so
 # memory, not time, sets the limit (README, "Grid limit").
 GRID_LIMIT = 1024
 
@@ -113,8 +113,6 @@ def _deck_action(s: PinorField, lift: LiftResult, sign: int, needs: str = "") ->
     squares to -1) when needs names what requires descent.  The lift is odd,
     so rep(L(tau x)) = cos t gamma1 + sin t gamma2 with t its angle at x.
     """
-    import numpy as np
-
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     xi, tau = lift.structure, lift.involution
@@ -126,14 +124,38 @@ def _deck_action(s: PinorField, lift: LiftResult, sign: int, needs: str = "") ->
     if needs and not lift.descends:
         raise ValueError(f"{needs}: the lift squares to -1 for {xi.label} ({xi.kind})")
     r = GammaRep.standard(xi.kind)
-    n = s.size
+    node, cos_t, sin_t = _deck_grid(lift, s.size)
+    pulled = s.values.reshape(-1, 2)[node]  # s(tau x) at each node x
+    # cos t * (pulled gamma1^T) + sin t * (pulled gamma2^T), in place, so that
+    # at most three grid-sized arrays are alive at once
+    moved = pulled @ r.gamma1.T
+    moved *= cos_t
+    turned = pulled @ r.gamma2.T
+    del pulled
+    turned *= sin_t
+    moved += turned
+    return PinorField(moved).scale(sign)
+
+
+@functools.lru_cache(maxsize=1)
+def _deck_grid(lift: LiftResult, n: int):
+    """The node map of the lift's involution on the n x n grid, as the flat
+    index of tau x at each node x, and cos t and sin t (shape (n, n, 1)) for
+    the lift's angle t at each node, all read-only.
+
+    One `pinors check` acts with one lift on one grid four times, and
+    criterion 10 eight times a lift, so the last (lift, n) is kept.
+    """
+    import numpy as np
+
+    tau = lift.involution
     angles = 2.0 * np.pi * np.arange(n) / n
     t = at(lift.lift, *tau_coordinate_forms(tau)).angle.evaluate(angles[:, None], angles[None, :])
     ti, tj = _involution_node_map(tau, n)
-    pulled = s.values[ti, tj]
-    moved = (np.cos(t)[..., None] * (pulled @ r.gamma1.T)
-             + np.sin(t)[..., None] * (pulled @ r.gamma2.T))
-    return PinorField(moved).scale(sign)
+    grid = ti * n + tj, np.cos(t)[..., None], np.sin(t)[..., None]
+    for a in grid:
+        a.setflags(write=False)
+    return grid
 
 
 def invariance_residual(s: PinorField, lift: LiftResult, sign: int) -> float:

@@ -34,14 +34,31 @@ def _convert(value: Any) -> Any:
     raise TypeError(f"cannot report a value of type {kind.__name__}")
 
 
-def _flatten(node: Any, prefix: str = ""):
-    """(dotted key, leaf) rows; an empty list or dict is one row of its own,
-    so a table or csv shows every key the json has."""
-    if isinstance(node, (dict, list)) and node:
-        for k, item in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _flatten(item, f"{prefix}{k}.")
-    else:
-        yield prefix.rstrip("."), node
+def _flatten(node: Any):
+    """(dotted key, leaf) rows in document order; an empty list or dict is one
+    row of its own, so a table or csv shows every key the json has.
+
+    One walk with a stack of the open containers' item iterators, so a leaf
+    passes through one generator at any depth.
+    """
+    if not (isinstance(node, (dict, list)) and node):
+        yield "", node
+        return
+    stack = [("", _items(node))]  # (key prefix, the container's items left)
+    while stack:
+        prefix, items = stack[-1]
+        for k, item in items:
+            key = f"{prefix}{k}"
+            if isinstance(item, (dict, list)) and item:
+                stack.append((f"{key}.", _items(item)))
+                break
+            yield key.rstrip("."), item
+        else:
+            stack.pop()
+
+
+def _items(node: dict | list):
+    return iter(node.items()) if isinstance(node, dict) else enumerate(node)
 
 
 class Report(Record):
@@ -74,9 +91,11 @@ class Report(Record):
             lines.append(f"# anchor: {self.anchor}")
         for k, v in self.inputs.items():
             lines.append(f"# {k} = {v}")
-        rows = list(_flatten(_convert(self.results)))
-        width = max((len(k) for k, _ in rows), default=0)
-        for key, value in rows:
+        results = _convert(self.results)
+        # one walk measures the keys and a second writes the lines, so the
+        # (key, leaf) rows are never all held at once
+        width = max((len(k) for k, _ in _flatten(results)), default=0)
+        for key, value in _flatten(results):
             lines.append(f"{key.ljust(width)}  {value}")
         return "\n".join(lines) + "\n"
 

@@ -238,7 +238,9 @@ def _sigma(g: int, name: str) -> SurfaceModel:
     return SurfaceModel(name, FAMILY_ONLY, _family_word(g), True, 0, genus=g)
 
 
-_NAME_RE = re.compile(r"^(?:sigma\((\d+)\)|n\((\d+),([12])\))$")
+# ASCII digits only: \d and int() also take the digits of other scripts, so
+# 'n(٣,1)' would be answered as n(3,1) under a name that is not its own
+_NAME_RE = re.compile(r"^(?:sigma\(([0-9]+)\)|n\(([0-9]+),([12])\))$")
 
 # The largest genus a family name may have.  Cold `pincover covermaps
 # 'n(150,2)'` takes 0.8-1.2 s (json) to 1.2-1.8 s (table) on a 2-core host,

@@ -6,6 +6,7 @@ import pytest
 from pincover import characteristic
 from pincover.characteristic import chord_gram_matrix, obstructions, w1, w1_cup_w1, w2
 from pincover.homology import (
+    GluingWord,
     gf2_row_reduce,
     h1_z2_basis,
     induced_maps,
@@ -13,7 +14,7 @@ from pincover.homology import (
     orientation_double_cover_complex,
     solve_rows,
 )
-from pincover.surface import build
+from pincover.surface import FAMILY_ONLY, SurfaceModel, build
 from test_homology import pack_rows
 
 # ---------------------------------------------------------------------------
@@ -194,6 +195,56 @@ def test_w1_spans_kernel_of_pullback():
         bits = sum(klass(g) << j for j, g in enumerate(cover.base.edges))
         w1_coords = sum(((row & bits).bit_count() % 2) << i for i, row in enumerate(basis))
         assert maps.kernel_pull.rows == (w1_coords,)
+
+
+def cover_w1_coordinates(model) -> int:
+    """w1 in h1_z2_basis coordinates of the base, from the cover alone: the one
+    row of Ker pi^*, or 0 for an orientable surface."""
+    if model.orientable:
+        return 0
+    (row,) = induced_maps(orientation_double_cover_complex(model.word)).kernel_pull.rows
+    return row
+
+
+def w1_coordinates(model, klass) -> int:
+    basis, _ = h1_z2_basis(model.complex)
+    bits = sum(klass(g) << j for j, g in enumerate(model.complex.edges))
+    return sum(((row & bits).bit_count() % 2) << i for i, row in enumerate(basis))
+
+
+def word_model(text):
+    word = GluingWord.parse(text)
+    return SurfaceModel(text, FAMILY_ONLY, word, word.complex.is_orientable(), 0)
+
+
+def test_w1_and_its_square_on_alternating_words():
+    # the Wu solve is kept for the last word only: alternating words, some on
+    # the same letters, must each get their own answer, whichever of w1 and
+    # w1_cup_w1 comes first; the cover's pull-back and w2 are the truth
+    models = [word_model(t) for t in ("a b a' b", "a b a' b'", "a a b b", "a b b a",
+                                      "a b c a' b' c")]
+    models += [build(name) for name in ("k2", "n(3,1)", "sigma(2)", "n(2,2)", "rp2")]
+    truth = [(cover_w1_coordinates(m), w2(m)) for m in models]
+    order = [0, 1, 0, 1, 2, 3, 2, 1, 4, 5, 6, 5, 7, 8, 9, 8, 0, 9, 3, 3]
+    for step, i in enumerate(order):
+        model = models[i]
+        if step % 2:
+            square, klass = w1_cup_w1(model), w1(model)
+        else:
+            klass, square = w1(model), w1_cup_w1(model)
+        assert (w1_coordinates(model, klass), square) == truth[i], model.name
+        assert set(klass.bits) == set(model.word.letters)
+
+
+def test_w1_on_equal_but_distinct_words():
+    for name in ("k2", "n(3,2)", "n(2,1)", "t2"):
+        model = build(name)
+        twin = model._replace(word=GluingWord(model.word.word, model.word.boundary_letters))
+        assert twin.word == model.word and twin.word is not model.word
+        for a, b in ((model, twin), (twin, model), (model, model)):
+            assert (w1(a), w1_cup_w1(a)) == (w1(b), w1_cup_w1(b))
+        assert w1_coordinates(twin, w1(twin)) == cover_w1_coordinates(model)
+        assert obstructions(twin).as_dict() == obstructions(model).as_dict()
 
 
 # ---------------------------------------------------------------------------

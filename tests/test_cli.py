@@ -115,6 +115,13 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and out == "" and "unknown surface" in err
 
 
+@pytest.mark.parametrize("name", ["n(٣,1)", "sigma(３)"])
+def test_a_family_name_with_non_ascii_digits_is_a_usage_error(capsys, name):
+    # Arabic-Indic three and fullwidth three: int() would read both as 3
+    code, out, err = run(capsys, "homology", name)
+    assert code == 2 and out == "" and "unknown surface" in err
+
+
 def test_genus_above_the_limit_is_a_usage_error_before_any_homology(capsys, monkeypatch):
     from pincover import cli
     from pincover.surface import GENUS_LIMIT

@@ -431,10 +431,12 @@ def test_boundary_surfaces():
     assert cx.euler_characteristic() == 0
 
 
-def test_homology_groups_checks_that_d1_d2_vanishes(monkeypatch):
-    cx = PolygonComplex.from_word(S2)  # two vertices, so d1 is not zero
+def test_homology_groups_checks_that_d1_d2_vanishes():
+    cx = PolygonComplex([S2.word])  # two vertices, so d1 is not zero; not the shared complex
     assert cx.d1() == [[-1], [1]]
-    monkeypatch.setattr(PolygonComplex, "d2", lambda self: [[1]])
+    # the check sums each face's exponent sums over the edge ends, so the fault
+    # goes there: d2 = [[1]] where a a' has [[0]]
+    object.__setattr__(cx, "_face_sums", [{0: 1}])
     with pytest.raises(ValueError, match=r"d1 \* d2 != 0"):
         homology_groups(cx)
 

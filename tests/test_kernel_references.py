@@ -6,16 +6,19 @@ pass), ``orientation_double_cover_complex``, ``gf2_row_reduce``,
 ``smith_normal_form`` (and the invariant factors alone),
 ``homology_groups`` (from the factors of d2's transpose), ``H1Basis``,
 ``z2_betti`` (and the packed boundary rows it shares with ``h1_z2_basis``),
-``chord_gram_matrix``, the pinor grid's node map
-and deck action, the Clifford oracle (``geometric_product``, the
-``Multivector`` operations, ``lift_orthogonal``, ``orthogonal_matrix``) and
+``GluingWord``'s checks and one-sided letters, ``chord_gram_matrix``, the
+pinor grid's node map and deck action, the report walk behind table and
+csv, the Clifford oracle (``geometric_product``, the ``Multivector``
+operations, ``lift_orthogonal``, ``orthogonal_matrix``) and
 ``pin2.evaluate`` are compared output for output with their earlier
 versions, kept here verbatim as ``_Ref*``/``_ref_*``: on random multi-face
 gluing words with boundary letters, on the orientation double covers of
 every family up to g = 16, on random packed rows, on relabelled family
 words, on the flat involutions of the pinor grids and the odd lifts of
-them, on random sparse multivectors and random orthogonal matrices.  A
-multivector matches when its items match in value, type and order.
+them, on random nested reports, on random sparse multivectors and random
+orthogonal matrices.  A multivector matches when its items match in value,
+type and order.  The rank of d1 is checked as V - c against the Smith and
+the GF(2) eliminations.
 """
 
 import functools
@@ -53,6 +56,7 @@ from pincover.homology import (
     gf2_row_reduce,
     homology_groups,
     identity,
+    induced_maps,
     mat_mul,
     _packed_boundaries,
     orientation_double_cover_complex,
@@ -63,6 +67,7 @@ from pincover.homology import (
 )
 from pincover.pin2 import EVEN, KINDS, ODD, PIN_PLUS, Pin2Element, angle, at, evaluate
 from pincover.pinors import GammaRep, PinorField, _deck_action, _involution_node_map
+from pincover.reporting import Report, _convert, _flatten
 from pincover.structures import enumerate_structures, lift_involution, tau_coordinate_forms
 from pincover.surface import FAMILY_ONLY, SurfaceModel, build, cover_diagram, double, \
     orientation_double_cover
@@ -216,9 +221,40 @@ def _ref_is_orientable(faces):
     return True
 
 
+def _ref_exponents(word):
+    """letter -> its exponents in word order: the word's first exponent pass."""
+    exponents: dict[str, list[int]] = {}
+    for name, exp in word.word:
+        exponents.setdefault(name, []).append(exp)
+    return exponents
+
+
+def _ref_same_exponent(word, letter):
+    exps = _ref_exponents(word).get(letter, ())
+    return len(exps) == 2 and exps[0] == exps[1]
+
+
+def _ref_gluing_word_refusal(word, boundary_letters):
+    """The message GluingWord's first constructor raised for (word, boundary
+    letters), or None where it accepted them."""
+    exponents: dict[str, list[int]] = {}
+    for name, exp in word:
+        if exp not in (1, -1):
+            return "exponents must be +-1"
+        exponents.setdefault(name, []).append(exp)
+    for name, exps in exponents.items():
+        expected = 1 if name in boundary_letters else 2
+        if len(exps) != expected:
+            return f"letter {name} occurs {len(exps)} times, expected {expected}"
+    absent = sorted(boundary_letters - exponents.keys())
+    if absent:
+        return f"boundary letter {', '.join(absent)} does not occur in the word"
+    return None
+
+
 def _ref_orientation_double_cover(word):
     """(faces, boundary, edge_map, deck) of the cover."""
-    eps = {g: 1 if word.same_exponent(g) else 0 for g in word.letters}
+    eps = {g: 1 if _ref_same_exponent(word, g) else 0 for g in word.letters}
 
     def lifted_face(sheet: int):
         seen: dict[str, int] = {}
@@ -503,7 +539,7 @@ def _ref_chord_gram_matrix(model):
     gram = [0] * len(letters)
     for i, g in enumerate(letters):
         a1, a2 = pos[g]
-        if word.same_exponent(g):
+        if _ref_same_exponent(word, g):
             gram[i] |= 1 << i
         for j in range(i + 1, len(letters)):
             b1, b2 = pos[letters[j]]
@@ -698,6 +734,37 @@ def _ref_evaluate(x, theta0=0.0, phi0=0.0):
     return Multivector(sig, {0b01: math.cos(t), 0b10: math.sin(t)})
 
 
+def _ref_flatten(node, prefix=""):
+    """(dotted key, leaf) rows; an empty list or dict is one row of its own,
+    so a table or csv shows every key the json has."""
+    if isinstance(node, (dict, list)) and node:
+        for k, item in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _ref_flatten(item, f"{prefix}{k}.")
+    else:
+        yield prefix.rstrip("."), node
+
+
+def _ref_to_table(report):
+    lines = [f"# {report.command}"]
+    if report.anchor:
+        lines.append(f"# anchor: {report.anchor}")
+    for k, v in report.inputs.items():
+        lines.append(f"# {k} = {v}")
+    rows = list(_ref_flatten(_convert(report.results)))
+    width = max((len(k) for k, _ in rows), default=0)
+    for key, value in rows:
+        lines.append(f"{key.ljust(width)}  {value}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_to_csv(report):
+    lines = ["key,value"]
+    for key, value in _ref_flatten(_convert(report.results)):
+        text = str(value).replace('"', '""')
+        lines.append(f'"{key}","{text}"')
+    return "\n".join(lines) + "\n"
+
+
 def _ref_random_multivector(rng, sig):
     masks = rng.integers(0, 1 << sig.n, size=4)
     return Multivector(sig, {int(m): float(c) for m, c in zip(masks, rng.normal(size=4))})
@@ -844,6 +911,122 @@ def test_homology_matches_reference_on_family_bases_and_covers(word):
 
 
 # ---------------------------------------------------------------------------
+# rank d1 = V - c
+
+
+@st.composite
+def disconnected_gluings(draw):
+    """Up to three gluings of gluing_faces on disjoint letters, side by side,
+    with up to two empty faces put in among them."""
+    faces, boundary = [], set()
+    for part in range(draw(st.integers(1, 3))):
+        part_faces, part_boundary = draw(gluing_faces(max_letters=5, max_boundary=2, max_faces=3))
+        faces += [tuple((f"p{part}{name}", exp) for name, exp in face) for face in part_faces]
+        boundary |= {f"p{part}{name}" for name in part_boundary}
+    for _ in range(draw(st.integers(0, 2))):
+        faces.insert(draw(st.integers(0, len(faces))), ())
+    return faces, frozenset(boundary)
+
+
+def graph_components(cx):
+    """The components of the 1-skeleton (vertices and edges), by a union-find
+    over the edge ends."""
+    root = list(range(cx.vertex_count))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    joined = 0
+    for t, h in cx.edge_ends.values():
+        a, b = find(t), find(h)
+        if a != b:
+            root[a] = b
+            joined += 1
+    return cx.vertex_count - joined
+
+
+def assert_rank_d1_is_vertices_minus_components(cx):
+    rank = cx.vertex_count - cx.component_count
+    assert cx.component_count == graph_components(cx)
+    assert rank == len(nonzero_diagonal(_ref_smith_normal_form(cx.d1())[1]))
+    assert rank == len(gf2_row_reduce(_packed_boundaries(cx)[0])[1])
+    assert homology_groups(cx).h0 == (cx.component_count, ())
+    assert z2_betti(cx)[0] == cx.component_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gluing_faces(), disconnected_gluings()))
+def test_rank_d1_is_vertices_minus_components(fb):
+    faces, boundary = fb
+    cx = PolygonComplex(faces, boundary)
+    assert_rank_d1_is_vertices_minus_components(cx)
+    assert_same_boundaries(cx)
+
+
+@pytest.mark.parametrize("faces, c", [
+    ([(("a", 1), ("a", -1))], 1),  # two vertices on one face
+    ([(("a", 1), ("a", 1))], 1),
+    ([()], 0),  # a face with no letters is left out
+    ([(("a", 1), ("a", -1)), (("b", 1), ("b", 1))], 2),  # no letter in common
+    ([(), (("a", 1), ("a", -1)), (("b", 1), ("b", 1)), ()], 2),
+    ([(("a", 1), ("a", -1)), (("b", 1), ("c", 1)), (("c", -1), ("b", -1))], 2),
+    ([(("a", 1), ("b", 1)), (("c", 1), ("c", 1)), (("b", -1), ("a", -1), ("d", 1)), (("d", -1),)],
+     2),  # the first, third and fourth face are joined through b and d
+])
+def test_components_of_hand_made_complexes(faces, c):
+    cx = PolygonComplex(faces)
+    assert cx.component_count == c
+    assert_rank_d1_is_vertices_minus_components(cx)
+
+
+@pytest.mark.parametrize("word", FAMILY_WORDS.values(), ids=list(FAMILY_WORDS))
+def test_rank_d1_on_family_bases_and_covers(word):
+    # the cover of an orientable surface is two copies of it
+    total = orientation_double_cover_complex(word).total
+    assert (word.complex.component_count, total.component_count) == (
+        1, 2 if word.complex.is_orientable() else 1)
+    for cx in (word.complex, total):
+        assert_rank_d1_is_vertices_minus_components(cx)
+
+
+# ---------------------------------------------------------------------------
+# GluingWord's exponent pass: its checks and the one-sided letters
+
+
+@st.composite
+def any_words(draw):
+    """Words on up to five letters, each occurring 0 to 3 times, with an
+    occasional exponent other than +-1, and boundary letters drawn from the
+    letters and from two that never occur."""
+    letters = [f"l{i}" for i in range(draw(st.integers(0, 5)))]
+    names = draw(st.permutations([g for g in letters for _ in range(draw(st.integers(0, 3)))]))
+    exponents = st.sampled_from((1, -1, 1, -1, 1, -1, 0, 2))
+    word = tuple((name, draw(exponents)) for name in names)
+    boundary = frozenset(draw(st.lists(st.sampled_from([*letters, "x", "y"]), max_size=3)))
+    return word, boundary
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(any_words(), gluing_faces(max_faces=1).map(lambda fb: (fb[0][0], fb[1]))))
+def test_gluing_word_matches_reference(wb):
+    word, boundary = wb
+    refusal = _ref_gluing_word_refusal(word, boundary)
+    if refusal is not None:
+        with pytest.raises(ValueError) as caught:
+            GluingWord(word, boundary)
+        assert str(caught.value) == refusal
+        return
+    w = GluingWord(word, boundary)
+    assert w.letters == list(_ref_exponents(w))
+    for i, g in enumerate(w.letters):
+        assert w.same_exponent(g) == _ref_same_exponent(w, g) == bool(w.one_sided >> i & 1)
+    assert w.one_sided < 1 << len(w.letters)
+    assert not w.same_exponent("never a letter")
+
+
+# ---------------------------------------------------------------------------
 # smith_normal_form and the invariant factors
 
 
@@ -890,6 +1073,26 @@ def test_smith_form_matches_reference_on_random_matrices():
         d = _ref_smith_normal_form(a)[1]
         assert smith_normal_form(a)[1] == d
         assert _invariant_factors(a) == nonzero_diagonal(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(-40, 40)), min_size=1, max_size=10))
+def test_one_row_invariant_factors_match_the_elimination(row):
+    # one row, which is the whole of d2's transpose for a one-face word: its
+    # factor is the gcd of its entries, what the elimination leaves at (0, 0)
+    d = [row[:]]
+    for _ in homology._eliminate(d):
+        pass
+    assert _invariant_factors([row]) == nonzero_diagonal(d)
+    assert _invariant_factors([row]) == nonzero_diagonal(_ref_smith_normal_form([row])[1])
+
+
+@pytest.mark.parametrize("row, factors", [
+    ([0], []), ([0, 0, 0], []), ([], []), ([-6], [6]), ([0, -4, 6, 0], [2]), ([-3, -3], [3]),
+    ([5, 0, -7], [1]),
+])
+def test_one_row_invariant_factors_on_fixed_rows(row, factors):
+    assert _invariant_factors([row]) == factors
 
 
 # ---------------------------------------------------------------------------
@@ -1093,3 +1296,40 @@ def test_property_suites_are_unchanged_under_the_reference_kernels(seed, monkeyp
     ]:
         monkeypatch.setattr(module, name, ref)
     assert check_property_suites(seed) == (True, PROPERTY_SUITE_DETAILS[seed])
+
+
+# ---------------------------------------------------------------------------
+# the report walk behind table and csv
+
+# keys that end in a dot, or are empty, are where the recursive walk's
+# rstrip(".") shows
+_json_leaves = st.one_of(st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=3))
+_json_keys = st.one_of(st.sampled_from(["a", "b.", "", ".", "c.d", "e.."]), st.text(max_size=2))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_json_keys, inner, max_size=3),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_values)
+def test_flatten_matches_the_recursive_walk(node):
+    assert list(_flatten(node)) == list(_ref_flatten(node))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_json_keys, _json_values, max_size=4), st.sampled_from(["", "tables/x"]))
+def test_table_and_csv_match_the_recursive_walk(results, anchor):
+    report = Report("cmd", {"surface": "k2", "seed": 0}, results, anchor)
+    assert report.to_table() == _ref_to_table(report)
+    assert report.to_csv() == _ref_to_csv(report)
+
+
+@pytest.mark.parametrize("word", [FAMILY_WORDS["n2-3"], FAMILY_WORDS["sigma-2"]],
+                         ids=["n2-3", "sigma-2"])
+def test_table_and_csv_match_the_recursive_walk_on_covermaps(word):
+    maps = induced_maps(orientation_double_cover_complex(word))
+    report = Report("covermaps", {"surface": "w"}, {"maps": maps.push_z, "k": maps.splitting_k,
+                                                    "kernel": maps.kernel_pull.tolist()})
+    assert report.to_table() == _ref_to_table(report)
+    assert report.to_csv() == _ref_to_csv(report)

@@ -359,3 +359,54 @@ def test_property_suites_solve_one_lift_per_structure(lift_solves):
     assert check_property_suites(0)[0]
     # descend(k2) solves the 4 lifts of each kind; the 2 qualifying ones are not solved again
     assert len(lift_solves) == 12
+
+
+# ---------------------------------------------------------------------------
+# one grid per lift
+
+
+@pytest.fixture
+def node_maps(monkeypatch):
+    """The grid sizes _involution_node_map is called for, counted by wrapping
+    it, with no (lift, grid) kept from an earlier test."""
+    from pincover import pinors
+
+    original = pinors._involution_node_map
+    sizes = []
+
+    def counted(tau, n):
+        sizes.append(n)
+        return original(tau, n)
+
+    monkeypatch.setattr(pinors, "_involution_node_map", counted)
+    pinors._deck_grid.cache_clear()
+    yield sizes
+    pinors._deck_grid.cache_clear()
+
+
+@pytest.mark.parametrize("structure, kind", [("1", PIN_MINUS), ("0", PIN_PLUS), ("0", PIN_MINUS)])
+def test_pinors_check_builds_one_grid(node_maps, structure, kind, capsys):
+    # a descending lift acts four times (project, couple, residual, idempotency
+    # gap), a lift that squares to -1 once; each reads the one grid
+    assert main(["pinors", "check", "t2", "--structure", structure, "--kind", kind,
+                 "--grid", "8", "--format", "json"]) == 0
+    assert node_maps == [8]
+
+
+def test_deck_grid_is_read_only_and_kept_for_the_last_lift_and_size(node_maps):
+    from pincover.pinors import _deck_grid
+
+    lifts = [klein_lift(xi) for xi in torus_structures(PIN_PLUS).values()][:2]
+    rng = np.random.default_rng(5)
+    fields = {n: PinorField.random(n, rng) for n in (4, 6)}
+    for lift in lifts:
+        for n, s in fields.items():
+            cold = _deck_action(s, lift, 1).values
+            warm = _deck_action(s, lift, 1).values  # reads the kept grid
+            assert warm.tobytes() == cold.tobytes()
+            for a in _deck_grid(lift, n):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 0
+    # one grid for each (lift, n) in turn
+    assert node_maps == [4, 6, 4, 6]
