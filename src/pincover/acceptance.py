@@ -355,6 +355,9 @@ CRITERIA: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
 
 
 def run_all(seed: int = 0) -> list[CriterionResult]:
+    # loaded before the first clock starts, so no criterion's time holds its import
+    import numpy  # noqa: F401
+
     results = []
     for name, fn in CRITERIA:
         start = time.perf_counter()

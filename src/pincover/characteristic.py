@@ -27,8 +27,7 @@ def chord_gram_matrix(model: SurfaceModel) -> tuple[list[str], list[int]]:
     """
     _require_closed(model)
     word = model.word
-    letters = word.letters
-    index = {g: i for i, g in enumerate(letters)}
+    letters, index = word.letters, word._index
     one_sided = word.one_sided
     gram = [0] * len(letters)
     open_chords = 0  # bit i: letter i has been read once so far

@@ -16,7 +16,7 @@ from .homology import b1_mod2, homology_groups, induced_maps, orientation_double
 from .pinors import GRID_LIMIT, PinorField, couple_split, invariance_residual, project_invariant
 from .reporting import Report
 from .structures import descend, enumerate_structures, lift_involution, moebius_descent
-from .surface import MODELS, SURFACE_NAMES, build, orientation_double_cover
+from .surface import MODELS, SURFACE_NAMES, build
 
 
 class UsageError(Exception):
@@ -135,7 +135,7 @@ def cmd_pinors(args) -> Report:
     if not 0 <= args.structure < len(structures):
         raise UsageError(f"--structure must be 0..{len(structures) - 1}")
     xi = structures[args.structure]
-    lift = lift_involution(xi, orientation_double_cover(build("k2")).deck)
+    lift = lift_involution(xi, build("k2").deck)
     inputs = {"surface": args.surface, "kind": args.kind,
               "structure": xi.label, "sign": args.sign,
               "grid": args.grid, "seed": args.seed}

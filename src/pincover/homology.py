@@ -344,11 +344,6 @@ class GluingWord(Frozen):
         """The letters in order of first occurrence."""
         return list(self._index)
 
-    def same_exponent(self, letter: str) -> bool:
-        """Chart transition across this edge reverses orientation."""
-        i = self._index.get(letter)
-        return i is not None and self.one_sided >> i & 1 == 1
-
 
 def _root(parent: list[int], x: int) -> int:
     """The root of x in a union-find forest, halving the path on the way."""
@@ -478,26 +473,6 @@ class PolygonComplex(Frozen):
     def euler_characteristic(self) -> int:
         return self.vertex_count - len(self.edges) + len(self.faces)
 
-    def is_orientable(self) -> bool:
-        """Can the faces be oriented so every interior edge gets both exponents?
-
-        One GF(2) unknown per face, its flip: an edge whose two occurrences
-        have the same exponent needs its two faces' flips to differ, any other
-        interior edge needs them equal.
-        """
-        rows: list[int] = []
-        rhs = 0
-        first: dict[str, tuple[int, int]] = {}  # edge -> (face, exponent) of its first occurrence
-        for fb, face in enumerate(self.faces):
-            for name, eb in face:
-                if name not in first:
-                    first[name] = fb, eb
-                    continue
-                fa, ea = first[name]
-                rhs |= (ea == eb) << len(rows)
-                rows.append(1 << fa ^ 1 << fb)  # 0 = rhs when both lie on one face
-        return solve_rows(rows, rhs, len(self.faces)) is not None
-
 
 # ---------------------------------------------------------------------------
 # homology groups
@@ -607,25 +582,11 @@ def homology_groups(cx: PolygonComplex) -> GradedGroups:
                         (len(cx.faces) - r2, ()))
 
 
-def _packed_boundaries(cx: PolygonComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """d1 by vertices and d2 by faces (its transpose), mod 2, as the corner pass packed them."""
-    return cx._d1_rows, cx._d2_rows
-
-
-def z2_betti(cx: PolygonComplex) -> tuple[int, int, int]:
-    """Z2 Betti numbers by rank: the path that cross-checks h1_z2_basis, with
-    which it shares only the packed d2 rows.  d1 has rank V - c mod 2 as over
-    Z, c the components the corner pass counted (a graph's incidence matrix)."""
-    _, d2 = _packed_boundaries(cx)
-    r1 = cx.vertex_count - cx.component_count
-    r2 = len(gf2_row_reduce(d2)[1])
-    n0, n1, n2 = cx.vertex_count, len(cx.edges), len(cx.faces)
-    return n0 - r1, n1 - r1 - r2, n2 - r2
-
-
 def b1_mod2(cx: PolygonComplex) -> int:
-    """dim H1(X, Z2) = first Betti number plus the number of even torsion factors."""
-    return z2_betti(cx)[1]
+    """dim H1(X, Z2): H1's free rank plus its even torsion factors, by universal
+    coefficients (H1(X, Z2) = H1 (x) Z2 (+) Tor(H0, Z2), and H0 is free)."""
+    free, torsion = homology_groups(cx).h1
+    return free + sum(1 for t in torsion if t % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +643,8 @@ class InducedMaps(Record):
 
 
 def h1_z2_basis(cx: PolygonComplex):
-    """Projection of edge space onto an H1(.,Z2) coordinate system.
+    """Projection of edge space onto an H1(.,Z2) coordinate system, from the
+    mod-2 boundary rows of the corner pass: the one GF(2) homology computation.
 
     Returns (basis rows, project), bit-packed by edge.  The basis rows are
     the cycles, in nullspace order, that the boundaries and the earlier cycles
@@ -690,14 +652,14 @@ def h1_z2_basis(cx: PolygonComplex):
     for basis row i.
     """
     n = len(cx.edges)
-    d1, d2 = _packed_boundaries(cx)
-    cycles = nullspace_rows(d1, n)
+    cycles = nullspace_rows(cx._d1_rows, n)
     top = n + len(cycles) - 1
     # One echelon of [boundaries; cycles], cycle i tagged with bit top - i above
     # the edge columns.  Rows pivoting on a tag are the relations among the
     # cycles modulo the boundaries, and the pivot of each is its latest cycle:
     # exactly the cycles that the boundaries and the earlier cycles span.
-    reduced, pivots = gf2_row_reduce([*d2, *(c | 1 << top - i for i, c in enumerate(cycles))])
+    tagged = (c | 1 << top - i for i, c in enumerate(cycles))
+    reduced, pivots = gf2_row_reduce([*cx._d2_rows, *tagged])
     spanned = {top - p for p in pivots if p >= n}
     kept = [i for i in range(len(cycles)) if i not in spanned]
     # The echelon is fully reduced, so reducing a vector XORs exactly the rows

@@ -196,7 +196,7 @@ def descend(base: SurfaceModel, kind: str) -> DescentReport:
     exists = report.pin_plus_exists if kind == pin2.PIN_PLUS else report.pin_minus_exists
     torsor = report.count_pin_plus if kind == pin2.PIN_PLUS else report.count_pin_minus
     cover = orientation_double_cover(base)
-    if not cover.has_geometry():
+    if cover.deck is None:
         return DescentReport(base.name, cover.total.name, kind, "count-only",
                              {}, (), torsor, torsor, exists, True)
     lifts = _lift_table(cover.deck, kind)

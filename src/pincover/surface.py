@@ -242,9 +242,9 @@ def _sigma(g: int, name: str) -> SurfaceModel:
 # 'n(٣,1)' would be answered as n(3,1) under a name that is not its own
 _NAME_RE = re.compile(r"^(?:sigma\(([0-9]+)\)|n\(([0-9]+),([12])\))$")
 
-# The largest genus a family name may have.  Cold `pincover covermaps
-# 'n(150,2)'` takes 0.8-1.2 s (json) to 1.2-1.8 s (table) on a 2-core host,
-# most of it rendering the O(g^2) matrices (README, "Genus limit").
+# The largest genus a family name may have.  Cold `pincover covermaps` is
+# dearest at the limit, most of it rendering the O(g^2) matrices; the README's
+# "Genus limit" section has the timings.
 GENUS_LIMIT = 150
 
 
@@ -278,33 +278,20 @@ SURFACE_NAMES = [*MODELS, "sigma(g)", "n(g,1)", "n(g,2)"]
 
 class OrientationCover(Frozen):
     """A surface's orientation double cover, with the geometric deck involution
-    when the model has one."""
+    when the model has one (a family's deck is None)."""
 
     __slots__ = ("base", "total", "deck")
-
-    def has_geometry(self) -> bool:
-        return self.deck is not None
 
 
 def orientation_double_cover(x: SurfaceModel) -> OrientationCover:
     if x.orientable:
         raise ValueError(f"{x.name} is already orientable")
     if x.deck is None:
-        # family-only: the combinatorial cover exists via homology machinery
-        return OrientationCover(x, _family_cover_model(x), None)
+        # the cover of N_h is Sigma_{h-1}, of Euler characteristic 2 chi, so its
+        # genus is 1 - chi; it may exceed GENUS_LIMIT
+        genus = 1 - x.euler_characteristic()
+        return OrientationCover(x, _sigma(genus, f"sigma({genus})"), None)
     return OrientationCover(x, x.deck.domain, x.deck)
-
-
-def _family_cover_model(x: SurfaceModel) -> SurfaceModel:
-    """The closed orientable surface the mechanical cover complex builds,
-    named by its genus (2 - chi) / 2, which may exceed GENUS_LIMIT."""
-    from .homology import orientation_double_cover_complex
-
-    total = orientation_double_cover_complex(x.word).total
-    if not total.is_orientable():
-        raise AssertionError(f"the orientation double cover of {x.name} is not orientable")
-    genus = (2 - total.euler_characteristic()) // 2
-    return _sigma(genus, f"sigma({genus})")
 
 
 def double(x: SurfaceModel) -> Double:

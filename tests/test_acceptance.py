@@ -1,7 +1,12 @@
 """Acceptance suite: one test (and one printed pass/fail line) per criterion."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import pincover
 from pincover.acceptance import CRITERIA
 from pincover.pin2 import PIN_MINUS
 
@@ -22,6 +27,22 @@ def test_suite_is_deterministic():
     first = [(r.name, r.passed, r.detail) for r in run_all(SEED)]
     second = [(r.name, r.passed, r.detail) for r in run_all(SEED)]
     assert first == second
+
+
+def test_no_criterion_is_timed_with_the_numpy_import():
+    """In a fresh process, numpy is loaded before the first criterion's clock
+    starts, so --timings charges its import to no criterion."""
+    script = ("import sys\n"
+              "from pincover import acceptance\n"
+              "assert 'numpy' not in sys.modules, 'numpy is loaded at import'\n"
+              "probe = lambda seed: (True, repr('numpy' in sys.modules))\n"
+              "acceptance.CRITERIA = [('probe', probe)]\n"
+              "print(acceptance.run_all()[0].detail)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pincover.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def test_cover_diagram_failure_names_relation_and_point(monkeypatch):

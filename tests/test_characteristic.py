@@ -9,6 +9,7 @@ from pincover.homology import (
     GluingWord,
     gf2_row_reduce,
     h1_z2_basis,
+    homology_groups,
     induced_maps,
     nullspace_rows,
     orientation_double_cover_complex,
@@ -180,8 +181,8 @@ def all_closed_models():
 def test_w1_zero_iff_orientable():
     for model in all_closed_models():
         assert (not any(w1(model).bits.values())) == model.orientable
-        # the face-flip solve of orientability
-        assert model.word.complex.is_orientable() == model.orientable
+        # a closed connected surface is orientable iff H2 = Z
+        assert (homology_groups(model.complex).h2 == (1, ())) == model.orientable
 
 
 def test_w1_spans_kernel_of_pullback():
@@ -214,7 +215,7 @@ def w1_coordinates(model, klass) -> int:
 
 def word_model(text):
     word = GluingWord.parse(text)
-    return SurfaceModel(text, FAMILY_ONLY, word, word.complex.is_orientable(), 0)
+    return SurfaceModel(text, FAMILY_ONLY, word, not word.one_sided, 0)
 
 
 def test_w1_and_its_square_on_alternating_words():

@@ -28,7 +28,6 @@ from pincover.homology import (
     smith_normal_form,
     solve_integer,
     solve_rows,
-    z2_betti,
 )
 from pincover.structures import descend
 from pincover.surface import FAMILY_ONLY, SurfaceModel
@@ -455,25 +454,31 @@ def test_homology_groups_needs_no_h1_basis(monkeypatch):
     assert homology_groups(orientation_double_cover_complex(n_g2_word(3)).total).h1 == (14, ())
 
 
-def test_z2_betti_torus_and_klein():
-    assert z2_betti(PolygonComplex.from_word(T2)) == (1, 2, 1)
-    assert z2_betti(PolygonComplex.from_word(K2)) == (1, 2, 1)
-    assert z2_betti(PolygonComplex.from_word(RP2)) == (1, 1, 1)
+def test_b1_mod2_torus_klein_and_rp2():
+    assert b1_mod2(PolygonComplex.from_word(T2)) == 2
+    assert b1_mod2(PolygonComplex.from_word(K2)) == 2
+    assert b1_mod2(PolygonComplex.from_word(RP2)) == 1
 
 
 @pytest.mark.parametrize("word_of", [sigma_word, n_g1_word, n_g2_word])
 @pytest.mark.parametrize("g", range(1, 7))
 def test_rank_path_and_basis_path_agree_on_b1_mod2(g, word_of):
-    """z2_betti's ranks and h1_z2_basis's basis give one dim H1(., Z2), base and cover."""
+    """The integral ranks by universal coefficients and h1_z2_basis's basis give
+    one dim H1(., Z2), base and cover."""
     cover = orientation_double_cover_complex(word_of(g))
     for cx in (cover.base, cover.total):
         assert b1_mod2(cx) == len(h1_z2_basis(cx)[0])
 
 
+def orientable_closed(cx):
+    """A closed connected surface is orientable iff H2 = Z."""
+    return homology_groups(cx).h2 == (1, ())
+
+
 def test_orientability_detection():
-    assert PolygonComplex.from_word(T2).is_orientable()
-    assert not PolygonComplex.from_word(K2).is_orientable()
-    assert not PolygonComplex.from_word(RP2).is_orientable()
+    assert orientable_closed(PolygonComplex.from_word(T2))
+    assert not orientable_closed(PolygonComplex.from_word(K2))
+    assert not orientable_closed(PolygonComplex.from_word(RP2))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +487,7 @@ def test_orientability_detection():
 
 def test_klein_double_cover_is_torus():
     cover = orientation_double_cover_complex(K2)
-    assert cover.total.is_orientable()
+    assert orientable_closed(cover.total)
     assert cover.total.euler_characteristic() == 0
     g = homology_groups(cover.total)
     assert g.h1 == (2, ())
@@ -490,7 +495,7 @@ def test_klein_double_cover_is_torus():
 
 def test_rp2_double_cover_is_sphere():
     cover = orientation_double_cover_complex(RP2)
-    assert cover.total.is_orientable()
+    assert orientable_closed(cover.total)
     assert cover.total.euler_characteristic() == 2
     assert homology_groups(cover.total).h1 == (0, ())
 
@@ -499,7 +504,7 @@ def test_rp2_double_cover_is_sphere():
 def test_ng1_double_cover_is_sigma_2g(g):
     word = n_g1_word(g) if g else RP2
     cover = orientation_double_cover_complex(word)
-    assert cover.total.is_orientable()
+    assert orientable_closed(cover.total)
     assert homology_groups(cover.total).h1 == (4 * g, ())
 
 
@@ -507,7 +512,7 @@ def test_ng1_double_cover_is_sigma_2g(g):
 def test_ng2_double_cover_is_sigma_2g_plus_1(g):
     word = n_g2_word(g) if g else K2
     cover = orientation_double_cover_complex(word)
-    assert cover.total.is_orientable()
+    assert orientable_closed(cover.total)
     assert homology_groups(cover.total).h1 == (4 * g + 2, ())
 
 
@@ -563,7 +568,7 @@ def family_words(max_g):
 
 FAMILIES_TO_8 = family_words(8)
 NONORIENTABLE_TO_6 = {name: word for name, word in family_words(6).items()
-                      if not word.complex.is_orientable()}
+                      if word.one_sided}
 
 
 @pytest.mark.parametrize("word", FAMILIES_TO_8.values(), ids=list(FAMILIES_TO_8))
@@ -721,7 +726,7 @@ def test_universal_coefficients_consistency():
         cx = PolygonComplex.from_word(word)
         free, torsion = homology_groups(cx).h1
         even_torsion = sum(1 for t in torsion if t % 2 == 0)
-        assert z2_betti(cx)[1] == free + even_torsion
+        assert len(h1_z2_basis(cx)[0]) == free + even_torsion
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +762,7 @@ def _answer(op, word, orientable):
     try:
         if op == "homology":
             cx = PolygonComplex.from_word(word)
-            return homology_groups(cx), b1_mod2(cx), z2_betti(cx), h1_z2_basis(cx)[0]
+            return homology_groups(cx), b1_mod2(cx), h1_z2_basis(cx)[0]
         if op == "obstructions":
             return obstructions(model)
         if op == "covermaps":
@@ -768,7 +773,7 @@ def _answer(op, word, orientable):
 
 
 def assert_same_answers_in_every_order(word):
-    orientable = GluingWord(word.word).complex.is_orientable()
+    orientable = not word.one_sided  # one closed polygon
     # each op alone on a fresh word
     want = {op: _answer(op, GluingWord(word.word), orientable) for op in OPS}
     for order in itertools.permutations(OPS):

@@ -3,17 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pincover import pin2
 from pincover.clifford import geometric_product, orthogonal_matrix
 from pincover.pin2 import (
+    EVEN,
+    KINDS,
     ODD,
     PIN_MINUS,
     PIN_PLUS,
     ZERO_ANGLE,
     AngleForm,
+    Pin2Element,
     angle,
     canonical_sign,
     compose,
@@ -275,3 +279,68 @@ def test_evaluate_is_the_float_sum_bit_for_bit(a, t, p):
     grid = np.linspace(-7, 7, 5)
     assert np.array_equal(a.evaluate(grid, p),
                           float(a.theta) * grid + float(a.phi) * p + float(a.const) * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# Pin2Element: the group laws on random elements, and mul against sympy
+
+parities = st.sampled_from((EVEN, ODD))
+
+
+def elements(kind):
+    """Elements of one kind, of either parity, at random rational angle forms."""
+    return st.builds(Pin2Element, st.just(kind), parities, forms)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(KINDS).flatmap(lambda kind: st.tuples(*[elements(kind)] * 3)))
+def test_group_laws_on_random_elements(xyz):
+    x, y, z = xyz
+    unit = one(x.kind)
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, inverse(x)) == unit == mul(inverse(x), x)
+    assert mul(unit, x) == x == mul(x, unit)
+    assert mul(-x, y) == -mul(x, y) == mul(x, -y)
+
+
+THETA, PHI = sympy.symbols("theta phi", real=True)
+
+
+def symbolic(x):
+    """x as {blade: sympy coefficient}, blades 0b00 .. 0b11 for 1, e1, e2, e1e2."""
+    a = x.angle
+    t = sum(sympy.Rational(c.numerator, c.denominator) * v
+            for c, v in ((a.theta, THETA), (a.phi, PHI), (a.const, sympy.pi)))
+    if x.parity == EVEN:
+        return {0b00: sympy.cos(t), 0b11: sympy.sin(t)}
+    return {0b01: sympy.cos(t), 0b10: sympy.sin(t)}
+
+
+def blade_product(a, b, square):
+    """(sign, blade) with e_a e_b = sign e_blade, e1^2 = e2^2 = square: an e2 of
+    a passes an e1 of b once, and each shared generator squares."""
+    return (-1) ** (a >> 1 & b & 1) * square ** (a & b).bit_count(), a ^ b
+
+
+# pi coefficients whose sums have cosines sympy writes in radicals
+pi_coefficients = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KINDS), parities, parities, pi_coefficients, pi_coefficients)
+def test_mul_is_the_trigonometric_product_in_the_clifford_plane(kind, px, py, b, c):
+    """x at theta + b pi times y at phi + c pi, expanded in Cl(2,0) (pin+) or
+    Cl(0,2) (pin-), is mul(x, y) in sympy's trigonometric expansion.  theta and
+    phi stay free symbols, so mul's closed form holds at every pair of angles,
+    and with them at any two angle forms."""
+    square = 1 if kind == PIN_PLUS else -1
+    x = Pin2Element(kind, px, angle(theta=1, const=b))
+    y = Pin2Element(kind, py, angle(phi=1, const=c))
+    want = dict.fromkeys(range(4), 0)
+    for blade_x, cx in symbolic(x).items():
+        for blade_y, cy in symbolic(y).items():
+            sign, blade = blade_product(blade_x, blade_y, square)
+            want[blade] += sign * cx * cy
+    got = symbolic(mul(x, y))
+    for blade, value in want.items():
+        assert sympy.expand(sympy.expand_trig(value - got.get(blade, 0))) == 0, blade

@@ -18,6 +18,7 @@ from pincover.surface import (
     jacobian,
     orientation_double_cover,
 )
+from test_kernel_references import _ref_is_orientable
 from test_pin2 import J2
 
 F = Fraction
@@ -144,18 +145,23 @@ def test_moebius_deck_involution():
 def test_family_cover_has_no_geometry():
     cover = orientation_double_cover(build("n(2,1)"))
     assert cover.total.name == "sigma(4)"
-    assert not cover.has_geometry()
+    assert cover.deck is None
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_family_cover_genus_from_euler_characteristic_matches_homology(k):
-    """The cover is named by (2 - chi) / 2; its free H1 rank is twice that genus."""
-    for g in range(1, 17):
+    """The cover is named sigma(1 - chi) from the base.  The mechanical cover
+    complex is orientable, of Euler characteristic 2 chi, and its free H1 rank
+    is twice that genus."""
+    for g in [*range(1, 17), GENUS_LIMIT]:
         model = build(f"n({g},{k})")
+        chi = model.euler_characteristic()
         total = orientation_double_cover_complex(model.word).total
+        assert _ref_is_orientable(total.faces)
+        assert total.euler_characteristic() == 2 * chi
         genus = homology_groups(total).h1[0] // 2
-        assert orientation_double_cover(model).total.name == f"sigma({genus})"
-        assert genus == 2 * g + k - 1
+        assert orientation_double_cover(model).total.name == f"sigma({1 - chi})"
+        assert genus == 1 - chi == 2 * g + k - 1
 
 
 def test_double_of_cylinder():
