@@ -272,18 +272,55 @@ def nullspace_rows(rows: list[int], cols: int) -> list[int]:
 
 
 def solve_rows(rows: list[int], rhs: int, cols: int) -> int | None:
-    """x with rows . x = rhs over GF(2), bit i of rhs for row i, or None."""
-    reduced, pivots = gf2_row_reduce([row | (rhs >> i & 1) << cols
-                                      for i, row in enumerate(rows)])
-    if pivots and pivots[-1] == cols:
-        return None
-    return sum((row >> cols & 1) << p for row, p in zip(reduced, pivots))
+    """x with rows . x = rhs over GF(2), bit i of rhs for row i, or None.
+
+    The rows are eliminated forward only, with the rhs bit carried in column
+    cols, and the first row left with nothing but that bit ends the solve.  The
+    stored rows are triangular (a row's pivot is its lowest bit), so the one
+    solution with every free column 0 is back-substituted, highest pivot first:
+    the solution the reduced row echelon form reads off.
+    """
+    stored: dict[int, int] = {}  # pivot column -> row, free of the pivots stored before it
+    pivot_mask = 0
+    for i, row in enumerate(rows):
+        vec = row | (rhs >> i & 1) << cols
+        while m := vec & pivot_mask:
+            vec ^= stored[(m & -m).bit_length() - 1]
+        if vec:
+            low = vec & -vec
+            if low >> cols:
+                return None  # 0 = 1
+            stored[low.bit_length() - 1] = vec
+            pivot_mask |= low
+    x = 0
+    for p in sorted(stored, reverse=True):
+        # the row's other bits are higher pivots, solved already, or free columns, 0
+        row = stored[p]
+        x |= ((row >> cols ^ (row & x).bit_count()) & 1) << p
+    return x
 
 
 # ---------------------------------------------------------------------------
 # polygon complexes
 
 Occurrence = tuple[str, int]  # (edge name, +1 | -1)
+
+
+def _refusal(word: tuple[Occurrence, ...], boundary_letters: frozenset[str]) -> str:
+    """Why a gluing word is refused, built only when it is: an exponent other
+    than +-1 anywhere, else the first letter (in order of first occurrence)
+    with a wrong count, else the boundary letters that do not occur."""
+    if any(exp not in (1, -1) for _, exp in word):
+        return "exponents must be +-1"
+    counts: dict[str, int] = {}
+    for name, _ in word:
+        counts[name] = counts.get(name, 0) + 1
+    for name, n in counts.items():
+        expected = 1 if name in boundary_letters else 2
+        if n != expected:
+            return f"letter {name} occurs {n} times, expected {expected}"
+    absent = sorted(boundary_letters - counts.keys())
+    return f"boundary letter {', '.join(absent)} does not occur in the word"
 
 
 class GluingWord(Frozen):
@@ -299,26 +336,35 @@ class GluingWord(Frozen):
 
     def __init__(self, word: tuple[Occurrence, ...],
                  boundary_letters: frozenset[str] = frozenset()):
-        exponents: dict[str, list[int]] = {}  # letter -> its exponents, in word order
-        for name, exp in word:
-            if exp not in (1, -1):
-                raise ValueError("exponents must be +-1")
-            exponents.setdefault(name, []).append(exp)
+        # One pass: a letter is numbered at its first occurrence, where its
+        # exponent is checked and kept open; the second occurrence checks its
+        # exponent against the open one and zeroes it.  A third occurrence
+        # meets a zero and is refused, or lengthens the word past 2n - b; the
+        # letters left open must be the boundary letters.
+        index: dict[str, int] = {}  # letter -> its number, in order of first occurrence
+        open_exps: list[int] = []
         one_sided = 0
-        for i, (name, exps) in enumerate(exponents.items()):
-            expected = 1 if name in boundary_letters else 2
-            if len(exps) != expected:
-                raise ValueError(f"letter {name} occurs {len(exps)} times, expected {expected}")
-            if expected == 2 and exps[0] == exps[1]:
+        for name, exp in word:
+            i = index.get(name)
+            if i is None:
+                if exp != 1 and exp != -1:
+                    raise ValueError(_refusal(word, boundary_letters))
+                index[name] = len(open_exps)
+                open_exps.append(exp)
+            elif exp == open_exps[i]:
                 one_sided |= 1 << i
-        absent = sorted(boundary_letters - exponents.keys())
-        if absent:
-            raise ValueError(f"boundary letter {', '.join(absent)} does not occur in the word")
+                open_exps[i] = 0
+            elif exp == -open_exps[i]:
+                open_exps[i] = 0
+            else:
+                raise ValueError(_refusal(word, boundary_letters))
+        if (len(word) + len(boundary_letters) != 2 * len(open_exps)
+                or set(compress(index, open_exps)) != boundary_letters):
+            raise ValueError(_refusal(word, boundary_letters))
         self._set(word, boundary_letters)
         object.__setattr__(self, "one_sided", one_sided)
         object.__setattr__(self, "_complex", None)
-        # letter -> its number, in order of first occurrence
-        object.__setattr__(self, "_index", dict(zip(exponents, range(len(exponents)))))
+        object.__setattr__(self, "_index", index)
 
     @property
     def complex(self) -> PolygonComplex:

@@ -37,6 +37,7 @@ from .surface import (
     SurfaceModel,
     build,
     double,
+    family_cover_name,
     jacobian,
     orientation_double_cover,
 )
@@ -195,10 +196,12 @@ def descend(base: SurfaceModel, kind: str) -> DescentReport:
     report = obstructions(base)
     exists = report.pin_plus_exists if kind == pin2.PIN_PLUS else report.pin_minus_exists
     torsor = report.count_pin_plus if kind == pin2.PIN_PLUS else report.count_pin_minus
-    cover = orientation_double_cover(base)
-    if cover.deck is None:
-        return DescentReport(base.name, cover.total.name, kind, "count-only",
+    if base.deck is None:
+        # a family base has no geometric deck, and the report reads only the
+        # cover's name, so no cover model is built
+        return DescentReport(base.name, family_cover_name(base), kind, "count-only",
                              {}, (), torsor, torsor, exists, True)
+    cover = orientation_double_cover(base)
     lifts = _lift_table(cover.deck, kind)
     squares = {label: res.square for label, res in lifts.items() if res.exists}
     qualifying = tuple(label for label, res in lifts.items() if res.descends)

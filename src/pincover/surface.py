@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from . import pin2
-from .homology import GluingWord, PolygonComplex
+from .homology import GluingWord, Occurrence, PolygonComplex
 from .pin2 import O2PathElement, angle, frac, reflection
 from .records import Frozen, Record
 
@@ -226,15 +226,25 @@ def _geometric_models() -> dict[str, SurfaceModel]:
 MODELS = _geometric_models()
 
 
-def _family_word(g: int, tail: str = "") -> GluingWord:
-    """g handles a_i b_i a_i' b_i', then the tail's letters."""
-    handles = (f"a{i} b{i} a{i}' b{i}'" for i in range(1, g + 1))
-    return GluingWord.parse(" ".join((*handles, tail)))
+def _family_word(g: int, tail: tuple[Occurrence, ...] = ()) -> GluingWord:
+    """g handles a_i b_i a_i' b_i', then the tail's occurrences."""
+    occs: list[Occurrence] = []
+    for i in range(1, g + 1):
+        a, b = f"a{i}", f"b{i}"
+        occs += (a, 1), (b, 1), (a, -1), (b, -1)
+    occs += tail
+    return GluingWord(tuple(occs))
+
+
+def _sigma_name(g: int) -> str:
+    """The canonical name of the closed orientable model of genus g: the named
+    models s2 and t2 at genus 0 and 1, the family's sigma(g) above."""
+    return "s2" if g == 0 else "t2" if g == 1 else f"sigma({g})"
 
 
 def _sigma(g: int, name: str) -> SurfaceModel:
     if g <= 1:
-        return MODELS["s2" if g == 0 else "t2"]
+        return MODELS[_sigma_name(g)]
     return SurfaceModel(name, FAMILY_ONLY, _family_word(g), True, 0, genus=g)
 
 
@@ -265,7 +275,7 @@ def build(name: str) -> SurfaceModel:
     k = int(k)
     if g == 0:
         return MODELS["rp2" if k == 1 else "k2"]
-    tail = "x x" if k == 1 else "c d c d'"
+    tail = (("x", 1), ("x", 1)) if k == 1 else (("c", 1), ("d", 1), ("c", 1), ("d", -1))
     return SurfaceModel(key, FAMILY_ONLY, _family_word(g, tail), False, 0, genus=g, cross_caps=k)
 
 
@@ -283,14 +293,25 @@ class OrientationCover(Frozen):
     __slots__ = ("base", "total", "deck")
 
 
+def _cover_genus(x: SurfaceModel) -> int:
+    """The genus of the orientation double cover of a closed non-orientable
+    model, read from its chi alone: the cover of N_h is Sigma_{h-1}, of Euler
+    characteristic 2 chi, so its genus is 1 - chi.  It may exceed GENUS_LIMIT."""
+    return 1 - x.euler_characteristic()
+
+
+def family_cover_name(x: SurfaceModel) -> str:
+    """The name of `orientation_double_cover(x).total` for a model with no
+    deck, with no cover model built."""
+    return _sigma_name(_cover_genus(x))
+
+
 def orientation_double_cover(x: SurfaceModel) -> OrientationCover:
     if x.orientable:
         raise ValueError(f"{x.name} is already orientable")
     if x.deck is None:
-        # the cover of N_h is Sigma_{h-1}, of Euler characteristic 2 chi, so its
-        # genus is 1 - chi; it may exceed GENUS_LIMIT
-        genus = 1 - x.euler_characteristic()
-        return OrientationCover(x, _sigma(genus, f"sigma({genus})"), None)
+        genus = _cover_genus(x)
+        return OrientationCover(x, _sigma(genus, _sigma_name(genus)), None)
     return OrientationCover(x, x.deck.domain, x.deck)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pincover import characteristic
+from pincover import characteristic, homology
 from pincover.characteristic import chord_gram_matrix, obstructions, w1, w1_cup_w1, w2
 from pincover.homology import (
     GluingWord,
@@ -246,6 +246,20 @@ def test_w1_on_equal_but_distinct_words():
             assert (w1(a), w1_cup_w1(a)) == (w1(b), w1_cup_w1(b))
         assert w1_coordinates(twin, w1(twin)) == cover_w1_coordinates(model)
         assert obstructions(twin).as_dict() == obstructions(model).as_dict()
+
+
+def test_wu_solve_runs_no_row_reduction(monkeypatch):
+    # solve_rows eliminates forward only and back-substitutes one solution
+    models = [build(name) for name in ("k2", "n(3,1)", "n(8,2)")]
+    want = [w1(model) for model in models]
+
+    def refuse(_):
+        raise AssertionError("gf2_row_reduce called")
+
+    monkeypatch.setattr(homology, "gf2_row_reduce", refuse)
+    for model, klass in zip(models, want):
+        twin = model._replace(word=GluingWord(model.word.word))  # a word not solved yet
+        assert w1(twin) == klass
 
 
 # ---------------------------------------------------------------------------

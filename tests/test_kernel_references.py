@@ -2,7 +2,7 @@
 
 ``PolygonComplex`` (edge listing, corner union, vertex numbering, and the
 boundary matrices and packed rows of its one corner pass),
-``orientation_double_cover_complex``, ``gf2_row_reduce``,
+``orientation_double_cover_complex``, ``gf2_row_reduce``, ``solve_rows``,
 ``smith_normal_form`` (and the invariant factors alone),
 ``homology_groups`` (from the factors of d2's transpose), ``H1Basis``,
 ``b1_mod2`` (by universal coefficients, against the GF(2) ranks and
@@ -30,7 +30,7 @@ from itertools import compress, repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pincover import acceptance, clifford, homology, pin2
@@ -64,6 +64,7 @@ from pincover.homology import (
     orientation_double_cover_complex,
     smith_normal_form,
     solve_integer,
+    solve_rows,
     zeros,
 )
 from pincover.pin2 import EVEN, KINDS, ODD, PIN_PLUS, Pin2Element, angle, at, evaluate
@@ -235,22 +236,25 @@ def _ref_same_exponent(word, letter):
     return len(exps) == 2 and exps[0] == exps[1]
 
 
-def _ref_gluing_word_refusal(word, boundary_letters):
-    """The message GluingWord's first constructor raised for (word, boundary
-    letters), or None where it accepted them."""
-    exponents: dict[str, list[int]] = {}
+def _ref_gluing_word(word, boundary_letters):
+    """GluingWord's first constructor, in three passes: (letters, one_sided) of
+    an accepted word; a refused word raises its ValueError."""
+    exponents: dict[str, list[int]] = {}  # letter -> its exponents, in word order
     for name, exp in word:
         if exp not in (1, -1):
-            return "exponents must be +-1"
+            raise ValueError("exponents must be +-1")
         exponents.setdefault(name, []).append(exp)
-    for name, exps in exponents.items():
+    one_sided = 0
+    for i, (name, exps) in enumerate(exponents.items()):
         expected = 1 if name in boundary_letters else 2
         if len(exps) != expected:
-            return f"letter {name} occurs {len(exps)} times, expected {expected}"
+            raise ValueError(f"letter {name} occurs {len(exps)} times, expected {expected}")
+        if expected == 2 and exps[0] == exps[1]:
+            one_sided |= 1 << i
     absent = sorted(boundary_letters - exponents.keys())
     if absent:
-        return f"boundary letter {', '.join(absent)} does not occur in the word"
-    return None
+        raise ValueError(f"boundary letter {', '.join(absent)} does not occur in the word")
+    return list(exponents), one_sided
 
 
 def _ref_orientation_double_cover(word):
@@ -291,6 +295,16 @@ def _ref_gf2_row_reduce(a):
             rows[low] = vec
     bits = sorted(rows)
     return [rows[b] for b in bits], [b.bit_length() - 1 for b in bits]
+
+
+def _ref_solve_rows(rows, rhs, cols):
+    """solve_rows's first version: the full reduced row echelon form of the
+    augmented rows, the solution read off it with every free column 0."""
+    reduced, pivots = gf2_row_reduce([row | (rhs >> i & 1) << cols
+                                      for i, row in enumerate(rows)])
+    if pivots and pivots[-1] == cols:
+        return None
+    return sum((row >> cols & 1) << p for row, p in zip(reduced, pivots))
 
 
 def _ref_smith_normal_form(a: list[list[int]]):
@@ -1008,21 +1022,28 @@ def any_words(draw):
     return word, boundary
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.one_of(any_words(), gluing_faces(max_faces=1).map(lambda fb: (fb[0][0], fb[1]))))
+@example(((("a", 1), ("a", 1), ("a", 0)), frozenset()))  # a zero exponent at a closed letter
+@example(((("a", 1), ("a", -1), ("a", 1)), frozenset()))  # a third occurrence
+@example(((("a", 1), ("a", 1), ("b", 1)), frozenset()))  # a letter left open
+@example(((("a", 1), ("b", 1), ("b", 1)), frozenset("ab")))  # a boundary letter closed
+@example(((("a", 1), ("a", 2)), frozenset()))  # a bad exponent second
+@example(((("a", 1), ("a", -1)), frozenset("z")))  # a boundary letter absent
+@example(((("b", 1), ("a", 1), ("a", 1), ("a", 1), ("c", 1)), frozenset("b")))
 def test_gluing_word_matches_reference(wb):
     word, boundary = wb
-    refusal = _ref_gluing_word_refusal(word, boundary)
-    if refusal is not None:
+    try:
+        want = _ref_gluing_word(word, boundary)
+    except ValueError as refused:
         with pytest.raises(ValueError) as caught:
             GluingWord(word, boundary)
-        assert str(caught.value) == refusal
+        assert str(caught.value) == str(refused)
         return
     w = GluingWord(word, boundary)
-    assert w.letters == list(_ref_exponents(w))
-    for i, g in enumerate(w.letters):
-        assert _ref_same_exponent(w, g) == bool(w.one_sided >> i & 1)
-    assert w.one_sided < 1 << len(w.letters)
+    assert (w.word, w.boundary_letters) == (word, boundary)
+    assert (w.letters, w.one_sided) == want
+    assert w._index == dict(zip(w.letters, range(len(w.letters))))
 
 
 # ---------------------------------------------------------------------------
@@ -1112,6 +1133,39 @@ def test_gf2_row_reduce_matches_reference_on_dependent_rows(basis, data):
     picks = data.draw(st.lists(st.lists(st.sampled_from(basis), max_size=4), max_size=30))
     rows = basis + [functools.reduce(operator.xor, p, 0) for p in picks]
     assert gf2_row_reduce(rows) == _ref_gf2_row_reduce(rows)
+
+
+# solve_rows
+
+
+@st.composite
+def gf2_systems(draw):
+    """(rows, rhs, cols): random rows, or XORs of a few basis rows (rank
+    deficient), with a random rhs (often inconsistent) or one in the image."""
+    cols = draw(st.integers(0, 70))
+    row = st.integers(0, (1 << cols) - 1)
+    rows = draw(st.lists(row, max_size=30))
+    if rows and draw(st.booleans()):
+        picks = draw(st.lists(st.lists(st.sampled_from(rows), max_size=4), max_size=30))
+        rows = rows[:draw(st.integers(1, len(rows)))] + [
+            functools.reduce(operator.xor, p, 0) for p in picks]
+        rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        x = draw(row)
+        rhs = sum(((r & x).bit_count() & 1) << i for i, r in enumerate(rows))
+    else:
+        rhs = draw(st.integers(0, (1 << len(rows)) - 1)) if rows else 0
+    return rows, rhs, cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(gf2_systems())
+def test_solve_rows_matches_reference(system):
+    rows, rhs, cols = system
+    x = solve_rows(rows, rhs, cols)
+    assert x == _ref_solve_rows(rows, rhs, cols)
+    if x is not None:
+        assert all((r & x).bit_count() & 1 == rhs >> i & 1 for i, r in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------

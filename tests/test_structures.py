@@ -17,7 +17,9 @@ from pincover.structures import (
     periodic_vars,
     pullback,
 )
-from pincover.surface import build, cover_diagram, orientation_double_cover
+from pincover.homology import GluingWord
+from pincover.surface import FAMILY_ONLY, GENUS_LIMIT, SurfaceModel, build, cover_diagram, \
+    orientation_double_cover
 from test_pin2 import o2_matrix, project
 
 F = Fraction
@@ -173,6 +175,43 @@ def test_descend_count_only_families():
     assert rep_plus.count == 0  # chi odd: no pin+
     rep22 = descend(build("n(2,2)"), PIN_PLUS)
     assert rep22.count == 2 ** (2 * 2 + 2)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_family_descend_names_the_cover_by_the_classification(k):
+    # N_h with h = 2g + k cross-caps is covered by Sigma_{h-1}
+    for g in range(1, GENUS_LIMIT + 1):
+        for kind in KINDS:
+            rep = descend(build(f"n({g},{k})"), kind)
+            assert (rep.mode, rep.cover) == ("count-only", f"sigma({2 * g + k - 1})")
+
+
+@pytest.mark.parametrize("text, cover", [("x x", "s2"), ("a b a b'", "t2")])
+def test_family_only_rp2_and_k2_keep_the_named_covers(text, cover):
+    # genus 0 and 1 are the named models, not sigma(0) and sigma(1)
+    base = SurfaceModel(f"hand-{cover}", FAMILY_ONLY, GluingWord.parse(text), False, 0)
+    assert orientation_double_cover(base).total.name == cover
+    for kind in KINDS:
+        rep = descend(base, kind)
+        assert (rep.mode, rep.cover) == ("count-only", cover)
+
+
+def test_family_descend_builds_no_gluing_word(monkeypatch):
+    bases = [build(name) for name in ("n(1,1)", "n(2,2)", "n(16,2)", f"n({GENUS_LIMIT},1)")]
+    built = []
+    init = GluingWord.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GluingWord, "__init__", counting)
+    for base in bases:
+        for kind in KINDS:
+            descend(base, kind)
+    assert built == []
+    orientation_double_cover(bases[1])  # the counter does count a cover build
+    assert len(built) == 1
 
 
 def test_descend_rejects_orientable():
