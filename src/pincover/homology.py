@@ -23,24 +23,6 @@ def zeros(rows: int, cols: int) -> list[list[int]]:
     return [[0] * cols for _ in range(rows)]
 
 
-def identity(n: int) -> list[list[int]]:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for ai, oi in zip(a, out):
-        for k in compress(range(inner), ai):
-            bk = b[k]
-            for j in range(cols):
-                oi[j] += ai[k] * bk[j]
-    return out
-
-
 def _pivot(d: list[list[int]], t: int):
     """(|entry|, i, j) of the smallest nonzero entry of the block d[t:, t:],
     first in row-major order, or None when the block is zero."""
@@ -113,51 +95,52 @@ def _eliminate(d: list[list[int]]):
         t += 1
 
 
-def _row_step(m: list[list[int]], i: int, j: int, q: int | None):
-    """Add q times row i of m to row j, or swap the two when q is None."""
+def _step(vecs: list[dict[int, int]], i: int, j: int, q: int | None):
+    """Add q times vector i to vector j, or swap the two when q is None; an
+    entry that cancels is dropped.  Vector j is built afresh, so i == j (the
+    negation) reads vector i whole before it is replaced."""
     if q is None:
-        m[i], m[j] = m[j], m[i]
-    else:
-        m[j] = [x + q * y for x, y in zip(m[j], m[i])]
-
-
-def _column_step(m: list[list[int]], i: int, j: int, q: int | None):
-    """Add q times column i of m to column j, or swap the two when q is None."""
-    if q is None:
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-    else:
-        for row in m:
-            row[j] += q * row[i]
+        vecs[i], vecs[j] = vecs[j], vecs[i]
+        return
+    out = dict(vecs[j])
+    for k, x in vecs[i].items():
+        if y := out.get(k, 0) + q * x:
+            out[k] = y
+        else:
+            del out[k]
+    vecs[j] = out
 
 
 def smith_normal_form(a: list[list[int]]):
     """U, D, V, U^-1, V^-1 with U*a*V = D diagonal, divisibility chain, U and V
     unimodular: one elimination of a, each row step replayed onto U and undone
-    on the columns of U^-1, each column step onto V and undone on the rows of V^-1."""
+    on U^-1, each column step replayed onto V and undone on V^-1.
+
+    D is a's dense copy, eliminated; the factors are sparse vectors {index:
+    value}, U and V^-1 by rows and V and U^-1 by columns, so that every step
+    is one vector update on each factor it touches."""
     d = [row[:] for row in a]
     rows, cols = len(d), len(d[0]) if d else 0
-    u, v, u_inv, v_inv = identity(rows), identity(cols), identity(rows), identity(cols)
+    u, u_inv = [{i: 1} for i in range(rows)], [{i: 1} for i in range(rows)]
+    v, v_inv = [{i: 1} for i in range(cols)], [{i: 1} for i in range(cols)]
     for on_rows, i, j, q in _eliminate(d):
         # a swap and the negation (t, t, -2) undo themselves; adding q times
         # i to j is undone by adding -q times j to i
         undo = (i, j, q) if q is None or i == j else (j, i, -q)
-        if on_rows:
-            _row_step(u, i, j, q)
-            _column_step(u_inv, *undo)
-        else:
-            _column_step(v, i, j, q)
-            _row_step(v_inv, *undo)
+        factor, inverse = (u, u_inv) if on_rows else (v, v_inv)
+        _step(factor, i, j, q)
+        _step(inverse, *undo)
     return u, d, v, u_inv, v_inv
 
 
-def _columns(a: list[list[int]]) -> list[dict[int, int]]:
-    """A matrix given by rows as sparse columns: {row: value} of each column's nonzeros."""
-    cols: list[dict[int, int]] = [{} for _ in range(len(a[0]) if a else 0)]
-    for i, row in enumerate(a):
-        for j in compress(range(len(row)), row):
-            cols[j][i] = row[j]
-    return cols
+def _transpose(vecs: list[dict[int, int]], n: int) -> list[dict[int, int]]:
+    """The n columns of a matrix given by its rows as sparse vectors, or its n
+    rows given its columns."""
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, vec in enumerate(vecs):
+        for j, x in vec.items():
+            out[j][i] = x
+    return out
 
 
 def _apply(m: list[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
@@ -191,7 +174,7 @@ def solve_integer(a: list[list[int]], b: list[dict[int, int]]) -> list[dict[int,
     past the rank must vanish and each other must be divisible by its d_i.
     """
     u, d, v, _, _ = smith_normal_form(a)
-    u, v = _columns(u), _columns(v)
+    u = _transpose(u, len(u))  # by columns, for U * b
     out = []
     for col in b:
         y = {}
@@ -545,13 +528,15 @@ class H1Basis:
     of d1 to its (free, torsion) coordinate vector.  Two Smith forms, with
     their inverse factors, give everything: d1's gives the kernel lattice K and
     a left inverse W of it, and that of W * d2 gives ux.  The coordinate map
-    ux * W and the generators K * ux^-1 are sparse columns, so a chain costs
-    the nonzeros it meets.
+    ux * W and the generators K * ux^-1 are sparse, and a 1-chain is a dict
+    {edge: coefficient}, so a chain costs the nonzeros it meets.
     """
 
     def __init__(self, d1: list[list[int]], d2: list[list[int]]):
-        n_edges = len(d2)
-        if any(any(row) for row in mat_mul(d1, d2)):
+        n_edges, n_faces = len(d2), len(d2[0]) if d2 else 0
+        d2_rows = [{f: x for f, x in enumerate(row) if x} for row in d2]
+        self._d1 = _transpose([{e: x for e, x in enumerate(row) if x} for row in d1], n_edges)
+        if any(any(_apply(self._d1, col).values()) for col in _transpose(d2_rows, n_faces)):
             raise ValueError("d1 * d2 != 0")
         _, dd1, v1, _, v1_inv = smith_normal_form(d1)
         rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
@@ -559,38 +544,38 @@ class H1Basis:
         # V1 past it span the kernel lattice K (saturated, full column rank) and
         # the rows of V1^-1 past it are a left inverse W of K: z = K * W * z for
         # every cycle z, so W * d2 is d2 in the basis K
-        kernel = _columns([row[rank1:] for row in v1])
-        w = v1_inv[rank1:]
-        ux, dx, _, ux_inv, _ = smith_normal_form(mat_mul(w, d2))
-        ux = _columns(ux)
-        self._d1 = _columns(d1)
+        kernel, w = v1[rank1:], v1_inv[rank1:]
+        w_d2 = (_apply(d2_rows, row) for row in w)
+        ux, dx, _, ux_inv, _ = smith_normal_form([[r.get(f, 0) for f in range(n_faces)]
+                                                  for r in w_d2])
         self._n_edges = n_edges
-        # ux * W has no columns when K is 0, but then 0 is the only cycle
-        self._coordinate_map = [_apply(ux, col) for col in _columns(w)]
-        self._generators = [_apply(kernel, col) for col in _columns(ux_inv)]
+        # ux * W by columns, one per edge, for the coordinates of a chain
+        self._coordinate_map = _transpose([_apply(w, row) for row in ux], n_edges)
         self.orders = [row[i] if i < len(row) else 0 for i, row in enumerate(dx)]
         self.free_indices = [i for i, o in enumerate(self.orders) if o == 0]
         self.torsion_indices = [i for i, o in enumerate(self.orders) if o > 1]
         self.free_rank = len(self.free_indices)
         self.torsion = tuple(self.orders[i] for i in self.torsion_indices)
+        # the generators, free first, then torsion: the columns of K * ux^-1
+        # whose order is not 1
+        self._generators = [{e: c for e, c in _apply(kernel, ux_inv[i]).items() if c}
+                            for i in self.free_indices + self.torsion_indices]
 
-    def coordinates(self, chain: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if len(chain) != self._n_edges:
-            raise ValueError(f"a 1-chain has {self._n_edges} entries, got {len(chain)}")
-        z = {j: chain[j] for j in compress(range(len(chain)), chain)}
-        if any(_apply(self._d1, z).values()):
+    def coordinates(self, chain: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The (free, torsion) coordinates of a 1-cycle given as {edge: coefficient}."""
+        if any(not 0 <= e < self._n_edges for e in chain):
+            raise ValueError(f"a 1-chain's edges are 0 to {self._n_edges - 1}")
+        if any(_apply(self._d1, chain).values()):
             raise ValueError("chain is not a 1-cycle")
-        c = _apply(self._coordinate_map, z)
+        c = _apply(self._coordinate_map, chain)
         free = tuple(map(c.get, self.free_indices, repeat(0)))
         tors = tuple(c.get(i, 0) % self.orders[i] for i in self.torsion_indices)
         return free, tors
 
-    def representative(self, index: int) -> list[int]:
-        """1-chain representing the index-th generator (free first, then torsion)."""
-        chain = [0] * self._n_edges
-        for e, c in self._generators[(self.free_indices + self.torsion_indices)[index]].items():
-            chain[e] = c
-        return chain
+    def representative(self, index: int) -> dict[int, int]:
+        """A 1-cycle {edge: coefficient} representing the index-th generator (free
+        first, then torsion), the caller's to change."""
+        return dict(self._generators[index])
 
 
 def homology_groups(cx: PolygonComplex) -> GradedGroups:
@@ -629,10 +614,11 @@ def homology_groups(cx: PolygonComplex) -> GradedGroups:
 
 
 def b1_mod2(cx: PolygonComplex) -> int:
-    """dim H1(X, Z2): H1's free rank plus its even torsion factors, by universal
-    coefficients (H1(X, Z2) = H1 (x) Z2 (+) Tor(H0, Z2), and H0 is free)."""
-    free, torsion = homology_groups(cx).h1
-    return free + sum(1 for t in torsion if t % 2 == 0)
+    """dim H1(X, Z2) = E - rank d1 - rank d2 over GF(2), from the corner pass:
+    rank d1 = V - c (a graph's incidence matrix, over any field) and rank d2
+    is that of the packed d2 rows."""
+    rank_d2 = len(gf2_row_reduce(cx._d2_rows)[1])
+    return len(cx.edges) - (cx.vertex_count - cx.component_count) - rank_d2
 
 
 # ---------------------------------------------------------------------------
@@ -735,13 +721,10 @@ def induced_maps(cover: CoverData) -> InducedMaps:
     image = [base_idx[cover.edge_map[name]] for name in total.edges]
     n_total_gens = total_basis.free_rank + len(total_basis.torsion)
     n_base_gens = base_basis.free_rank + len(base_basis.torsion)
+    projection = [{b: 1} for b in image]  # pi on 1-chains, as sparse columns
     push = zeros(n_base_gens, n_total_gens)
     for j in range(n_total_gens):
-        chain = total_basis.representative(j)
-        pushed = [0] * len(base.edges)
-        for e in compress(range(len(chain)), chain):
-            pushed[image[e]] += chain[e]
-        free, tors = base_basis.coordinates(pushed)
+        free, tors = base_basis.coordinates(_apply(projection, total_basis.representative(j)))
         for i, val in enumerate(free + tors):
             push[i][j] = val
     orders = [0] * base_basis.free_rank + list(base_basis.torsion)

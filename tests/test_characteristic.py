@@ -16,7 +16,7 @@ from pincover.homology import (
     solve_rows,
 )
 from pincover.surface import FAMILY_ONLY, SurfaceModel, build
-from test_homology import pack_rows
+from test_kernel_references import pack_rows
 
 # ---------------------------------------------------------------------------
 # independent oracle: simplicial Z2 cohomology with cup products

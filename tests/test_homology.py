@@ -20,9 +20,7 @@ from pincover.homology import (
     gf2_row_reduce,
     h1_z2_basis,
     homology_groups,
-    identity,
     induced_maps,
-    mat_mul,
     nullspace_rows,
     orientation_double_cover_complex,
     smith_normal_form,
@@ -31,6 +29,8 @@ from pincover.homology import (
 )
 from pincover.structures import descend
 from pincover.surface import FAMILY_ONLY, SurfaceModel
+from test_kernel_references import _ref_dense_smith_normal_form, dense_factors, identity, \
+    mat_mul, pack_rows
 from test_pinned_answers import canonical_word, relabel
 
 T2 = GluingWord.parse("a b a' b'")
@@ -84,12 +84,6 @@ def mat_det(a):
     return sign * m[n - 1][n - 1] if n else 1
 
 
-def pack_rows(matrix):
-    """Rows of an integer matrix, read mod 2, as ints: the dense reference
-    for the rows homology packs straight from the cells."""
-    return [sum(1 << j for j, e in enumerate(row) if e % 2) for row in matrix]
-
-
 def gf2_rank(a):
     """The GF(2) rank of a dense integer matrix, read mod 2."""
     return len(gf2_row_reduce(pack_rows(a))[1])
@@ -100,7 +94,7 @@ def gf2_rank(a):
 
 
 def check_snf(a):
-    u, d, v, u_inv, v_inv = smith_normal_form(a)
+    u, d, v, u_inv, v_inv = dense_factors(a)
     assert mat_mul(mat_mul(u, a), v) == d
     assert mat_mul(u, u_inv) == identity(len(u))
     assert mat_mul(v, v_inv) == identity(len(v))
@@ -222,7 +216,7 @@ def _ref_sparse_mul(a, b):
 
 
 def _ref_factor(a):
-    u, d, v, _, _ = smith_normal_form(a)
+    u, d, v, _, _ = _ref_dense_smith_normal_form(a)
     return _ref_sparse(u), [d[i][i] for i in range(min(len(u), len(v)))], _ref_sparse(v)
 
 
@@ -463,11 +457,27 @@ def test_b1_mod2_torus_klein_and_rp2():
 @pytest.mark.parametrize("word_of", [sigma_word, n_g1_word, n_g2_word])
 @pytest.mark.parametrize("g", range(1, 7))
 def test_rank_path_and_basis_path_agree_on_b1_mod2(g, word_of):
-    """The integral ranks by universal coefficients and h1_z2_basis's basis give
-    one dim H1(., Z2), base and cover."""
+    """The GF(2) ranks, the integral groups by universal coefficients and
+    h1_z2_basis's basis give one dim H1(., Z2), base and cover."""
     cover = orientation_double_cover_complex(word_of(g))
     for cx in (cover.base, cover.total):
-        assert b1_mod2(cx) == len(h1_z2_basis(cx)[0])
+        free, torsion = homology_groups(cx).h1
+        even_torsion = sum(1 for t in torsion if t % 2 == 0)
+        assert b1_mod2(cx) == free + even_torsion == len(h1_z2_basis(cx)[0])
+
+
+def test_b1_mod2_runs_no_integral_elimination(monkeypatch):
+    # b1_mod2 reads the corner pass's counts and one GF(2) rank; it does not
+    # factor the complex over Z as homology_groups does
+    def refuse(*args):
+        raise AssertionError("b1_mod2 ran an integral elimination")
+
+    monkeypatch.setattr(homology, "homology_groups", refuse)
+    monkeypatch.setattr(homology, "_invariant_factors", refuse)
+    moebius = GluingWord.parse("a b a", boundary="b")
+    for word, b1 in ((T2, 2), (K2, 2), (RP2, 1), (S2, 0), (moebius, 1), (n_g2_word(4), 10)):
+        assert b1_mod2(PolygonComplex.from_word(word)) == b1
+    assert b1_mod2(orientation_double_cover_complex(n_g2_word(4)).total) == 18
 
 
 def orientable_closed(cx):
@@ -581,6 +591,27 @@ def test_coordinates_of_representatives_are_unit_vectors(word):
         assert list(free + tors) == [int(j == i) for j in range(n)]
 
 
+def test_representatives_are_fresh_sparse_cycles():
+    # a representative is the caller's {edge: coefficient} dict: changing it
+    # leaves the basis, and the next call, as they were
+    cx = orientation_double_cover_complex(n_g2_word(2)).total
+    basis = H1Basis(cx.d1(), cx.d2())
+    assert basis.free_rank
+    for i in range(basis.free_rank):
+        chain = basis.representative(i)
+        assert chain and all(0 <= e < len(cx.edges) and c for e, c in chain.items())
+        kept = dict(chain)
+        chain.clear()
+        assert basis.representative(i) == kept
+
+
+def test_h1_basis_checks_that_d1_d2_vanishes():
+    # one edge between two vertices bounding a face: d1 * d2 is that edge's ends
+    with pytest.raises(ValueError, match="d1 \\* d2 != 0"):
+        H1Basis([[-1], [1]], [[1]])
+    assert H1Basis([[-1], [1]], [[0]]).free_rank == 0
+
+
 def greedy_z2_basis(cx):
     """The nullspace cycles, in order, that the boundaries and earlier cycles do not span."""
     n = len(cx.edges)
@@ -620,25 +651,30 @@ def test_non_cycles_raise(word):
     non_cycles = [e for e in range(len(cx.edges)) if any(row[e] % 2 for row in d1)]
     assert non_cycles
     for e in non_cycles:
-        chain = [int(j == e) for j in range(len(cx.edges))]
         with pytest.raises(ValueError, match="not a cycle"):
             project(1 << e)
         with pytest.raises(ValueError, match="not a 1-cycle"):
-            basis.coordinates(chain)
-    with pytest.raises(ValueError, match="entries"):
-        basis.coordinates([0] * (len(cx.edges) + 1))
+            basis.coordinates({e: 1})
+    # an edge outside 0 .. E - 1 is refused, not read modulo E or past the end
+    for e in (len(cx.edges), -1):
+        with pytest.raises(ValueError, match="edges are 0 to"):
+            basis.coordinates({e: 0})
 
 
 def reference_push_z(cover):
-    """pi_* in canonical bases, with a fresh solve_integer (and SNF) per call."""
+    """pi_* in canonical bases, with a fresh dense Smith form and solve per
+    call: the reference shares no factor code with induced_maps."""
+
+    def solve_dense(a, b):
+        return _ref_back_substitute(_ref_factor(a), b)
 
     def basis_of(cx):
         d1, d2 = cx.d1(), cx.d2()
-        _, dd1, v1, _, _ = smith_normal_form(d1)
+        _, dd1, v1, _, _ = _ref_dense_smith_normal_form(d1)
         n_edges = len(d2)
         rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
         kernel = [row[rank1:] for row in v1]
-        ux, dx, _, _, _ = smith_normal_form(solve_dense(kernel, d2))
+        ux, dx, _, _, _ = _ref_dense_smith_normal_form(solve_dense(kernel, d2))
         k = len(kernel[0])
         orders = [dx[i][i] if i < min(len(dx), len(dx[0])) else 0 for i in range(k)]
         order = ([i for i in range(k) if orders[i] == 0]

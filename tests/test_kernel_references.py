@@ -3,10 +3,11 @@
 ``PolygonComplex`` (edge listing, corner union, vertex numbering, and the
 boundary matrices and packed rows of its one corner pass),
 ``orientation_double_cover_complex``, ``gf2_row_reduce``, ``solve_rows``,
-``smith_normal_form`` (and the invariant factors alone),
+``smith_normal_form`` (its sparse factors, written out dense, against the
+dense replay of the same steps; and the invariant factors alone),
 ``homology_groups`` (from the factors of d2's transpose), ``H1Basis``,
-``b1_mod2`` (by universal coefficients, against the GF(2) ranks and
-``h1_z2_basis``'s basis), ``GluingWord``'s checks and one-sided letters,
+``b1_mod2`` (from the GF(2) ranks, against the universal-coefficient count
+and ``h1_z2_basis``'s basis), ``GluingWord``'s checks and one-sided letters,
 ``chord_gram_matrix``, the pinor grid's node map and deck action, the
 report walk behind table and csv, the Clifford oracle
 (``geometric_product``, the ``Multivector`` operations,
@@ -51,19 +52,14 @@ from pincover.homology import (
     GradedGroups,
     H1Basis,
     PolygonComplex,
-    _apply,
-    _columns,
     _invariant_factors,
     b1_mod2,
     gf2_row_reduce,
     h1_z2_basis,
     homology_groups,
-    identity,
     induced_maps,
-    mat_mul,
     orientation_double_cover_complex,
     smith_normal_form,
-    solve_integer,
     solve_rows,
     zeros,
 )
@@ -74,7 +70,6 @@ from pincover.structures import enumerate_structures, lift_involution, tau_coord
 from pincover.surface import FAMILY_ONLY, SurfaceModel, build, cover_diagram, double, \
     orientation_double_cover
 from test_clifford import vector_part
-from test_homology import pack_rows
 from test_pinned_answers import canonical_word, relabel
 
 # ---------------------------------------------------------------------------
@@ -307,6 +302,102 @@ def _ref_solve_rows(rows, rhs, cols):
     return sum((row >> cols & 1) << p for row, p in zip(reduced, pivots))
 
 
+def identity(n: int) -> list[list[int]]:
+    m = zeros(n, n)
+    for i in range(n):
+        m[i][i] = 1
+    return m
+
+
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = zeros(rows, cols)
+    for ai, oi in zip(a, out):
+        for k in compress(range(inner), ai):
+            bk = b[k]
+            for j in range(cols):
+                oi[j] += ai[k] * bk[j]
+    return out
+
+
+def pack_rows(matrix):
+    """Rows of an integer matrix, read mod 2, as ints: the dense reference
+    for the rows homology packs straight from the cells."""
+    return [sum(1 << j for j, e in enumerate(row) if e % 2) for row in matrix]
+
+
+def _columns(a: list[list[int]]) -> list[dict[int, int]]:
+    """A matrix given by rows as sparse columns: {row: value} of each column's nonzeros."""
+    cols: list[dict[int, int]] = [{} for _ in range(len(a[0]) if a else 0)]
+    for i, row in enumerate(a):
+        for j in compress(range(len(row)), row):
+            cols[j][i] = row[j]
+    return cols
+
+
+def _ref_apply(m: list[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
+    """m * vec for m given as sparse columns and vec as {index: value}; the
+    result may hold zeros where terms cancel."""
+    out: dict[int, int] = {}
+    for j, c in vec.items():
+        for i, e in m[j].items():
+            out[i] = out.get(i, 0) + e * c
+    return out
+
+
+def _row_step(m: list[list[int]], i: int, j: int, q: int | None):
+    """Add q times row i of m to row j, or swap the two when q is None."""
+    if q is None:
+        m[i], m[j] = m[j], m[i]
+    else:
+        m[j] = [x + q * y for x, y in zip(m[j], m[i])]
+
+
+def _column_step(m: list[list[int]], i: int, j: int, q: int | None):
+    """Add q times column i of m to column j, or swap the two when q is None."""
+    if q is None:
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+    else:
+        for row in m:
+            row[j] += q * row[i]
+
+
+def _ref_dense_smith_normal_form(a: list[list[int]]):
+    """U, D, V, U^-1, V^-1 with U*a*V = D diagonal, divisibility chain, U and V
+    unimodular: one elimination of a, each row step replayed onto U and undone
+    on the columns of U^-1, each column step onto V and undone on the rows of V^-1."""
+    d = [row[:] for row in a]
+    rows, cols = len(d), len(d[0]) if d else 0
+    u, v, u_inv, v_inv = identity(rows), identity(cols), identity(rows), identity(cols)
+    for on_rows, i, j, q in homology._eliminate(d):
+        # a swap and the negation (t, t, -2) undo themselves; adding q times
+        # i to j is undone by adding -q times j to i
+        undo = (i, j, q) if q is None or i == j else (j, i, -q)
+        if on_rows:
+            _row_step(u, i, j, q)
+            _column_step(u_inv, *undo)
+        else:
+            _column_step(v, i, j, q)
+            _row_step(v_inv, *undo)
+    return u, d, v, u_inv, v_inv
+
+
+def dense_factors(a: list[list[int]]):
+    """smith_normal_form(a) with its sparse factors written out as dense
+    matrices: U and V^-1 are kept by rows, V and U^-1 by columns."""
+    u, d, v, u_inv, v_inv = smith_normal_form(a)
+    rows, cols = len(u), len(v)
+
+    def by_rows(vecs, n):
+        return [[vec.get(j, 0) for j in range(n)] for vec in vecs]
+
+    def by_columns(vecs, n):
+        return [[vec.get(i, 0) for vec in vecs] for i in range(n)]
+
+    return by_rows(u, rows), d, by_columns(v, cols), by_columns(u_inv, rows), by_rows(v_inv, cols)
+
+
 def _ref_smith_normal_form(a: list[list[int]]):
     """U, D, V with U*a*V = D diagonal, divisibility chain, U and V unimodular."""
     d = [row[:] for row in a]
@@ -412,7 +503,7 @@ def _ref_factor(a: list[list[int]]):
     The unimodular factors of the lattices here are near-permutations (about
     one nonzero entry per column), so products with them cost their nonzeros.
     """
-    u, d, v, _, _ = smith_normal_form(a)
+    u, d, v, _, _ = _ref_dense_smith_normal_form(a)
     return _columns(u), [d[i][i] for i in range(min(len(u), len(v)))], _columns(v)
 
 
@@ -425,13 +516,13 @@ def _ref_back_substitute(factors, b: list[dict[int, int]]) -> list[dict[int, int
     out = []
     for col in b:
         y = {}
-        for i, e in _apply(u, col).items():
+        for i, e in _ref_apply(u, col).items():
             if e:
                 di = diag[i] if i < rank else 0
                 if di == 0 or e % di:
                     return None
                 y[i] = e // di
-        out.append({i: e for i, e in _apply(v, y).items() if e})
+        out.append({i: e for i, e in _ref_apply(v, y).items() if e})
     return out
 
 
@@ -451,7 +542,7 @@ class _RefH1Basis:
         n_edges = len(d2)
         if any(any(row) for row in mat_mul(d1, d2)):
             raise ValueError("d1 * d2 != 0")
-        _, dd1, v1, _, _ = smith_normal_form(d1)
+        _, dd1, v1, _, _ = _ref_dense_smith_normal_form(d1)
         rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
         # the Smith diagonal is nonzero exactly up to the rank, so the v1 columns
         # past the rank span the kernel lattice (saturated, full column rank)
@@ -472,7 +563,8 @@ class _RefH1Basis:
         x = _ref_back_substitute(self._kernel_factors, _columns([d2[e] for e in order]))
         if x is None:
             raise ValueError("image of d2 does not lie in the kernel of d1")
-        ux, dx, _, _, _ = smith_normal_form([[col.get(i, 0) for col in x] for i in range(k)])
+        ux, dx, _, _, _ = _ref_dense_smith_normal_form(
+            [[col.get(i, 0) for col in x] for i in range(k)])
         # new kernel basis K' = K * ux^-1; coordinates of z: ux * solve(K, z)
         self._ux_rows = ux  # factored again by the first representative call
         self._ux = _columns(ux)
@@ -490,7 +582,7 @@ class _RefH1Basis:
         y = _ref_back_substitute(self._kernel_factors, [z])
         if y is None:
             raise ValueError("chain is not a 1-cycle")
-        c = _apply(self._ux, y[0])
+        c = _ref_apply(self._ux, y[0])
         free = tuple(map(c.get, self.free_indices, repeat(0)))
         tors = tuple(c.get(i, 0) % self.orders[i] for i in self.torsion_indices)
         return free, tors
@@ -499,9 +591,10 @@ class _RefH1Basis:
         """1-chain representing the index-th generator (free first, then torsion)."""
         if self._generators is None:
             # the columns of ux^-1 solve ux * X = I, one unit column each
-            inv = solve_integer(self._ux_rows, [{i: 1} for i in range(len(self._ux))])
+            inv = _ref_back_substitute(_ref_factor(self._ux_rows),
+                                       [{i: 1} for i in range(len(self._ux))])
             kernel = _columns(self._kernel)
-            self._generators = [_apply(kernel, col) for col in inv]
+            self._generators = [_ref_apply(kernel, col) for col in inv]
         chain = [0] * self._n_edges
         for e, c in self._generators[(self.free_indices + self.torsion_indices)[index]].items():
             chain[e] = c
@@ -515,7 +608,7 @@ def _ref_homology_groups(cx):
     n_edges = len(d2)
     if any(any(row) for row in mat_mul(d1, d2)):
         raise ValueError("d1 * d2 != 0")
-    _, dd1, v1, _, _ = smith_normal_form(d1)
+    _, dd1, v1, _, _ = _ref_dense_smith_normal_form(d1)
     rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
     kernel = [row[rank1:] for row in v1]
     k = n_edges - rank1
@@ -525,7 +618,7 @@ def _ref_homology_groups(cx):
                              _columns([d2[e] for e in order]))
     if x is None:
         raise ValueError("image of d2 does not lie in the kernel of d1")
-    _, dx, _, _, _ = smith_normal_form([[col.get(i, 0) for col in x] for i in range(k)])
+    _, dx, _, _, _ = _ref_dense_smith_normal_form([[col.get(i, 0) for col in x] for i in range(k)])
     n_diag = min(len(dx), len(dx[0]) if dx else 0)
     orders = [dx[i][i] if i < n_diag else 0 for i in range(k)]
     free_rank = sum(1 for o in orders if o == 0)
@@ -534,6 +627,13 @@ def _ref_homology_groups(cx):
     return GradedGroups((cx.vertex_count - rank1, ()),
                         (free_rank, torsion),
                         (len(cx.faces) - rank2, ()))
+
+
+def _ref_b1_mod2(cx) -> int:
+    """dim H1(X, Z2): H1's free rank plus its even torsion factors, by universal
+    coefficients (H1(X, Z2) = H1 (x) Z2 (+) Tor(H0, Z2), and H0 is free)."""
+    free, torsion = homology_groups(cx).h1
+    return free + sum(1 for t in torsion if t % 2 == 0)
 
 
 def _ref_z2_betti(cx):
@@ -881,32 +981,41 @@ def assert_same_boundaries(cx):
     assert homology_groups(cx) == _ref_factor_homology_groups(ref)
 
 
+def dense_chain(chain: dict[int, int], n_edges: int) -> list[int]:
+    """A sparse 1-chain {edge: coefficient} as the list of its n_edges entries."""
+    return [chain.get(e, 0) for e in range(n_edges)]
+
+
 def assert_same_homology(cx):
     assert_same_boundaries(cx)
     groups = homology_groups(cx)
     assert groups == _ref_homology_groups(cx)
-    # the universal-coefficient count against the GF(2) ranks and basis
-    assert b1_mod2(cx) == len(h1_z2_basis(cx)[0]) == _ref_z2_betti(cx)[1]
+    # the GF(2) rank count against the universal-coefficient count and the
+    # GF(2) basis
+    assert b1_mod2(cx) == _ref_b1_mod2(cx) == len(h1_z2_basis(cx)[0]) == _ref_z2_betti(cx)[1]
     # the Smith factors of the boundary maps and H1Basis's kernel lattice are
     # two independent integral paths to H1
     d1, d2 = cx.d1(), cx.d2()
     basis, ref = H1Basis(d1, d2), _RefH1Basis(d1, d2)
     assert (basis.free_rank, basis.torsion) == groups.h1
     assert basis.orders == ref.orders
+    n_edges = len(cx.edges)
     n = basis.free_rank + len(basis.torsion)
     representatives = [basis.representative(i) for i in range(n)]
-    assert representatives == [ref.representative(i) for i in range(n)]
+    assert all(0 not in chain.values() for chain in representatives)
+    assert [dense_chain(chain, n_edges) for chain in representatives] == [
+        ref.representative(i) for i in range(n)]
     for chain in representatives:
-        assert basis.coordinates(chain) == ref.coordinates(chain)
-    n_edges = len(cx.edges)
+        assert basis.coordinates(chain) == ref.coordinates(dense_chain(chain, n_edges))
     for e in range(n_edges):
         chain = [int(j == e) for j in range(n_edges)]
         if any(row[e] for row in d1):
-            for b in (basis, ref):
-                with pytest.raises(ValueError, match="not a 1-cycle"):
-                    b.coordinates(chain)
+            with pytest.raises(ValueError, match="not a 1-cycle"):
+                basis.coordinates({e: 1})
+            with pytest.raises(ValueError, match="not a 1-cycle"):
+                ref.coordinates(chain)
         else:
-            assert basis.coordinates(chain) == ref.coordinates(chain)
+            assert basis.coordinates({e: 1}) == ref.coordinates(chain)
     # the GF(2) rows packed from the cells are the dense boundary matrices mod 2
     d2_by_face = [[row[f] for row in cx.d2()] for f in range(len(cx.faces))]
     assert (cx._d1_rows, cx._d2_rows) == (tuple(pack_rows(cx.d1())), tuple(pack_rows(d2_by_face)))
@@ -1055,9 +1164,12 @@ def nonzero_diagonal(d):
 
 
 def assert_same_smith_form(a):
-    u, d, v = _ref_smith_normal_form(a)
-    assert smith_normal_form(a)[:3] == (u, d, v)
-    assert _invariant_factors(a) == nonzero_diagonal(d)
+    # all five factors against the dense replay of the same steps, and U, D
+    # and V against the first elimination too
+    factors = dense_factors(a)
+    assert factors == _ref_dense_smith_normal_form(a)
+    assert factors[:3] == _ref_smith_normal_form(a)
+    assert _invariant_factors(a) == nonzero_diagonal(factors[1])
 
 
 @pytest.mark.parametrize("word", FAMILY_WORDS.values(), ids=list(FAMILY_WORDS))
@@ -1084,15 +1196,17 @@ def test_smith_form_matches_reference_on_family_matrices(word, monkeypatch):
 
 
 def test_smith_form_matches_reference_on_random_matrices():
-    # D is unique, so it matches on every matrix; U and V match wherever the
-    # reference's divisibility pass does not fire
+    # D is unique, so it matches the first elimination on every matrix; U and
+    # V match it wherever its divisibility pass does not fire.  All five
+    # factors match the dense replay of the same steps.
     rng = random.Random(18)
     for _ in range(600):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        d = _ref_smith_normal_form(a)[1]
-        assert smith_normal_form(a)[1] == d
-        assert _invariant_factors(a) == nonzero_diagonal(d)
+        factors = dense_factors(a)
+        assert factors == _ref_dense_smith_normal_form(a)
+        assert factors[1] == _ref_smith_normal_form(a)[1]
+        assert _invariant_factors(a) == nonzero_diagonal(factors[1])
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,9 +4,10 @@ Each entry is the SHA-256 of the canonical JSON of one (family, genus)
 group: the canonical word plus three relabelled copies of it (rotation,
 maybe reversal, letter inversions, fresh names; fixed seeds).  Per group:
 
-- ``homology``: ``homology_groups``, every ``representative`` and the
-  ``coordinates`` of every representative and every one-edge cycle, on the
-  base complex and on the orientation double cover;
+- ``homology``: ``homology_groups``, every ``representative`` (written out
+  as the list of every edge's coefficient) and the ``coordinates`` of every
+  representative and every one-edge cycle, on the base complex and on the
+  orientation double cover;
 - ``induced``: every field of ``induced_maps`` and both mod-2 Betti numbers;
 - ``descend``: ``descend`` for both kinds.
 
@@ -82,14 +83,12 @@ def homology_answers(cx: PolygonComplex) -> dict:
     n = basis.free_rank + len(basis.torsion)
     reps = [basis.representative(i) for i in range(n)]
     loops = [name for name, (t, h) in cx.edge_ends.items() if t == h]
-    unit = {name: [int(j == cx.edge_index[name]) for j in range(len(cx.edges))]
-            for name in loops}
     return {
         "groups": homology_groups(cx).as_dict(),
-        "representatives": reps,
+        "representatives": [[r.get(e, 0) for e in range(len(cx.edges))] for r in reps],
         "rep_coordinates": [list(map(list, basis.coordinates(r))) for r in reps],
-        "loop_coordinates": {name: list(map(list, basis.coordinates(chain)))
-                             for name, chain in unit.items()},
+        "loop_coordinates": {name: list(map(list, basis.coordinates({cx.edge_index[name]: 1})))
+                             for name in loops},
     }
 
 
