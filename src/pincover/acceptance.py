@@ -364,6 +364,9 @@ def run_all(seed: int = 0) -> list[CriterionResult]:
         try:
             passed, detail = fn(seed)
         except Exception as exc:  # a crash is a failure, not an abort
-            passed, detail = False, f"error: {exc!r}"
+            from traceback import extract_tb
+
+            file, line, function, _ = extract_tb(exc.__traceback__)[-1]  # the innermost frame
+            passed, detail = False, f"error: {exc!r} at {file}:{line} in {function}"
         results.append(CriterionResult(name, passed, detail, time.perf_counter() - start))
     return results

@@ -2,7 +2,7 @@
 
 Subcommands: surfaces, homology, covermaps, obstructions, structures, descend,
 moebius, pinors, verify.  Output formats: json (canonical), csv, table.  Exit
-codes: 0 success, 1 verification failure, 2 usage error.
+codes: 0 success, 1 verification failure, 2 usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -244,6 +244,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception:  # a crash is not a failed check: its traceback, and 3
+        sys.excepthook(*sys.exc_info())
+        return 3
 
 
 if __name__ == "__main__":

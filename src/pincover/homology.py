@@ -19,10 +19,6 @@ from .records import Frozen, Record
 # exact integer matrices (lists of python ints)
 
 
-def zeros(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
-
-
 def _pivot(d: list[list[int]], t: int):
     """(|entry|, i, j) of the smallest nonzero entry of the block d[t:, t:],
     first in row-major order, or None when the block is zero."""
@@ -153,14 +149,18 @@ def _apply(m: list[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _invariant_factors(a: list[list[int]]) -> list[int]:
-    """The nonzero diagonal entries of a's Smith normal form, in their
-    divisibility chain: the elimination alone, with no factor built.  A
-    one-row matrix has the one factor gcd of its entries, when they are not all 0."""
-    if len(a) == 1:
-        g = gcd(*a[0])
+def _invariant_factors(rows: list[dict[int, int]], width: int) -> list[int]:
+    """The nonzero Smith diagonal, in its divisibility chain and with no factor
+    built, of a matrix given by its sparse rows {column: value} and its width.
+    One row's one factor is the gcd of its values (none when all are 0); only
+    several rows are written out dense, for the elimination."""
+    if len(rows) == 1:
+        g = gcd(*rows[0].values())
         return [g] if g else []
-    d = [row[:] for row in a]
+    d = [[0] * width for _ in rows]
+    for dense, row in zip(d, rows):
+        for j, x in row.items():
+            dense[j] = x
     for _ in _eliminate(d):
         pass
     return [row[i] for i, row in enumerate(d) if i < len(row) and row[i]]
@@ -484,19 +484,11 @@ class PolygonComplex(Frozen):
             object.__setattr__(self, name, value)
 
     def d1(self) -> list[list[int]]:
-        """Vertices x edges boundary matrix."""
-        m = zeros(self.vertex_count, len(self.edges))
+        """Vertices x edges boundary matrix, dense: the input of d1's Smith form."""
+        m = [[0] * len(self.edges) for _ in range(self.vertex_count)]
         for j, (t, h) in enumerate(self.edge_ends.values()):
             m[h][j] += 1
             m[t][j] -= 1
-        return m
-
-    def d2(self) -> list[list[int]]:
-        """Edges x faces boundary matrix (sum of exponents)."""
-        m = zeros(len(self.edges), len(self.faces))
-        for fj, sums in enumerate(self._face_sums):
-            for j, s in sums.items():
-                m[j][fj] = s
         return m
 
     def euler_characteristic(self) -> int:
@@ -520,35 +512,52 @@ class GradedGroups(Frozen):
         }
 
 
+def _check_boundaries(cx: PolygonComplex):
+    """Raise unless d1 * d2 = 0, face by face: each edge with two ends adds
+    its exponent sum on the face at its head and takes it at its tail."""
+    ends = list(cx.edge_ends.values())
+    for sums in cx._face_sums:
+        at: dict[int, int] = {}
+        for j, s in sums.items():
+            t, h = ends[j]
+            if t != h:
+                at[h] = at.get(h, 0) + s
+                at[t] = at.get(t, 0) - s
+        if any(at.values()):
+            raise ValueError("d1 * d2 != 0")
+
+
 class H1Basis:
-    """Canonical basis of H1(C) with coordinates for arbitrary 1-cycles.
+    """Canonical basis of a polygon complex's H1, with coordinates for 1-cycles.
 
     Generators are ordered free part first, then torsion (orders in the
     divisibility chain).  ``coordinates`` maps an integer 1-chain in the kernel
-    of d1 to its (free, torsion) coordinate vector.  Two Smith forms, with
-    their inverse factors, give everything: d1's gives the kernel lattice K and
-    a left inverse W of it, and that of W * d2 gives ux.  The coordinate map
-    ux * W and the generators K * ux^-1 are sparse, and a 1-chain is a dict
-    {edge: coefficient}, so a chain costs the nonzeros it meets.
+    of d1 to its (free, torsion) coordinate vector.  The basis reads the
+    complex's sparse boundaries after the d1 * d2 = 0 check homology_groups
+    runs too.  Two Smith forms, with their inverse factors, give everything,
+    and their inputs are its only dense matrices: d1's gives the kernel lattice
+    K and a left inverse W of it, and that of W * d2 (d2's rows by edge read
+    off the face sums) gives ux.  The coordinate map ux * W and the generators
+    K * ux^-1 are sparse, and a 1-chain is a dict {edge: coefficient}, so a
+    chain costs the nonzeros it meets.
     """
 
-    def __init__(self, d1: list[list[int]], d2: list[list[int]]):
-        n_edges, n_faces = len(d2), len(d2[0]) if d2 else 0
-        d2_rows = [{f: x for f, x in enumerate(row) if x} for row in d2]
-        self._d1 = _transpose([{e: x for e, x in enumerate(row) if x} for row in d1], n_edges)
-        if any(any(_apply(self._d1, col).values()) for col in _transpose(d2_rows, n_faces)):
-            raise ValueError("d1 * d2 != 0")
-        _, dd1, v1, _, v1_inv = smith_normal_form(d1)
-        rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
-        # the Smith diagonal is nonzero exactly up to the rank, so the columns of
-        # V1 past it span the kernel lattice K (saturated, full column rank) and
-        # the rows of V1^-1 past it are a left inverse W of K: z = K * W * z for
-        # every cycle z, so W * d2 is d2 in the basis K
+    def __init__(self, cx: PolygonComplex):
+        _check_boundaries(cx)
+        n_edges, n_faces = len(cx.edges), len(cx.faces)
+        # d1 by sparse columns, one an edge, for the cycle check of a chain
+        self._d1 = [{h: 1, t: -1} if t != h else {} for t, h in cx.edge_ends.values()]
+        _, _, v1, _, v1_inv = smith_normal_form(cx.d1())
+        # the Smith diagonal is nonzero exactly up to rank d1 = V - c, so the
+        # columns of V1 past it span the kernel lattice K (saturated, full
+        # column rank) and the rows of V1^-1 past it are a left inverse W of K:
+        # z = K * W * z for every cycle z, so W * d2 is d2 in the basis K
+        rank1 = cx.vertex_count - cx.component_count
         kernel, w = v1[rank1:], v1_inv[rank1:]
+        d2_rows = _transpose(cx._face_sums, n_edges)  # one an edge
         w_d2 = (_apply(d2_rows, row) for row in w)
         ux, dx, _, ux_inv, _ = smith_normal_form([[r.get(f, 0) for f in range(n_faces)]
                                                   for r in w_d2])
-        self._n_edges = n_edges
         # ux * W by columns, one per edge, for the coordinates of a chain
         self._coordinate_map = _transpose([_apply(w, row) for row in ux], n_edges)
         self.orders = [row[i] if i < len(row) else 0 for i, row in enumerate(dx)]
@@ -563,8 +572,8 @@ class H1Basis:
 
     def coordinates(self, chain: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The (free, torsion) coordinates of a 1-cycle given as {edge: coefficient}."""
-        if any(not 0 <= e < self._n_edges for e in chain):
-            raise ValueError(f"a 1-chain's edges are 0 to {self._n_edges - 1}")
+        if any(not 0 <= e < len(self._d1) for e in chain):
+            raise ValueError(f"a 1-chain's edges are 0 to {len(self._d1) - 1}")
         if any(_apply(self._d1, chain).values()):
             raise ValueError("chain is not a 1-cycle")
         c = _apply(self._coordinate_map, chain)
@@ -583,30 +592,15 @@ def homology_groups(cx: PolygonComplex) -> GradedGroups:
 
     d1 is a graph's incidence matrix, which is totally unimodular: its Smith
     form is [I 0] with r1 = V - c ones for the c components the corner pass
-    counted.  With d_1 .. d_r2 the nonzero factors of d2 (those of d2ᵀ, one
-    row a face, built from the face sums): C1 / im d2 is H1 (+) im d1, and
-    im d1 lies in the free C0, so H1 = Z^(E - r1 - r2) (+) the Z/d_i with
-    d_i > 1, H0 = Z^(V - r1) = Z^c and H2 = Z^(F - r2).
+    counted.  With d_1 .. d_r2 the nonzero factors of d2 (those of d2ᵀ, whose
+    rows are the face sums): C1 / im d2 is H1 (+) im d1, and im d1 lies in the
+    free C0, so H1 = Z^(E - r1 - r2) (+) the Z/d_i with d_i > 1,
+    H0 = Z^(V - r1) = Z^c and H2 = Z^(F - r2).
     """
+    _check_boundaries(cx)
     n_edges = len(cx.edges)
-    ends = list(cx.edge_ends.values())
-    rows = []
-    for sums in cx._face_sums:
-        # the face's column of d1 * d2: each edge with two ends adds its sum at
-        # its head and takes it at its tail
-        at: dict[int, int] = {}
-        row = [0] * n_edges
-        for j, s in sums.items():
-            row[j] = s
-            t, h = ends[j]
-            if t != h:
-                at[h] = at.get(h, 0) + s
-                at[t] = at.get(t, 0) - s
-        if any(at.values()):
-            raise ValueError("d1 * d2 != 0")
-        rows.append(row)
     r1 = cx.vertex_count - cx.component_count
-    factors = _invariant_factors(rows)
+    factors = _invariant_factors(cx._face_sums, n_edges)
     r2 = len(factors)
     return GradedGroups((cx.component_count, ()),
                         (n_edges - r1 - r2, tuple(f for f in factors if f > 1)),
@@ -715,19 +709,17 @@ def induced_maps(cover: CoverData) -> InducedMaps:
     base, total = cover.base, cover.total
 
     # --- integral push-forward in canonical H1 bases
-    base_basis = H1Basis(base.d1(), base.d2())
-    total_basis = H1Basis(total.d1(), total.d2())
+    base_basis, total_basis = H1Basis(base), H1Basis(total)
     base_idx = base.edge_index
     image = [base_idx[cover.edge_map[name]] for name in total.edges]
-    n_total_gens = total_basis.free_rank + len(total_basis.torsion)
-    n_base_gens = base_basis.free_rank + len(base_basis.torsion)
     projection = [{b: 1} for b in image]  # pi on 1-chains, as sparse columns
-    push = zeros(n_base_gens, n_total_gens)
-    for j in range(n_total_gens):
-        free, tors = base_basis.coordinates(_apply(projection, total_basis.representative(j)))
-        for i, val in enumerate(free + tors):
-            push[i][j] = val
+    # pi_* by columns, one a cover generator (its base coordinates), and the
+    # rows read off them; with none (rp2's cover s2) each row is kept empty
+    coords = (base_basis.coordinates(_apply(projection, total_basis.representative(j)))
+              for j in range(total_basis.free_rank + len(total_basis.torsion)))
+    columns = [free + tors for free, tors in coords]
     orders = [0] * base_basis.free_rank + list(base_basis.torsion)
+    push = [list(row) for row in zip(*columns)] or [[] for _ in orders]
 
     # --- mod 2, in the Z2 homology bases
     base_b, base_proj = h1_z2_basis(base)

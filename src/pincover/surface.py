@@ -248,9 +248,9 @@ def _sigma(g: int, name: str) -> SurfaceModel:
     return SurfaceModel(name, FAMILY_ONLY, _family_word(g), True, 0, genus=g)
 
 
-# ASCII digits only: \d and int() also take the digits of other scripts, so
-# 'n(٣,1)' would be answered as n(3,1) under a name that is not its own
-_NAME_RE = re.compile(r"^(?:sigma\(([0-9]+)\)|n\(([0-9]+),([12])\))$")
+# ASCII digits, no leading zero: \d and int() also take other scripts' digits
+# and int() leading zeros, so 'n(٣,1)' or 'n(03,1)' would be answered as n(3,1)
+_NAME_RE = re.compile(r"^(?:sigma\((0|[1-9][0-9]*)\)|n\((0|[1-9][0-9]*),([12])\))$")
 
 # The largest genus a family name may have.  Cold `pincover covermaps` is
 # dearest at the limit, most of it rendering the O(g^2) matrices; the README's

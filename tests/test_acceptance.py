@@ -45,6 +45,19 @@ def test_no_criterion_is_timed_with_the_numpy_import():
     assert proc.stdout == "True\n"
 
 
+def test_a_crashing_criterion_fails_and_names_where_it_crashed(monkeypatch):
+    from pincover import acceptance
+
+    def crashing(seed):
+        return {}["missing"]
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [("crashing", crashing)])
+    (result,) = acceptance.run_all(SEED)
+    line = crashing.__code__.co_firstlineno + 1
+    assert not result.passed
+    assert result.detail == f"error: KeyError('missing') at {__file__}:{line} in crashing"
+
+
 def test_cover_diagram_failure_names_relation_and_point(monkeypatch):
     from pincover import acceptance
     from pincover.surface import Involution, cover_diagram

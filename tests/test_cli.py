@@ -115,11 +115,26 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and out == "" and "unknown surface" in err
 
 
-@pytest.mark.parametrize("name", ["n(٣,1)", "sigma(３)"])
-def test_a_family_name_with_non_ascii_digits_is_a_usage_error(capsys, name):
-    # Arabic-Indic three and fullwidth three: int() would read both as 3
+@pytest.mark.parametrize("name", ["n(٣,1)", "sigma(３)", "n(01,1)", "sigma(002)", "n(00,2)"])
+def test_a_family_name_with_non_ascii_digits_or_a_leading_zero_is_a_usage_error(capsys, name):
+    # Arabic-Indic three and fullwidth three: int() would read both as 3; and
+    # int() reads past a leading zero, which would answer n(1,1) as n(01,1)
     code, out, err = run(capsys, "homology", name)
     assert code == 2 and out == "" and "unknown surface" in err
+
+
+def test_an_internal_error_exits_3_with_its_traceback(capsys, monkeypatch):
+    from pincover import cli
+
+    def broken(args):
+        raise AssertionError("the two lifts must square identically")
+
+    monkeypatch.setitem(cli._HANDLERS, "homology", broken)
+    code, out, err = run(capsys, "homology", "k2")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert "in broken" in err
+    assert err.endswith("AssertionError: the two lifts must square identically\n")
 
 
 def test_genus_above_the_limit_is_a_usage_error_before_any_homology(capsys, monkeypatch):
@@ -158,9 +173,10 @@ def test_pinors_grid_above_the_limit_is_a_usage_error_before_any_field(capsys, m
     monkeypatch.setattr(PinorField, "random", no_field)
     code, out, err = run(capsys, "pinors", "check", "t2", "--grid", "1026")
     assert code == 2 and out == "" and f"--grid is at most {GRID_LIMIT}, got 1026" in err
-    # the limit itself passes validation and reaches the field
-    with pytest.raises(FieldBuilt):
-        main(["pinors", "check", "t2", "--grid", str(GRID_LIMIT)])
+    # the limit itself passes validation and reaches the field, whose
+    # exception main reports as an internal error
+    code, out, err = run(capsys, "pinors", "check", "t2", "--grid", str(GRID_LIMIT))
+    assert code == 3 and out == "" and "FieldBuilt" in err
 
 
 @pytest.mark.parametrize("argv", [["verify"], ["pinors", "check", "t2"]])

@@ -3,6 +3,7 @@ import functools
 import itertools
 import operator
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from pincover.homology import (
 from pincover.structures import descend
 from pincover.surface import FAMILY_ONLY, SurfaceModel
 from test_kernel_references import _ref_dense_smith_normal_form, dense_factors, identity, \
-    mat_mul, pack_rows
+    mat_mul, pack_rows, ref_boundaries, zeros
 from test_pinned_answers import canonical_word, relabel
 
 T2 = GluingWord.parse("a b a' b'")
@@ -207,7 +208,7 @@ def _ref_sparse(a):
 
 def _ref_sparse_mul(a, b):
     """a * b for a given as sparse rows."""
-    out = homology.zeros(len(a), len(b[0]) if b else 0)
+    out = zeros(len(a), len(b[0]) if b else 0)
     for row, acc in zip(a, out):
         for j, e in row:
             for c, x in enumerate(b[j]):
@@ -224,7 +225,7 @@ def _ref_back_substitute(factors, b):
     """X with a*X = b, given factors = _factor(a), or None."""
     u, diag, v = factors
     ub = _ref_sparse_mul(u, b)
-    y = homology.zeros(len(v), len(b[0]) if b else 0)
+    y = zeros(len(v), len(b[0]) if b else 0)
     for i, row in enumerate(ub):
         di = diag[i] if i < len(diag) else 0
         for j, e in enumerate(row):
@@ -557,6 +558,8 @@ def test_rp2_induced_maps_are_zero():
     assert maps.b1_mod2_total == 0
     assert z2_shape(maps.push_z2) == (1, 0)
     assert maps.kernel_pull.tolist() == [[1]]
+    # the cover s2 has no generators: pi_* keeps the base generator's empty row
+    assert (maps.push_z, maps.base_orders) == ([[]], [2])
 
 
 @pytest.mark.parametrize("g", range(0, 4))
@@ -584,7 +587,7 @@ NONORIENTABLE_TO_6 = {name: word for name, word in family_words(6).items()
 @pytest.mark.parametrize("word", FAMILIES_TO_8.values(), ids=list(FAMILIES_TO_8))
 def test_coordinates_of_representatives_are_unit_vectors(word):
     cx = PolygonComplex.from_word(word)
-    basis = H1Basis(cx.d1(), cx.d2())
+    basis = H1Basis(cx)
     n = basis.free_rank + len(basis.torsion)
     for i in range(n):
         free, tors = basis.coordinates(basis.representative(i))
@@ -595,7 +598,7 @@ def test_representatives_are_fresh_sparse_cycles():
     # a representative is the caller's {edge: coefficient} dict: changing it
     # leaves the basis, and the next call, as they were
     cx = orientation_double_cover_complex(n_g2_word(2)).total
-    basis = H1Basis(cx.d1(), cx.d2())
+    basis = H1Basis(cx)
     assert basis.free_rank
     for i in range(basis.free_rank):
         chain = basis.representative(i)
@@ -605,11 +608,22 @@ def test_representatives_are_fresh_sparse_cycles():
         assert basis.representative(i) == kept
 
 
-def test_h1_basis_checks_that_d1_d2_vanishes():
-    # one edge between two vertices bounding a face: d1 * d2 is that edge's ends
-    with pytest.raises(ValueError, match="d1 \\* d2 != 0"):
-        H1Basis([[-1], [1]], [[1]])
-    assert H1Basis([[-1], [1]], [[0]]).free_rank == 0
+def test_one_check_that_d1_d2_vanishes():
+    # one edge between two vertices bounding a face: d1 * d2 is that edge's
+    # ends.  No gluing word makes it, so the boundaries are built by hand; the
+    # check refuses them, and H1Basis and homology_groups both run the check.
+    bad = SimpleNamespace(edges=["a"], faces=[(("a", 1),)], edge_ends={"a": (0, 1)},
+                          _face_sums=[{0: 1}], vertex_count=2, component_count=1)
+    for reader in (homology._check_boundaries, H1Basis, homology_groups):
+        with pytest.raises(ValueError, match="d1 \\* d2 != 0"):
+            reader(bad)
+    # s2's letter cancels on its face: its sum there is 0, which the check
+    # passes, and d2 is zero
+    s2 = PolygonComplex.from_word(S2)
+    assert (s2._face_sums, s2.edge_ends) == ([{0: 0}], {"a": (0, 1)})
+    homology._check_boundaries(s2)
+    basis = H1Basis(s2)
+    assert (basis.free_rank, basis.torsion) == (0, ())
 
 
 def greedy_z2_basis(cx):
@@ -619,7 +633,7 @@ def greedy_z2_basis(cx):
     def rank(rows):
         return len(reference_row_reduce(np.array(rows, np.uint8).reshape(len(rows), n))[1])
 
-    span = [[e % 2 for e in row] for row in zip(*cx.d2())]
+    span = [[e % 2 for e in row] for row in zip(*ref_boundaries(cx)[1])]
     kept = []
     for cycle in nullspace_rows(pack_rows(cx.d1()), n):
         row = [cycle >> j & 1 for j in range(n)]
@@ -634,7 +648,7 @@ def test_z2_projection_of_cycles_and_boundaries(word):
     for cx in (PolygonComplex.from_word(word), orientation_double_cover_complex(word).total):
         basis, project = h1_z2_basis(cx)
         assert basis == greedy_z2_basis(cx)
-        boundaries = pack_rows(zip(*cx.d2()))
+        boundaries = pack_rows(zip(*ref_boundaries(cx)[1]))
         for i, row in enumerate(basis):
             assert project(row) == 1 << i
             assert project(row ^ boundaries[0]) == 1 << i
@@ -646,7 +660,7 @@ def test_non_cycles_raise(word):
     # the cover has two vertices, so some of its edges are not cycles, mod 2 too
     cx = orientation_double_cover_complex(word).total
     _, project = h1_z2_basis(cx)
-    basis = H1Basis(cx.d1(), cx.d2())
+    basis = H1Basis(cx)
     d1 = cx.d1()
     non_cycles = [e for e in range(len(cx.edges)) if any(row[e] % 2 for row in d1)]
     assert non_cycles
@@ -669,7 +683,7 @@ def reference_push_z(cover):
         return _ref_back_substitute(_ref_factor(a), b)
 
     def basis_of(cx):
-        d1, d2 = cx.d1(), cx.d2()
+        d1, d2 = ref_boundaries(cx)
         _, dd1, v1, _, _ = _ref_dense_smith_normal_form(d1)
         n_edges = len(d2)
         rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
@@ -752,8 +766,9 @@ def test_boundary_maps_compose_to_zero():
     for word in all_test_words():
         for cx in (PolygonComplex.from_word(word),
                    orientation_double_cover_complex(word).total):
-            product = mat_mul(cx.d1(), cx.d2())
+            product = mat_mul(cx.d1(), ref_boundaries(cx)[1])
             assert all(all(e == 0 for e in row) for row in product)
+            homology._check_boundaries(cx)
 
 
 def test_universal_coefficients_consistency():

@@ -1,7 +1,7 @@
 """The per-op kernels against verbatim copies of their first versions.
 
-``PolygonComplex`` (edge listing, corner union, vertex numbering, and the
-boundary matrices and packed rows of its one corner pass),
+``PolygonComplex`` (edge listing, corner union, vertex numbering, and d1,
+the face sums and the packed rows of its one corner pass),
 ``orientation_double_cover_complex``, ``gf2_row_reduce``, ``solve_rows``,
 ``smith_normal_form`` (its sparse factors, written out dense, against the
 dense replay of the same steps; and the invariant factors alone),
@@ -61,7 +61,6 @@ from pincover.homology import (
     orientation_double_cover_complex,
     smith_normal_form,
     solve_rows,
-    zeros,
 )
 from pincover.pin2 import EVEN, KINDS, ODD, PIN_PLUS, Pin2Element, angle, at, evaluate
 from pincover.pinors import GammaRep, PinorField, _deck_action, _involution_node_map
@@ -176,8 +175,8 @@ def _ref_factor_homology_groups(cx) -> GradedGroups:
     d1, d2 = cx.d1(), cx.d2()
     if any(any(row) for row in mat_mul(d1, d2)):
         raise ValueError("d1 * d2 != 0")
-    r1 = len(_invariant_factors(d1))
-    factors = _invariant_factors(d2)
+    r1 = len(_invariant_factors(*sparse_rows(d1)))
+    factors = _invariant_factors(*sparse_rows(d2))
     r2 = len(factors)
     return GradedGroups((cx.vertex_count - r1, ()),
                         (len(cx.edges) - r1 - r2, tuple(f for f in factors if f > 1)),
@@ -300,6 +299,22 @@ def _ref_solve_rows(rows, rhs, cols):
     if pivots and pivots[-1] == cols:
         return None
     return sum((row >> cols & 1) << p for row, p in zip(reduced, pivots))
+
+
+def zeros(rows: int, cols: int) -> list[list[int]]:
+    return [[0] * cols for _ in range(rows)]
+
+
+def ref_boundaries(cx) -> tuple[list[list[int]], list[list[int]]]:
+    """Dense d1 and d2 of a complex, from the reference built on its cells."""
+    ref = _RefPolygonComplex(cx.faces, cx.boundary_letters)
+    return ref.d1(), ref.d2()
+
+
+def sparse_rows(a: list[list[int]]) -> tuple[list[dict[int, int]], int]:
+    """A matrix given by rows as _invariant_factors takes it: the rows as
+    {column: value} of their nonzeros, and the width."""
+    return [{j: e for j, e in enumerate(row) if e} for row in a], len(a[0]) if a else 0
 
 
 def identity(n: int) -> list[list[int]]:
@@ -974,7 +989,10 @@ def assert_same_boundaries(cx):
     faces by letter name, on a reference complex built from the same cells."""
     ref = _RefPolygonComplex(cx.faces, cx.boundary_letters)
     assert cx.d1() == ref.d1()
-    assert cx.d2() == ref.d2()
+    # the face sums, a cancelling letter's 0 kept, are d2 by faces
+    d2 = ref.d2()
+    assert [[sums.get(j, 0) for j in range(len(cx.edges))] for sums in cx._face_sums] == [
+        [row[f] for row in d2] for f in range(len(cx.faces))]
     d1_rows, d2_rows = _ref_packed_boundaries(ref)
     assert (cx._d1_rows, cx._d2_rows) == (tuple(d1_rows), tuple(d2_rows))
     # homology_groups factors d2's transpose, the reference d2 itself
@@ -988,15 +1006,17 @@ def dense_chain(chain: dict[int, int], n_edges: int) -> list[int]:
 
 def assert_same_homology(cx):
     assert_same_boundaries(cx)
+    ref_cx = _RefPolygonComplex(cx.faces, cx.boundary_letters)
     groups = homology_groups(cx)
-    assert groups == _ref_homology_groups(cx)
+    assert groups == _ref_homology_groups(ref_cx)
     # the GF(2) rank count against the universal-coefficient count and the
     # GF(2) basis
-    assert b1_mod2(cx) == _ref_b1_mod2(cx) == len(h1_z2_basis(cx)[0]) == _ref_z2_betti(cx)[1]
+    assert b1_mod2(cx) == _ref_b1_mod2(cx) == len(h1_z2_basis(cx)[0]) == _ref_z2_betti(ref_cx)[1]
     # the Smith factors of the boundary maps and H1Basis's kernel lattice are
-    # two independent integral paths to H1
-    d1, d2 = cx.d1(), cx.d2()
-    basis, ref = H1Basis(d1, d2), _RefH1Basis(d1, d2)
+    # two independent integral paths to H1: H1Basis reads the complex, the
+    # reference the dense boundaries of its own complex
+    d1, d2 = ref_cx.d1(), ref_cx.d2()
+    basis, ref = H1Basis(cx), _RefH1Basis(d1, d2)
     assert (basis.free_rank, basis.torsion) == groups.h1
     assert basis.orders == ref.orders
     n_edges = len(cx.edges)
@@ -1017,8 +1037,8 @@ def assert_same_homology(cx):
         else:
             assert basis.coordinates({e: 1}) == ref.coordinates(chain)
     # the GF(2) rows packed from the cells are the dense boundary matrices mod 2
-    d2_by_face = [[row[f] for row in cx.d2()] for f in range(len(cx.faces))]
-    assert (cx._d1_rows, cx._d2_rows) == (tuple(pack_rows(cx.d1())), tuple(pack_rows(d2_by_face)))
+    d2_by_face = [[row[f] for row in d2] for f in range(len(cx.faces))]
+    assert (cx._d1_rows, cx._d2_rows) == (tuple(pack_rows(d1)), tuple(pack_rows(d2_by_face)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1169,14 +1189,14 @@ def assert_same_smith_form(a):
     factors = dense_factors(a)
     assert factors == _ref_dense_smith_normal_form(a)
     assert factors[:3] == _ref_smith_normal_form(a)
-    assert _invariant_factors(a) == nonzero_diagonal(factors[1])
+    assert _invariant_factors(*sparse_rows(a)) == nonzero_diagonal(factors[1])
 
 
 @pytest.mark.parametrize("word", FAMILY_WORDS.values(), ids=list(FAMILY_WORDS))
 def test_smith_form_matches_reference_on_family_matrices(word, monkeypatch):
     # every matrix the layer factors: d1 and d2 of the base and the cover, and
     # what H1Basis hands to smith_normal_form (d1 and W * d2, the image of d2
-    # in the kernel basis)
+    # in the kernel basis, the two dense inputs it builds)
     seen = []
     original = homology.smith_normal_form
 
@@ -1186,8 +1206,8 @@ def test_smith_form_matches_reference_on_family_matrices(word, monkeypatch):
 
     monkeypatch.setattr(homology, "smith_normal_form", recording)
     for cx in (word.complex, orientation_double_cover_complex(word).total):
-        seen += [cx.d1(), cx.d2()]
-        basis = H1Basis(cx.d1(), cx.d2())
+        seen += ref_boundaries(cx)
+        basis = H1Basis(cx)
         if basis.free_rank or basis.torsion:
             basis.representative(0)
     monkeypatch.undo()
@@ -1206,7 +1226,7 @@ def test_smith_form_matches_reference_on_random_matrices():
         factors = dense_factors(a)
         assert factors == _ref_dense_smith_normal_form(a)
         assert factors[1] == _ref_smith_normal_form(a)[1]
-        assert _invariant_factors(a) == nonzero_diagonal(factors[1])
+        assert _invariant_factors(*sparse_rows(a)) == nonzero_diagonal(factors[1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -1217,8 +1237,11 @@ def test_one_row_invariant_factors_match_the_elimination(row):
     d = [row[:]]
     for _ in homology._eliminate(d):
         pass
-    assert _invariant_factors([row]) == nonzero_diagonal(d)
-    assert _invariant_factors([row]) == nonzero_diagonal(_ref_smith_normal_form([row])[1])
+    assert _invariant_factors(*sparse_rows([row])) == nonzero_diagonal(d)
+    assert _invariant_factors(*sparse_rows([row])) == nonzero_diagonal(
+        _ref_smith_normal_form([row])[1])
+    # a face's sums keep a cancelling letter's 0: the gcd reads past it
+    assert _invariant_factors([dict(enumerate(row))], len(row)) == nonzero_diagonal(d)
 
 
 @pytest.mark.parametrize("row, factors", [
@@ -1226,7 +1249,8 @@ def test_one_row_invariant_factors_match_the_elimination(row):
     ([5, 0, -7], [1]),
 ])
 def test_one_row_invariant_factors_on_fixed_rows(row, factors):
-    assert _invariant_factors([row]) == factors
+    assert _invariant_factors(*sparse_rows([row])) == factors
+    assert _invariant_factors([dict(enumerate(row))], len(row)) == factors
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def digest(payload) -> str:
 
 
 def homology_answers(cx: PolygonComplex) -> dict:
-    basis = H1Basis(cx.d1(), cx.d2())
+    basis = H1Basis(cx)
     n = basis.free_rank + len(basis.torsion)
     reps = [basis.representative(i) for i in range(n)]
     loops = [name for name, (t, h) in cx.edge_ends.items() if t == h]

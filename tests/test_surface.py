@@ -78,6 +78,9 @@ def test_build_families():
     assert build("n(2,2)").euler_characteristic() == 2 - 4 - 2
     assert build("sigma(1)").name == "t2"
     assert build("n(0,2)").name == "k2"
+    # a genus of 0, and a 0 that does not lead, still name families
+    assert (build("sigma(0)").name, build("n(0,1)").name) == ("s2", "rp2")
+    assert build("sigma(10)").genus == build("n(10,1)").genus == 10
     with pytest.raises(ValueError):
         build("mystery")
     with pytest.raises(ValueError):
