@@ -108,25 +108,24 @@ def _step(vecs: list[dict[int, int]], i: int, j: int, q: int | None):
 
 
 def smith_normal_form(a: list[list[int]]):
-    """U, D, V, U^-1, V^-1 with U*a*V = D diagonal, divisibility chain, U and V
+    """U, D, V, U^-1 with U*a*V = D diagonal, divisibility chain, U and V
     unimodular: one elimination of a, each row step replayed onto U and undone
-    on U^-1, each column step replayed onto V and undone on V^-1.
+    on U^-1, each column step replayed onto V.
 
     D is a's dense copy, eliminated; the factors are sparse vectors {index:
-    value}, U and V^-1 by rows and V and U^-1 by columns, so that every step
-    is one vector update on each factor it touches."""
+    value}, U by rows and V and U^-1 by columns, so that every step is one
+    vector update on each factor it touches."""
     d = [row[:] for row in a]
     rows, cols = len(d), len(d[0]) if d else 0
     u, u_inv = [{i: 1} for i in range(rows)], [{i: 1} for i in range(rows)]
-    v, v_inv = [{i: 1} for i in range(cols)], [{i: 1} for i in range(cols)]
+    v = [{i: 1} for i in range(cols)]
     for on_rows, i, j, q in _eliminate(d):
-        # a swap and the negation (t, t, -2) undo themselves; adding q times
-        # i to j is undone by adding -q times j to i
-        undo = (i, j, q) if q is None or i == j else (j, i, -q)
-        factor, inverse = (u, u_inv) if on_rows else (v, v_inv)
-        _step(factor, i, j, q)
-        _step(inverse, *undo)
-    return u, d, v, u_inv, v_inv
+        _step(u if on_rows else v, i, j, q)
+        if on_rows:
+            # a swap and the negation (t, t, -2) undo themselves; adding q
+            # times i to j is undone by adding -q times j to i
+            _step(u_inv, *((i, j, q) if q is None or i == j else (j, i, -q)))
+    return u, d, v, u_inv
 
 
 def _transpose(vecs: list[dict[int, int]], n: int) -> list[dict[int, int]]:
@@ -173,7 +172,7 @@ def solve_integer(a: list[list[int]], b: list[dict[int, int]]) -> list[dict[int,
     column).  X is V * D^-1 * U * b for a's Smith form: each entry of U * b
     past the rank must vanish and each other must be divisible by its d_i.
     """
-    u, d, v, _, _ = smith_normal_form(a)
+    u, d, v, _ = smith_normal_form(a)
     u = _transpose(u, len(u))  # by columns, for U * b
     out = []
     for col in b:
@@ -374,26 +373,33 @@ class GluingWord(Frozen):
         return list(self._index)
 
 
-def _root(parent: list[int], x: int) -> int:
-    """The root of x in a union-find forest, halving the path on the way."""
+def _union(parent: list[int], x: int, y: int) -> bool:
+    """Join the classes of x and y in a union-find forest, halving the paths
+    on the way, under the lower root; True when they were apart."""
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
-    return x
+    while parent[y] != y:
+        parent[y] = y = parent[parent[y]]
+    if x < y:
+        parent[y] = x
+    else:
+        parent[x] = y
+    return x != y
 
 
 class PolygonComplex(Frozen):
     """CW complex: named edges, one boundary word per 2-cell.
 
     The edges (the letters in order of first occurrence), the vertices, edge
-    indices and edge ends, the connected components, each face's exponent sums
-    by edge index and the boundary rows mod 2 are derived from the fields in
-    one pass over the corners.  The components are those of the faces joined
-    by a shared letter, with the empty faces left out; they are the components
-    of the 1-skeleton, so rank d1 = vertex_count - component_count.
+    indices and edge ends, each face's exponent sums by edge index and its
+    boundary row mod 2 are derived from the fields in one pass over the
+    corners.  The edge ends are d1, and the one union-find over them counts
+    the components of the 1-skeleton, so rank d1 = vertex_count -
+    component_count.
     """
 
     __slots__ = ("faces", "boundary_letters", "edges", "vertex_count", "component_count",
-                 "edge_index", "edge_ends", "_face_sums", "_d1_rows", "_d2_rows")
+                 "edge_index", "edge_ends", "_face_sums", "_d2_rows")
     _fields = ("faces", "boundary_letters")
 
     def __init__(self, faces: list[tuple[Occurrence, ...]],
@@ -412,49 +418,26 @@ class PolygonComplex(Frozen):
         # root, so parent[c] <= c and every class is rooted at its first corner.
         # An edge is numbered at its first occurrence, and the same pass sums each
         # face's exponents by edge index; the odd sums are the face's d2 row mod 2.
-        # A letter whose two occurrences lie on two faces joins their components,
-        # kept as a second union-find over the faces.
         parent: list[int] = []
-        # edge -> its first (tail, head), its index and its first face
-        ends: dict[str, tuple[int, int, int, int]] = {}
+        ends: dict[str, tuple[int, int, int]] = {}  # edge -> its first (tail, head), its index
         face_sums: list[dict[int, int]] = []
         d2_rows: list[int] = []
-        face_parent = list(range(len(self.faces)))
-        components = 0
-
-        def union(x, y):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if x < y:
-                parent[y] = x
-            else:
-                parent[x] = y
-
-        for f, face in enumerate(self.faces):
+        for face in self.faces:
             first = len(parent)
             last = first + len(face) - 1
             parent.extend(range(first, last + 1))
-            if face:
-                components += 1
             sums: dict[int, int] = {}
             for corner, (name, exp) in enumerate(face, first):
                 after = corner + 1 if corner < last else first
                 tail, head = (corner, after) if exp == 1 else (after, corner)
                 if name in ends:
-                    t, h, j, g = ends[name]
-                    union(t, tail)
-                    union(h, head)
+                    t, h, j = ends[name]
+                    _union(parent, t, tail)
+                    _union(parent, h, head)
                     sums[j] = sums.get(j, 0) + exp
-                    if g != f:
-                        a, b = _root(face_parent, g), _root(face_parent, f)
-                        if a != b:
-                            face_parent[max(a, b)] = min(a, b)
-                            components -= 1
                 else:
                     j = len(ends)
-                    ends[name] = tail, head, j, f
+                    ends[name] = tail, head, j
                     sums[j] = exp
             face_sums.append(sums)
             d2_rows.append(sum(1 << j for j, s in sums.items() if s & 1))
@@ -468,28 +451,16 @@ class PolygonComplex(Frozen):
                 count += 1
             else:
                 vertex[c] = vertex[p]  # p < c is in c's class and numbered already
-        edge_ends: dict[str, tuple[int, int]] = {}
-        d1_rows = [0] * count
-        for name, (t, h, j, _) in ends.items():
-            edge_ends[name] = t, h = vertex[t], vertex[h]
-            if t != h:  # a loop's two ends would XOR its bit twice and cancel
-                d1_rows[t] ^= 1 << j
-                d1_rows[h] ^= 1 << j
+        edge_ends = {name: (vertex[t], vertex[h]) for name, (t, h, _) in ends.items()}
+        joined = list(range(count))  # a union-find over the vertices, along the edges
+        components = count - sum(_union(joined, t, h) for t, h in edge_ends.values())
         edges = list(ends)
         derived = {"edges": edges, "vertex_count": count, "component_count": components,
                    "edge_ends": edge_ends,
                    "edge_index": dict(zip(edges, range(len(edges)))), "_face_sums": face_sums,
-                   "_d1_rows": tuple(d1_rows), "_d2_rows": tuple(d2_rows)}
+                   "_d2_rows": tuple(d2_rows)}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-    def d1(self) -> list[list[int]]:
-        """Vertices x edges boundary matrix, dense: the input of d1's Smith form."""
-        m = [[0] * len(self.edges) for _ in range(self.vertex_count)]
-        for j, (t, h) in enumerate(self.edge_ends.values()):
-            m[h][j] += 1
-            m[t][j] -= 1
-        return m
 
     def euler_characteristic(self) -> int:
         return self.vertex_count - len(self.edges) + len(self.faces)
@@ -527,6 +498,46 @@ def _check_boundaries(cx: PolygonComplex):
             raise ValueError("d1 * d2 != 0")
 
 
+def _cycle_basis(cx: PolygonComplex) -> dict[int, dict[int, int]]:
+    """{cotree edge: fundamental cycle {edge: coefficient}} of the spanning
+    forest d1's Smith elimination pivots on: its V columns past the rank, in
+    their order, from its steps replayed on the graph.
+
+    Each row of the eliminated d1 stays +- the incidence of a vertex class, so
+    the pivot at slot t is the first edge (by column position) leaving the
+    first class (by row position) that has one.  Clearing its column merges
+    that class into the one at the edge's other end; clearing its row adds
+    -x * p times its V column, p the pivot, to each later column of entry x.
+    """
+    ends = list(cx.edge_ends.values())
+    label = list(range(cx.vertex_count))  # vertex -> its class, named by a vertex
+    rows = label[:]  # the class at each row position
+    cols = list(range(len(ends)))  # the edge at each column position
+    v = [{e: 1} for e in cols]
+
+    def entry(c: int, e: int) -> int:
+        t, h = ends[e]
+        return (label[h] == c) - (label[t] == c)
+
+    t = 0
+    while pivot := next(((i, j) for i in range(t, len(rows)) for j in range(t, len(cols))
+                         if entry(rows[i], cols[j])), None):
+        i, j = pivot
+        rows[t], rows[i] = rows[i], rows[t]
+        if j != t:
+            cols[t], cols[j] = cols[j], cols[t]
+            _step(v, t, j, None)
+        c, (tail, head) = rows[t], ends[cols[t]]
+        p = entry(c, cols[t])
+        for k in range(t + 1, len(cols)):
+            if x := entry(c, cols[k]):
+                _step(v, t, k, -x * p)
+        other = label[tail if p == 1 else head]
+        label[:] = [other if class_ == c else class_ for class_ in label]
+        t += 1
+    return {cols[k]: v[k] for k in range(t, len(cols))}
+
+
 class H1Basis:
     """Canonical basis of a polygon complex's H1, with coordinates for 1-cycles.
 
@@ -534,32 +545,26 @@ class H1Basis:
     divisibility chain).  ``coordinates`` maps an integer 1-chain in the kernel
     of d1 to its (free, torsion) coordinate vector.  The basis reads the
     complex's sparse boundaries after the d1 * d2 = 0 check homology_groups
-    runs too.  Two Smith forms, with their inverse factors, give everything,
-    and their inputs are its only dense matrices: d1's gives the kernel lattice
-    K and a left inverse W of it, and that of W * d2 (d2's rows by edge read
-    off the face sums) gives ux.  The coordinate map ux * W and the generators
-    K * ux^-1 are sparse, and a 1-chain is a dict {edge: coefficient}, so a
-    chain costs the nonzeros it meets.
+    runs too.  The kernel lattice K is the spanning forest's fundamental
+    cycles, and a cycle's coefficients at the cotree edges are its coordinates
+    in K: d2 in the basis K is d2's cotree rows, whose Smith form, the one
+    dense matrix, gives ux.  The coordinate map and the generators K * ux^-1
+    are sparse, and a 1-chain is a dict {edge: coefficient}, so a chain costs
+    the nonzeros it meets.
     """
 
     def __init__(self, cx: PolygonComplex):
         _check_boundaries(cx)
-        n_edges, n_faces = len(cx.edges), len(cx.faces)
         # d1 by sparse columns, one an edge, for the cycle check of a chain
         self._d1 = [{h: 1, t: -1} if t != h else {} for t, h in cx.edge_ends.values()]
-        _, _, v1, _, v1_inv = smith_normal_form(cx.d1())
-        # the Smith diagonal is nonzero exactly up to rank d1 = V - c, so the
-        # columns of V1 past it span the kernel lattice K (saturated, full
-        # column rank) and the rows of V1^-1 past it are a left inverse W of K:
-        # z = K * W * z for every cycle z, so W * d2 is d2 in the basis K
-        rank1 = cx.vertex_count - cx.component_count
-        kernel, w = v1[rank1:], v1_inv[rank1:]
-        d2_rows = _transpose(cx._face_sums, n_edges)  # one an edge
-        w_d2 = (_apply(d2_rows, row) for row in w)
-        ux, dx, _, ux_inv, _ = smith_normal_form([[r.get(f, 0) for f in range(n_faces)]
-                                                  for r in w_d2])
-        # ux * W by columns, one per edge, for the coordinates of a chain
-        self._coordinate_map = _transpose([_apply(w, row) for row in ux], n_edges)
+        cycles = _cycle_basis(cx)
+        kernel = list(cycles.values())
+        ux, dx, _, ux_inv = smith_normal_form([[sums.get(e, 0) for sums in cx._face_sums]
+                                               for e in cycles])
+        # the coordinate map by columns, one an edge: ux's s-th column at the
+        # s-th cotree edge, and none at a tree edge
+        columns = dict(zip(cycles, _transpose(ux, len(cycles))))
+        self._coordinate_map = [columns.get(e, {}) for e in range(len(self._d1))]
         self.orders = [row[i] if i < len(row) else 0 for i, row in enumerate(dx)]
         self.free_indices = [i for i, o in enumerate(self.orders) if o == 0]
         self.torsion_indices = [i for i, o in enumerate(self.orders) if o > 1]
@@ -669,16 +674,16 @@ class InducedMaps(Record):
 
 
 def h1_z2_basis(cx: PolygonComplex):
-    """Projection of edge space onto an H1(.,Z2) coordinate system, from the
-    mod-2 boundary rows of the corner pass: the one GF(2) homology computation.
+    """Projection of edge space onto an H1(.,Z2) coordinate system: the one
+    GF(2) homology computation.
 
     Returns (basis rows, project), bit-packed by edge.  The basis rows are
-    the cycles, in nullspace order, that the boundaries and the earlier cycles
-    do not span; project maps a cycle to its coordinates in that basis, bit i
-    for basis row i.
+    the spanning forest's fundamental cycles mod 2, by ascending cotree edge,
+    that the face rows mod 2 and the earlier cycles do not span; project maps
+    a cycle to its coordinates in that basis, bit i for basis row i.
     """
     n = len(cx.edges)
-    cycles = nullspace_rows(cx._d1_rows, n)
+    cycles = [sum(1 << e for e in cycle) for _, cycle in sorted(_cycle_basis(cx).items())]
     top = n + len(cycles) - 1
     # One echelon of [boundaries; cycles], cycle i tagged with bit top - i above
     # the edge columns.  Rows pivoting on a tag are the relations among the

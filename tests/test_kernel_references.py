@@ -1,7 +1,7 @@
 """The per-op kernels against verbatim copies of their first versions.
 
-``PolygonComplex`` (edge listing, corner union, vertex numbering, and d1,
-the face sums and the packed rows of its one corner pass),
+``PolygonComplex`` (edge listing, corner union, vertex numbering, and the
+edge ends, the face sums and the packed face rows of its one corner pass),
 ``orientation_double_cover_complex``, ``gf2_row_reduce``, ``solve_rows``,
 ``smith_normal_form`` (its sparse factors, written out dense, against the
 dense replay of the same steps; and the invariant factors alone),
@@ -20,7 +20,9 @@ words, on the flat involutions of the pinor grids and the odd lifts of
 them, on random nested reports, on random sparse multivectors and random
 orthogonal matrices.  A multivector matches when its items match in value,
 type and order.  The rank of d1 is checked as V - c against the Smith and
-the GF(2) eliminations.
+the GF(2) eliminations, and ``_cycle_basis``'s replay against the V columns
+of d1's Smith form and the GF(2) nullspace of d1, on the inputs above and on
+face-shuffled triangulated T² and K² grids.
 """
 
 import functools
@@ -58,6 +60,7 @@ from pincover.homology import (
     h1_z2_basis,
     homology_groups,
     induced_maps,
+    nullspace_rows,
     orientation_double_cover_complex,
     smith_normal_form,
     solve_rows,
@@ -379,29 +382,27 @@ def _column_step(m: list[list[int]], i: int, j: int, q: int | None):
 
 
 def _ref_dense_smith_normal_form(a: list[list[int]]):
-    """U, D, V, U^-1, V^-1 with U*a*V = D diagonal, divisibility chain, U and V
+    """U, D, V, U^-1 with U*a*V = D diagonal, divisibility chain, U and V
     unimodular: one elimination of a, each row step replayed onto U and undone
-    on the columns of U^-1, each column step onto V and undone on the rows of V^-1."""
+    on the columns of U^-1, each column step onto V."""
     d = [row[:] for row in a]
     rows, cols = len(d), len(d[0]) if d else 0
-    u, v, u_inv, v_inv = identity(rows), identity(cols), identity(rows), identity(cols)
+    u, v, u_inv = identity(rows), identity(cols), identity(rows)
     for on_rows, i, j, q in homology._eliminate(d):
-        # a swap and the negation (t, t, -2) undo themselves; adding q times
-        # i to j is undone by adding -q times j to i
-        undo = (i, j, q) if q is None or i == j else (j, i, -q)
         if on_rows:
+            # a swap and the negation (t, t, -2) undo themselves; adding q
+            # times i to j is undone by adding -q times j to i
             _row_step(u, i, j, q)
-            _column_step(u_inv, *undo)
+            _column_step(u_inv, *((i, j, q) if q is None or i == j else (j, i, -q)))
         else:
             _column_step(v, i, j, q)
-            _row_step(v_inv, *undo)
-    return u, d, v, u_inv, v_inv
+    return u, d, v, u_inv
 
 
 def dense_factors(a: list[list[int]]):
     """smith_normal_form(a) with its sparse factors written out as dense
-    matrices: U and V^-1 are kept by rows, V and U^-1 by columns."""
-    u, d, v, u_inv, v_inv = smith_normal_form(a)
+    matrices: U is kept by rows, V and U^-1 by columns."""
+    u, d, v, u_inv = smith_normal_form(a)
     rows, cols = len(u), len(v)
 
     def by_rows(vecs, n):
@@ -410,7 +411,7 @@ def dense_factors(a: list[list[int]]):
     def by_columns(vecs, n):
         return [[vec.get(i, 0) for vec in vecs] for i in range(n)]
 
-    return by_rows(u, rows), d, by_columns(v, cols), by_columns(u_inv, rows), by_rows(v_inv, cols)
+    return by_rows(u, rows), d, by_columns(v, cols), by_columns(u_inv, rows)
 
 
 def _ref_smith_normal_form(a: list[list[int]]):
@@ -518,7 +519,7 @@ def _ref_factor(a: list[list[int]]):
     The unimodular factors of the lattices here are near-permutations (about
     one nonzero entry per column), so products with them cost their nonzeros.
     """
-    u, d, v, _, _ = _ref_dense_smith_normal_form(a)
+    u, d, v, _ = _ref_dense_smith_normal_form(a)
     return _columns(u), [d[i][i] for i in range(min(len(u), len(v)))], _columns(v)
 
 
@@ -557,7 +558,7 @@ class _RefH1Basis:
         n_edges = len(d2)
         if any(any(row) for row in mat_mul(d1, d2)):
             raise ValueError("d1 * d2 != 0")
-        _, dd1, v1, _, _ = _ref_dense_smith_normal_form(d1)
+        _, dd1, v1, _ = _ref_dense_smith_normal_form(d1)
         rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
         # the Smith diagonal is nonzero exactly up to the rank, so the v1 columns
         # past the rank span the kernel lattice (saturated, full column rank)
@@ -578,7 +579,7 @@ class _RefH1Basis:
         x = _ref_back_substitute(self._kernel_factors, _columns([d2[e] for e in order]))
         if x is None:
             raise ValueError("image of d2 does not lie in the kernel of d1")
-        ux, dx, _, _, _ = _ref_dense_smith_normal_form(
+        ux, dx, _, _ = _ref_dense_smith_normal_form(
             [[col.get(i, 0) for col in x] for i in range(k)])
         # new kernel basis K' = K * ux^-1; coordinates of z: ux * solve(K, z)
         self._ux_rows = ux  # factored again by the first representative call
@@ -623,7 +624,7 @@ def _ref_homology_groups(cx):
     n_edges = len(d2)
     if any(any(row) for row in mat_mul(d1, d2)):
         raise ValueError("d1 * d2 != 0")
-    _, dd1, v1, _, _ = _ref_dense_smith_normal_form(d1)
+    _, dd1, v1, _ = _ref_dense_smith_normal_form(d1)
     rank1 = sum(1 for i in range(min(len(dd1), n_edges)) if dd1[i][i])
     kernel = [row[rank1:] for row in v1]
     k = n_edges - rank1
@@ -633,7 +634,7 @@ def _ref_homology_groups(cx):
                              _columns([d2[e] for e in order]))
     if x is None:
         raise ValueError("image of d2 does not lie in the kernel of d1")
-    _, dx, _, _, _ = _ref_dense_smith_normal_form([[col.get(i, 0) for col in x] for i in range(k)])
+    _, dx, _, _ = _ref_dense_smith_normal_form([[col.get(i, 0) for col in x] for i in range(k)])
     n_diag = min(len(dx), len(dx[0]) if dx else 0)
     orders = [dx[i][i] if i < n_diag else 0 for i in range(k)]
     free_rank = sum(1 for o in orders if o == 0)
@@ -930,6 +931,39 @@ def closed_words():
         lambda fb: fb[0][0]).map(lambda fb: GluingWord(fb[0][0]))
 
 
+def triangulated_grid(m: int, klein: bool) -> list[tuple[tuple[str, int], ...]]:
+    """The faces of the m x m square grid on the torus, or on the Klein bottle,
+    each square cut into two triangles along its diagonal, in a shuffled order.
+
+    Vertex (i, j) of the square [0, m]^2 is (i mod m, j mod m) on the torus;
+    the Klein bottle glues its top side to its bottom reversed, (i, m) to
+    (m - i, 0).  A diagonal lies inside its square and is glued to nothing.
+    """
+    def h(i, j):  # the edge (i, j) -> (i + 1, j)
+        if j < m:
+            return f"h{i},{j}", 1
+        return (f"h{m - 1 - i},0", -1) if klein else (f"h{i},0", 1)
+
+    def v(i, j):  # the edge (i, j) -> (i, j + 1)
+        return f"v{i % m},{j}", 1
+
+    def inverse(occ):
+        return occ[0], -occ[1]
+
+    faces = []
+    for i in range(m):
+        for j in range(m):
+            d = f"d{i},{j}", 1  # the edge (i, j) -> (i + 1, j + 1)
+            faces.append((h(i, j), v(i + 1, j), inverse(d)))
+            faces.append((d, inverse(h(i, j + 1)), inverse(v(i, j))))
+    random.Random(f"{m}/{klein}").shuffle(faces)
+    return faces
+
+
+GRIDS = {f"{'k2' if klein else 't2'}-{m}x{m}": (klein, triangulated_grid(m, klein))
+         for m in range(2, 9) for klein in (False, True)}
+
+
 def model_of(word):
     return SurfaceModel("w", FAMILY_ONLY, word, _ref_is_orientable([word.word]), 0)
 
@@ -985,16 +1019,15 @@ def test_cover_matches_reference_on_random_words(fb):
 
 
 def assert_same_boundaries(cx):
-    """The one corner pass's d1, d2 and packed rows against the walks of the
-    faces by letter name, on a reference complex built from the same cells."""
+    """The one corner pass's face sums and packed face rows against the walks
+    of the faces by letter name, on a reference complex built from the same
+    cells (assert_same_complex compares the edge ends, d1)."""
     ref = _RefPolygonComplex(cx.faces, cx.boundary_letters)
-    assert cx.d1() == ref.d1()
     # the face sums, a cancelling letter's 0 kept, are d2 by faces
     d2 = ref.d2()
     assert [[sums.get(j, 0) for j in range(len(cx.edges))] for sums in cx._face_sums] == [
         [row[f] for row in d2] for f in range(len(cx.faces))]
-    d1_rows, d2_rows = _ref_packed_boundaries(ref)
-    assert (cx._d1_rows, cx._d2_rows) == (tuple(d1_rows), tuple(d2_rows))
+    assert cx._d2_rows == tuple(_ref_packed_boundaries(ref)[1])
     # homology_groups factors d2's transpose, the reference d2 itself
     assert homology_groups(cx) == _ref_factor_homology_groups(ref)
 
@@ -1036,9 +1069,9 @@ def assert_same_homology(cx):
                 ref.coordinates(chain)
         else:
             assert basis.coordinates({e: 1}) == ref.coordinates(chain)
-    # the GF(2) rows packed from the cells are the dense boundary matrices mod 2
+    # the GF(2) face rows packed from the cells are the dense d2 mod 2
     d2_by_face = [[row[f] for row in d2] for f in range(len(cx.faces))]
-    assert (cx._d1_rows, cx._d2_rows) == (tuple(pack_rows(d1)), tuple(pack_rows(d2_by_face)))
+    assert cx._d2_rows == tuple(pack_rows(d2_by_face))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1072,9 +1105,9 @@ def disconnected_gluings(draw):
     return faces, frozenset(boundary)
 
 
-def graph_components(cx):
-    """The components of the 1-skeleton (vertices and edges), by a union-find
-    over the edge ends."""
+def kruskal_forest(cx) -> set[int]:
+    """The edges of the lowest-index-first spanning forest of the 1-skeleton,
+    by a union-find over the edge ends in edge order."""
     root = list(range(cx.vertex_count))
 
     def find(x):
@@ -1082,20 +1115,21 @@ def graph_components(cx):
             x = root[x]
         return x
 
-    joined = 0
-    for t, h in cx.edge_ends.values():
+    forest = set()
+    for e, (t, h) in enumerate(cx.edge_ends.values()):
         a, b = find(t), find(h)
         if a != b:
             root[a] = b
-            joined += 1
-    return cx.vertex_count - joined
+            forest.add(e)
+    return forest
 
 
 def assert_rank_d1_is_vertices_minus_components(cx):
     rank = cx.vertex_count - cx.component_count
-    assert cx.component_count == graph_components(cx)
-    assert rank == len(nonzero_diagonal(_ref_smith_normal_form(cx.d1())[1]))
-    assert rank == len(gf2_row_reduce(cx._d1_rows)[1])
+    d1 = ref_boundaries(cx)[0]
+    assert cx.component_count == cx.vertex_count - len(kruskal_forest(cx))
+    assert rank == len(nonzero_diagonal(_ref_smith_normal_form(d1)[1]))
+    assert rank == len(gf2_row_reduce(pack_rows(d1))[1])
     assert homology_groups(cx).h0 == (cx.component_count, ())
 
 
@@ -1132,6 +1166,66 @@ def test_rank_d1_on_family_bases_and_covers(word):
         1, 2 if _ref_is_orientable([word.word]) else 1)
     for cx in (word.complex, total):
         assert_rank_d1_is_vertices_minus_components(cx)
+
+
+@pytest.mark.parametrize("klein, faces", GRIDS.values(), ids=list(GRIDS))
+def test_grids_are_tori_and_klein_bottles(klein, faces):
+    cx = PolygonComplex(faces)
+    squares = len(faces) // 2
+    assert (cx.vertex_count, len(cx.edges), cx.component_count) == (squares, 3 * squares, 1)
+    h1 = (1, (2,)) if klein else (2, ())
+    basis = H1Basis(cx)
+    assert homology_groups(cx).h1 == (basis.free_rank, basis.torsion) == h1
+    assert_rank_d1_is_vertices_minus_components(cx)
+
+
+# ---------------------------------------------------------------------------
+# the spanning-forest cycles: d1's Smith kernel and its GF(2) nullspace
+
+
+def assert_cycle_basis_is_the_smith_kernel(cx):
+    """_cycle_basis against the V columns past the rank of d1's Smith form, in
+    order: value for value against the dense replay, and item for item against
+    the sparse factor; its tree edges are the lowest-index-first forest, and
+    its cycles mod 2, by ascending cotree edge, are d1's GF(2) nullspace."""
+    d1, n = ref_boundaries(cx)[0], len(cx.edges)
+    _, d, v, _ = _ref_dense_smith_normal_form(d1)
+    rank = len(nonzero_diagonal(d))
+    basis = homology._cycle_basis(cx)
+    assert list(basis.values()) == [{e: row[k] for e, row in enumerate(v) if row[k]}
+                                    for k in range(rank, n)]
+    assert [list(cycle.items()) for cycle in basis.values()] == [
+        list(column.items()) for column in smith_normal_form(d1)[2][rank:]]
+    tree = kruskal_forest(cx)
+    assert set(range(n)) - basis.keys() == tree
+    for e, cycle in basis.items():  # a cotree edge once, on its own cycle
+        assert cycle[e] == 1 and cycle.keys() - {e} <= tree
+    assert [sum(1 << e for e in basis[k]) for k in sorted(basis)] == nullspace_rows(
+        pack_rows(d1), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gluing_faces(), disconnected_gluings()))
+# two vertices, where the elimination's cotree order is not ascending
+@example(([(), (("e2", -1),), (("e0", 1), ("e2", -1)), (("e0", 1), ("e1", 1), ("e1", -1))],
+          frozenset()))
+def test_cycle_basis_is_the_smith_kernel_on_random_gluings(fb):
+    faces, boundary = fb
+    assert_cycle_basis_is_the_smith_kernel(PolygonComplex(faces, boundary))
+
+
+@pytest.mark.parametrize("klein, faces", GRIDS.values(), ids=list(GRIDS))
+def test_cycle_basis_is_the_smith_kernel_on_grids(klein, faces):
+    assert_cycle_basis_is_the_smith_kernel(PolygonComplex(faces))
+
+
+@pytest.mark.parametrize("word", FAMILY_WORDS.values(), ids=list(FAMILY_WORDS))
+def test_cycle_basis_is_the_smith_kernel_on_family_bases_and_covers(word):
+    relabelled = (relabel(list(word.word), random.Random(f"{word.word}/{i}"), "q")
+                  for i in range(2))
+    for w in (word, *map(GluingWord, map(tuple, relabelled))):
+        assert_cycle_basis_is_the_smith_kernel(w.complex)
+        assert_cycle_basis_is_the_smith_kernel(orientation_double_cover_complex(w).total)
 
 
 # ---------------------------------------------------------------------------
@@ -1195,8 +1289,8 @@ def assert_same_smith_form(a):
 @pytest.mark.parametrize("word", FAMILY_WORDS.values(), ids=list(FAMILY_WORDS))
 def test_smith_form_matches_reference_on_family_matrices(word, monkeypatch):
     # every matrix the layer factors: d1 and d2 of the base and the cover, and
-    # what H1Basis hands to smith_normal_form (d1 and W * d2, the image of d2
-    # in the kernel basis, the two dense inputs it builds)
+    # what H1Basis hands to smith_normal_form (d2's rows at the cotree edges,
+    # d2 in the kernel basis, the one dense input it builds)
     seen = []
     original = homology.smith_normal_form
 
