@@ -218,24 +218,29 @@ class Z2Matrix(Frozen):
         return [[row >> j & 1 for j in range(self.cols)] for row in self.rows]
 
 
-def gf2_row_reduce(a) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of bit-packed rows over GF(2): the nonzero
-    reduced rows, one per pivot, and their pivot columns (ascending).
-
-    A stored row's pivot is its lowest bit, so an incoming row is cleared of
-    the pivots lowest first, and the back-elimination is one sweep at the end:
-    the work follows the pivot bits met, not the square of the rank.
-    """
-    rows: dict[int, int] = {}  # pivot column -> row, free of the pivots stored before it
+def _echelon(vecs) -> tuple[dict[int, int], int]:
+    """The one forward GF(2) pass: {pivot column: row} and the pivot mask.  A
+    row's pivot is its lowest bit, and it is free of the pivots stored before
+    it, so an incoming row is cleared of the pivots lowest first: the work
+    follows the pivot bits met, not the square of the rank."""
+    rows: dict[int, int] = {}
     pivot_mask = 0
-    for vec in a:
+    for vec in vecs:
         while m := vec & pivot_mask:
             vec ^= rows[(m & -m).bit_length() - 1]
         if vec:
             low = vec & -vec
             rows[low.bit_length() - 1] = vec
             pivot_mask |= low
-    # latest row first, so each row meets only rows that are fully reduced
+    return rows, pivot_mask
+
+
+def gf2_row_reduce(a) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of bit-packed rows over GF(2): the nonzero
+    reduced rows, one per pivot, and their pivot columns (ascending).  After
+    _echelon's forward pass, the back-elimination is one sweep, latest row
+    first, so each row meets only rows that are fully reduced."""
+    rows, pivot_mask = _echelon(a)
     for p in reversed(rows):
         row = rows[p]
         for q in _bits(row & pivot_mask ^ (1 << p)):
@@ -256,24 +261,15 @@ def nullspace_rows(rows: list[int], cols: int) -> list[int]:
 def solve_rows(rows: list[int], rhs: int, cols: int) -> int | None:
     """x with rows . x = rhs over GF(2), bit i of rhs for row i, or None.
 
-    The rows are eliminated forward only, with the rhs bit carried in column
-    cols, and the first row left with nothing but that bit ends the solve.  The
+    The rows, the rhs bit carried in column cols, go through _echelon's
+    forward pass; a pivot at column cols is a row reduced to 0 = 1.  The
     stored rows are triangular (a row's pivot is its lowest bit), so the one
     solution with every free column 0 is back-substituted, highest pivot first:
     the solution the reduced row echelon form reads off.
     """
-    stored: dict[int, int] = {}  # pivot column -> row, free of the pivots stored before it
-    pivot_mask = 0
-    for i, row in enumerate(rows):
-        vec = row | (rhs >> i & 1) << cols
-        while m := vec & pivot_mask:
-            vec ^= stored[(m & -m).bit_length() - 1]
-        if vec:
-            low = vec & -vec
-            if low >> cols:
-                return None  # 0 = 1
-            stored[low.bit_length() - 1] = vec
-            pivot_mask |= low
+    stored, _ = _echelon(row | (rhs >> i & 1) << cols for i, row in enumerate(rows))
+    if cols in stored:
+        return None  # 0 = 1
     x = 0
     for p in sorted(stored, reverse=True):
         # the row's other bits are higher pivots, solved already, or free columns, 0
@@ -395,11 +391,11 @@ class PolygonComplex(Frozen):
     boundary row mod 2 are derived from the fields in one pass over the
     corners.  The edge ends are d1, and the one union-find over them counts
     the components of the 1-skeleton, so rank d1 = vertex_count -
-    component_count.
+    component_count; _cycles keeps the spanning forest's cycles once replayed.
     """
 
     __slots__ = ("faces", "boundary_letters", "edges", "vertex_count", "component_count",
-                 "edge_index", "edge_ends", "_face_sums", "_d2_rows")
+                 "edge_index", "edge_ends", "_face_sums", "_d2_rows", "_cycles")
     _fields = ("faces", "boundary_letters")
 
     def __init__(self, faces: list[tuple[Occurrence, ...]],
@@ -458,7 +454,7 @@ class PolygonComplex(Frozen):
         derived = {"edges": edges, "vertex_count": count, "component_count": components,
                    "edge_ends": edge_ends,
                    "edge_index": dict(zip(edges, range(len(edges)))), "_face_sums": face_sums,
-                   "_d2_rows": tuple(d2_rows)}
+                   "_d2_rows": tuple(d2_rows), "_cycles": None}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -508,7 +504,11 @@ def _cycle_basis(cx: PolygonComplex) -> dict[int, dict[int, int]]:
     first class (by row position) that has one.  Clearing its column merges
     that class into the one at the edge's other end; clearing its row adds
     -x * p times its V column, p the pivot, to each later column of entry x.
+    The first call keeps its dict in cx._cycles, and later calls return that
+    dict, read-only: one replay per complex.
     """
+    if cx._cycles is not None:
+        return cx._cycles
     ends = list(cx.edge_ends.values())
     label = list(range(cx.vertex_count))  # vertex -> its class, named by a vertex
     rows = label[:]  # the class at each row position
@@ -535,7 +535,8 @@ def _cycle_basis(cx: PolygonComplex) -> dict[int, dict[int, int]]:
         other = label[tail if p == 1 else head]
         label[:] = [other if class_ == c else class_ for class_ in label]
         t += 1
-    return {cols[k]: v[k] for k in range(t, len(cols))}
+    object.__setattr__(cx, "_cycles", {cols[k]: v[k] for k in range(t, len(cols))})
+    return cx._cycles
 
 
 class H1Basis:

@@ -39,7 +39,6 @@ from .surface import (
     double,
     family_cover_name,
     jacobian,
-    orientation_double_cover,
 )
 
 IDENTITY = "identity"
@@ -201,12 +200,11 @@ def descend(base: SurfaceModel, kind: str) -> DescentReport:
         # cover's name, so no cover model is built
         return DescentReport(base.name, family_cover_name(base), kind, "count-only",
                              {}, (), torsor, torsor, exists, True)
-    cover = orientation_double_cover(base)
-    lifts = _lift_table(cover.deck, kind)
+    lifts = _lift_table(base.deck, kind)
     squares = {label: res.square for label, res in lifts.items() if res.exists}
     qualifying = tuple(label for label, res in lifts.items() if res.descends)
     count = 2 * len(qualifying)
-    return DescentReport(base.name, cover.total.name, kind, "geometric",
+    return DescentReport(base.name, base.deck.domain.name, kind, "geometric",
                          squares, qualifying, count, torsor, exists, count == torsor)
 
 

@@ -296,9 +296,10 @@ def _ref_gf2_row_reduce(a):
 
 def _ref_solve_rows(rows, rhs, cols):
     """solve_rows's first version: the full reduced row echelon form of the
-    augmented rows, the solution read off it with every free column 0."""
-    reduced, pivots = gf2_row_reduce([row | (rhs >> i & 1) << cols
-                                      for i, row in enumerate(rows)])
+    augmented rows, the solution read off it with every free column 0, from
+    this file's own elimination: solve_rows and gf2_row_reduce share theirs."""
+    reduced, pivots = _ref_gf2_row_reduce([row | (rhs >> i & 1) << cols
+                                           for i, row in enumerate(rows)])
     if pivots and pivots[-1] == cols:
         return None
     return sum((row >> cols & 1) << p for row, p in zip(reduced, pivots))
@@ -1228,6 +1229,50 @@ def test_cycle_basis_is_the_smith_kernel_on_family_bases_and_covers(word):
         assert_cycle_basis_is_the_smith_kernel(orientation_double_cover_complex(w).total)
 
 
+def assert_the_forest_is_kept(cx):
+    """_cycle_basis returns the one dict cx._cycles holds, equal to a fresh
+    complex's replay."""
+    kept = cx._cycles
+    assert kept is not None and homology._cycle_basis(cx) is kept
+    assert kept == homology._cycle_basis(PolygonComplex(cx.faces, cx.boundary_letters))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gluing_faces(), disconnected_gluings()))
+def test_the_forest_is_kept_on_random_gluings(fb):
+    cx = PolygonComplex(*fb)
+    H1Basis(cx)
+    h1_z2_basis(cx)
+    assert_the_forest_is_kept(cx)
+
+
+@pytest.mark.parametrize("klein, faces", GRIDS.values(), ids=list(GRIDS))
+def test_the_forest_is_kept_on_grids(klein, faces):
+    cx = PolygonComplex(faces)
+    H1Basis(cx)
+    h1_z2_basis(cx)
+    assert_the_forest_is_kept(cx)
+
+
+@pytest.mark.parametrize("word", FAMILY_WORDS.values(), ids=list(FAMILY_WORDS))
+def test_the_forest_is_kept_on_family_bases_and_covers(word, monkeypatch):
+    # a relabelled word has a complex of its own, so the base is fresh too
+    fresh = GluingWord(tuple(relabel(list(word.word), random.Random(str(word.word)), "k")))
+    cover = orientation_double_cover_complex(fresh)
+    replayed = []
+    replay = homology._cycle_basis
+
+    def counted(cx):
+        replayed.append(cx._cycles is None)
+        return replay(cx)
+
+    monkeypatch.setattr(homology, "_cycle_basis", counted)
+    induced_maps(cover)
+    assert sum(replayed) == 2  # once per complex, though both bases read each
+    for cx in (cover.base, cover.total):
+        assert_the_forest_is_kept(cx)
+
+
 # ---------------------------------------------------------------------------
 # GluingWord's exponent pass: its checks and the one-sided letters
 
@@ -1392,6 +1437,10 @@ def gf2_systems(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(gf2_systems())
+# 0 = 1 met with rows still to come, which the forward pass goes on to store
+@example(([0b1, 0b1, 0b10], 0b010, 2))
+@example(([0b11, 0b11, 0b1, 0b10], 0b0110, 2))
+@example(([0b0, 0b1], 0b01, 1))
 def test_solve_rows_matches_reference(system):
     rows, rhs, cols = system
     x = solve_rows(rows, rhs, cols)
