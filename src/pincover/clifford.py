@@ -274,55 +274,43 @@ def _sandwich(alpha_u: Multivector, v: Multivector, u_inv: Multivector) -> Multi
 
 
 def twisted_adjoint(u: Multivector | PinElement, v: Multivector) -> Multivector:
-    """alpha(u) v u^-1; maps grade-1 vectors to grade-1 vectors orthogonally."""
+    """alpha(u) v u^-1; maps grade-1 vectors to grade-1 vectors orthogonally.
+
+    _sandwich is the map's one definition.  Criterion 10 calls it with alpha(u)
+    and u^-1 computed once per u, which gives the same floats in the same
+    order, and orthogonal_matrix(u) gives the map's columns.
+    """
     if isinstance(u, PinElement):
         u = u.value
     return _sandwich(u.grade_involution(), v, u.inverse())
 
 
 def orthogonal_matrix(u: Multivector | PinElement) -> np.ndarray:
-    """Matrix of the twisted adjoint action on basis vectors (columnwise).
+    """The twisted adjoint's matrix: column i is _sandwich's (alpha(u) e_i) u^-1.
 
-    Column i is _sandwich's (alpha(u) e_i) u^-1, float for float.  The terms
-    of alpha(u) e_i are alpha(u)'s, in its order, with mask m ^ e_i and
-    coefficient sign(m, e_i) c; the product's terms are
-    sign(m ^ e_i, b) (sign(m, e_i) c) c_b, which is +-(c c_b) exactly, and
-    one np.bincount per column sums them in row-major order,
-    geometric_product's loop order.  Only the grade check's tolerance, from
-    a norm summed in another order, may differ in its last bits.
+    The terms of alpha(u) e_i, in alpha(u)'s order, times those of u^-1, with
+    geometric_product's signs, are summed by one np.bincount over (column,
+    blade) in its loop order: every entry is _sandwich's float, and only the
+    grade check's norm is summed in another order (the masks').
     """
     import numpy as np
 
     value = u.value if isinstance(u, PinElement) else u
-    sig = value.signature
-    n, size = sig.n, 1 << sig.n
+    n, size = value.signature.n, 1 << value.signature.n
     alpha_u, u_inv = value.grade_involution(), value.inverse()
-    twist = _twist_masks(sig)
-    left, right = alpha_u.coefficients, u_inv.coefficients
-    left_masks = np.array(list(left))
-    right_masks = np.array(list(right))
-    right_twists = np.array([twist[m] for m in right])
-    sign = np.ones(size)  # -1 to the bit count of every mask
-    for k in range(n):
-        sign[1 << k:2 << k] = -sign[:1 << k]
-    vectors = 1 << np.arange(n)
-    # sign(m ^ e_i, b) = sign(m, b) * -1 ** (bit i of t[b]): one sign per
-    # pair for every column, and per column one per left and one per right term
-    pairs = sign[left_masks[:, None] & right_twists] * (
-        np.array(list(left.values()))[:, None] * np.array(list(right.values())))
-    left_signs = sign[np.array([twist[1 << i] for i in range(n)], dtype=int)[:, None]
-                      & left_masks]
-    right_signs = sign[vectors[:, None] & right_twists]
-    # column i's terms land on m ^ b ^ e_i; cols[i] holds them at m ^ b
-    targets = (left_masks[:, None] ^ right_masks).ravel()
-    cols = np.empty((n, size))
-    for i in range(n):
-        weights = pairs * left_signs[i][:, None] * right_signs[i]
-        cols[i] = np.bincount(targets, weights.ravel(), minlength=size)
-    at = np.arange(n), vectors[:, None] ^ vectors  # e_j of column i, at e_j ^ e_i
-    out = cols[at]
+    twist = np.array(_twist_masks(value.signature))
+    sign = np.array([-1.0 if m.bit_count() & 1 else 1.0 for m in range(size)])
+    e = 1 << np.arange(n)  # e_i, one per column
+    left, right = np.array(list(alpha_u.coefficients)), np.array(list(u_inv.coefficients))
+    # row i is alpha(u) e_i: blades a ^ e_i tagged with i << n, coefficients sign(a, e_i) c
+    blades = ((left ^ e[:, None]) | (np.arange(n)[:, None] << n))[:, :, None]
+    coeffs = sign[left & twist[e][:, None]] * np.array(list(alpha_u.coefficients.values()))
+    weights = (sign[blades & twist[right]] * coeffs[:, :, None]
+               * np.array(list(u_inv.coefficients.values())))
+    cols = np.bincount((blades ^ right).ravel(), weights.ravel(), n * size).reshape(n, size)
+    out = cols.T[e]  # entry (j, i) is column i's e_j
     tol = 1e-7 * np.maximum(1.0, np.sqrt(np.add.reduce(cols * cols, axis=1)))
-    cols[at] = 0.0
+    cols[:, e] = 0.0
     if not (np.abs(cols) <= tol[:, None]).all():
         raise ValueError("twisted adjoint did not preserve grade 1; u is not a versor")
     return out

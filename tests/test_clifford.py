@@ -231,14 +231,25 @@ def test_lift_round_trip_random():
 
 def test_orthogonal_matrix_is_bit_identical_to_twisted_adjoint_columns():
     rng = np.random.default_rng(31)
+    versors = []
     for case in range(300):
         n = 1 + case % 6
         m = random_orthogonal(rng, n)
-        for sig in (Signature(n, 0), Signature(0, n)):
-            u, _ = lift_orthogonal(m, sig)
-            cols = [vector_part(twisted_adjoint(u, Multivector.basis_vector(sig, i)))
-                    for i in range(n)]
-            assert np.array_equal(orthogonal_matrix(u), np.column_stack(cols))
+        versors += [(sig, lift_orthogonal(m, sig)[0]) for sig in (Signature(n, 0), Signature(0, n))]
+    # mixed signatures, where a twist mask carries both the swap parity and
+    # the negative-metric bit: products of 1 to p + q + 1 random vectors
+    for p in range(1, 4):
+        for q in range(1, 4):
+            sig = Signature(p, q)
+            for _ in range(12):
+                u = Multivector.scalar(sig, 1.0)
+                for _ in range(int(rng.integers(1, p + q + 2))):
+                    u = u * Multivector.from_vector(sig, rng.normal(size=p + q))
+                versors.append((sig, u))
+    for sig, u in versors:
+        cols = [vector_part(twisted_adjoint(u, Multivector.basis_vector(sig, i)))
+                for i in range(sig.n)]
+        assert np.array_equal(orthogonal_matrix(u), np.column_stack(cols))
 
 
 def test_invertible_non_versor_fails_the_grade_check():
