@@ -13,6 +13,7 @@ reversing seam" into an exact GF(2) solve; w2 is the Euler characteristic mod
 from __future__ import annotations
 
 from .homology import b1_mod2, solve_rows
+from .pin2 import PIN_MINUS, PIN_PLUS
 from .records import Frozen
 from .surface import SurfaceModel
 
@@ -81,7 +82,8 @@ def _wu_class(model: SurfaceModel) -> tuple[tuple[str, ...], int, int]:
         _, gram = chord_gram_matrix(model)
         v = solve_rows(gram, diag, len(letters))
         if v is None:
-            raise ValueError("degenerate intersection form")
+            # a symmetric form's diagonal lies in its column space over GF(2)
+            raise AssertionError("the chord form does not solve its own diagonal")
     else:
         v = 0
     answer = letters, diag, v
@@ -110,8 +112,21 @@ def w2(model: SurfaceModel) -> int:
 
 
 class ObstructionReport(Frozen):
-    __slots__ = ("surface", "w1", "w1_cup_w1", "w2", "pin_plus_exists", "pin_minus_exists",
-                 "count_pin_plus", "count_pin_minus", "h1_z2_dim")
+    """What obstructions computed; existence and torsor count by kind follow
+    from it (Kirby & Taylor 1990): pin+ exists iff w2 = 0, pin- iff
+    w2 + w1^2 = 0, and each that exists is a torsor over H^1(X, Z2)."""
+
+    __slots__ = ("surface", "w1", "w1_cup_w1", "w2", "h1_z2_dim")
+
+    def exists(self, kind: str) -> bool:
+        if kind == PIN_PLUS:
+            return self.w2 == 0
+        if kind == PIN_MINUS:
+            return (self.w2 + self.w1_cup_w1) % 2 == 0
+        raise ValueError(f"unknown kind {kind!r}")
+
+    def count(self, kind: str) -> int:
+        return 2 ** self.h1_z2_dim if self.exists(kind) else 0
 
     def as_dict(self):
         return {
@@ -119,23 +134,18 @@ class ObstructionReport(Frozen):
             "w1": {k: int(v) for k, v in sorted(self.w1.bits.items())},
             "w1_cup_w1": self.w1_cup_w1,
             "w2": self.w2,
-            "pin_plus": {"exists": self.pin_plus_exists, "count": self.count_pin_plus},
-            "pin_minus": {"exists": self.pin_minus_exists, "count": self.count_pin_minus},
+            "pin_plus": {"exists": self.exists(PIN_PLUS), "count": self.count(PIN_PLUS)},
+            "pin_minus": {"exists": self.exists(PIN_MINUS), "count": self.count(PIN_MINUS)},
             "h1_z2_dim": self.h1_z2_dim,
         }
 
 
 def obstructions(model: SurfaceModel) -> ObstructionReport:
-    """Pin existence and torsor counts: 2^{dim H^1(X, Z2)} structures when nonempty."""
+    """The Stiefel-Whitney data of a closed model and dim H^1(X, Z2)."""
     _require_closed(model)
     klass = w1(model)
     square = w1_cup_w1(model)
     two = w2(model)
     if (two + square) % 2 != 0 and model.orientable:
         raise AssertionError("orientable surface with w1 != 0")
-    plus = two == 0
-    minus = (two + square) % 2 == 0
-    dim = b1_mod2(model.complex)
-    count = 2 ** dim
-    return ObstructionReport(model.name, klass, square, two, plus, minus,
-                             count if plus else 0, count if minus else 0, dim)
+    return ObstructionReport(model.name, klass, square, two, b1_mod2(model.complex))

@@ -103,8 +103,7 @@ def cmd_structures(args) -> Report:
     if not model.orientable:
         return Report("structures", inputs, descend(model, kind),
                       anchor="tables/descent")
-    report = obstructions(model)
-    count = report.count_pin_plus if kind == pin2.PIN_PLUS else report.count_pin_minus
+    count = obstructions(model).count(kind)
     return Report("structures", inputs, {"mode": "count-only", "count": count},
                   anchor="tables/structure-descriptors")
 

@@ -53,6 +53,8 @@ class PinStructureDescriptor(Frozen):
     def __init__(self, surface: SurfaceModel, kind: str, twist: O2PathElement, label: str):
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
+        if surface.periodic_vars is None:
+            raise ValueError(f"no lift domain for {surface.name}")
         self._set(surface, kind, twist, label)
 
     @property
@@ -62,13 +64,6 @@ class PinStructureDescriptor(Frozen):
             raise ValueError("twist is not a rotation")
         a, b = self.twist.angle.theta, self.twist.angle.phi
         return int(a), int(b)
-
-
-def periodic_vars(model: SurfaceModel) -> tuple[str, ...]:
-    """Deck-shift coordinates (shift 2 pi) for lift well-definedness checks."""
-    if model.periodic_vars is None:
-        raise ValueError(f"no lift domain for {model.name}")
-    return model.periodic_vars
 
 
 def enumerate_structures(model: SurfaceModel, kind: str) -> list[PinStructureDescriptor]:
@@ -140,7 +135,7 @@ def lift_involution(xi: PinStructureDescriptor, tau: Involution) -> LiftResult:
     th, ph = tau_coordinate_forms(tau)
     rhs = compose(o2_inverse(at(xi.twist, th, ph)), compose(jacobian(tau), xi.twist))
     lift = canonical_lift(rhs, xi.kind)
-    if not all(is_periodic(lift, 2, var) for var in periodic_vars(xi.surface)):
+    if not all(is_periodic(lift, 2, var) for var in xi.surface.periodic_vars):
         return LiftResult(xi, tau, False, None, None,
                           "no single-valued lift: the candidate changes sign under a deck shift")
     square = scalar_value(mul(at(lift, th, ph), lift))
@@ -193,8 +188,7 @@ def descend(base: SurfaceModel, kind: str) -> DescentReport:
     if base.boundary_components:
         raise ValueError("descent applies to closed bases; see moebius_descent")
     report = obstructions(base)
-    exists = report.pin_plus_exists if kind == pin2.PIN_PLUS else report.pin_minus_exists
-    torsor = report.count_pin_plus if kind == pin2.PIN_PLUS else report.count_pin_minus
+    exists, torsor = report.exists(kind), report.count(kind)
     if base.deck is None:
         # a family base has no geometric deck, and the report reads only the
         # cover's name, so no cover model is built

@@ -56,26 +56,20 @@ def _units(c: Fraction, period: int) -> int:
     return v.numerator
 
 
-# identification rules for the second coordinate wrap, per model
-WRAP_NONE = "none"          # coordinate clamped to [0, 2] (boundary)
-WRAP_STRAIGHT = "straight"  # v ~ v + 2
-WRAP_FLIP_OTHER = "flip"    # (u, v) ~ (f(u), v + 2) with the other coordinate negated
-
-
 class SurfaceModel(Frozen):
     """A surface's gluing word and coordinates; a geometric model's record also
     holds its deck involution, double, lift domain and structure twists."""
 
-    __slots__ = ("name", "model_kind", "word", "orientable", "boundary_components", "x_wrap",
-                 "y_wrap", "genus", "cross_caps",
+    __slots__ = ("name", "model_kind", "word", "orientable", "boundary_components", "genus",
+                 "cross_caps",
                  # the geometry of a named model; family-only models have none
                  "deck",           # on the orientation double cover
                  "double",         # the closed double of a model with boundary
                  "periodic_vars",  # period-2pi lift coordinates
                  # label -> (a, b) of R_{a theta + b phi}
                  "twists")
-    _defaults = {"x_wrap": WRAP_STRAIGHT, "y_wrap": WRAP_STRAIGHT, "genus": 0, "cross_caps": 0,
-                 "deck": None, "double": None, "periodic_vars": None, "twists": ()}
+    _defaults = {"genus": 0, "cross_caps": 0, "deck": None, "double": None,
+                 "periodic_vars": None, "twists": ()}
 
     @property
     def complex(self) -> PolygonComplex:
@@ -85,29 +79,33 @@ class SurfaceModel(Frozen):
         return self.complex.euler_characteristic()
 
     def reduce(self, p: Lattice) -> Lattice:
-        """Canonical representatives of points modulo the identifications."""
+        """Canonical representatives of points modulo the identifications.
+
+        The word's four sides run bottom, right, top, left; sides i and i + 2
+        are one seam, crossed by y for i = 0 and by x for i = 1.  A boundary
+        seam clamps its coordinate to [0, 2pi]; opposite exponents wrap it
+        straight, equal ones with the other coordinate flipped, and a wrapped
+        coordinate's seam is taken at 0."""
         import numpy as np
 
         if self.model_kind != FLAT_SQUARE:
             raise ValueError(f"{self.name} has no square coordinates")
         x, y, period = p
-        if self.y_wrap == WRAP_STRAIGHT:
-            y = y % period
-        elif self.y_wrap == WRAP_FLIP_OTHER:
-            x = np.where(y // period % 2 == 1, -x, x)
-            y = y % period
-        elif not ((0 <= y) & (y <= period)).all():
-            raise ValueError(f"{self.name}: y out of range")
-        if self.x_wrap == WRAP_STRAIGHT:
-            x = x % period
-        elif self.x_wrap == WRAP_FLIP_OTHER:
-            flipped = period - y if self.y_wrap == WRAP_NONE else -y % period
-            y = np.where(x // period % 2 == 1, flipped, y)
-            x = x % period
-        elif not ((0 <= x) & (x <= period)).all():
-            raise ValueError(f"{self.name}: x out of range")
-        # edge representatives: the wrapped coordinate's seam is taken at 0
-        return Lattice(x, y, period)
+        xy = [x, y]
+        wrapped = []
+        word = self.word.word
+        for side, ((letter, first), (_, second)) in enumerate(zip(word, word[2:])):
+            c = 1 - side  # the coordinate crossing the seam; xy[side] is the other one
+            if letter in self.word.boundary_letters:
+                if not ((0 <= xy[c]) & (xy[c] <= period)).all():
+                    raise ValueError(f"{self.name}: {'xy'[c]} out of range")
+                continue
+            if first == second:
+                xy[side] = np.where(xy[c] // period % 2 == 1, period - xy[side], xy[side])
+            wrapped.append(c)
+        for c in wrapped:
+            xy[c] = xy[c] % period
+        return Lattice(*xy, period)
 
 
 class Involution(Frozen):
@@ -205,19 +203,16 @@ def _geometric_models() -> dict[str, SurfaceModel]:
     rp2 = SurfaceModel("rp2", TWO_DISC, GluingWord.parse("x x"), False, 0, cross_caps=1,
                        deck=Involution("rp2-deck", ((1, 0), (0, 1)), (1, 0), s2))
     # (0,y) ~ (2pi,y) and (x,0) ~ (2pi-x, 2pi): crossing y flips x
-    k2 = SurfaceModel("k2", FLAT_SQUARE, GluingWord.parse("a b a b'"), False, 0,
-                      y_wrap=WRAP_FLIP_OTHER, cross_caps=2,
+    k2 = SurfaceModel("k2", FLAT_SQUARE, GluingWord.parse("a b a b'"), False, 0, cross_caps=2,
                       deck=Involution("k2-deck", ((1, 0), (0, -1)), (1, 0), t2))
     # theta runs over [0, pi] only, so the cylinder twists are the theta-only ones
     cyl = SurfaceModel("cyl", FLAT_SQUARE, GluingWord.parse("u a t' a'", boundary="u t"), True, 2,
-                       y_wrap=WRAP_NONE,
                        double=Double(Involution("cyl-double", ((-1, 0), (0, 1)), (0, 0), t2),
                                      _theta_half),
                        periodic_vars=("phi",), twists=(("xi0", (0, 0)), ("xi1", (1, 0))))
     # (0,y) ~ (2pi, 2pi-y): crossing x flips y
     moebius = SurfaceModel(
-        "moebius", FLAT_SQUARE, GluingWord.parse("u a t a", boundary="u t"), False, 1,
-        x_wrap=WRAP_FLIP_OTHER, y_wrap=WRAP_NONE, cross_caps=1,
+        "moebius", FLAT_SQUARE, GluingWord.parse("u a t a", boundary="u t"), False, 1, cross_caps=1,
         deck=Involution("moebius-deck", ((1, 0), (0, -1)), (1, 2), cyl),
         double=Double(Involution("moebius-double", ((-1, 1), (0, 1)), (0, 0), k2), _shear_half))
     return {m.name: m for m in (s2, rp2, t2, k2, cyl, moebius)}

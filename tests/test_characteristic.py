@@ -1,5 +1,7 @@
 """Stiefel-Whitney tests, including a brute-force simplicial cup-product oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from pincover.homology import (
     orientation_double_cover_complex,
     solve_rows,
 )
+from pincover.pin2 import PIN_MINUS, PIN_PLUS
 from pincover.surface import FAMILY_ONLY, SurfaceModel, build
 from test_kernel_references import pack_rows
 
@@ -279,28 +282,36 @@ def test_wu_consistency_all_families():
 
 def test_obstructions_rp2():
     r = obstructions(build("rp2"))
-    assert not r.pin_plus_exists and r.count_pin_plus == 0
-    assert r.pin_minus_exists and r.count_pin_minus == 2
+    assert not r.exists(PIN_PLUS) and r.count(PIN_PLUS) == 0
+    assert r.exists(PIN_MINUS) and r.count(PIN_MINUS) == 2
 
 
 def test_obstructions_k2():
     r = obstructions(build("k2"))
-    assert r.pin_plus_exists and r.pin_minus_exists
-    assert r.count_pin_plus == r.count_pin_minus == 4
+    assert r.exists(PIN_PLUS) and r.exists(PIN_MINUS)
+    assert r.count(PIN_PLUS) == r.count(PIN_MINUS) == 4
 
 
 def test_obstructions_t2():
     r = obstructions(build("t2"))
-    assert r.count_pin_plus == r.count_pin_minus == 4
+    assert r.count(PIN_PLUS) == r.count(PIN_MINUS) == 4
 
 
 def test_pin_minus_always_exists_pin_plus_iff_even_chi():
     for model in all_closed_models():
         r = obstructions(model)
-        assert r.pin_minus_exists
-        assert r.pin_plus_exists == (model.euler_characteristic() % 2 == 0)
-        if r.pin_plus_exists:
-            assert r.count_pin_plus == r.count_pin_minus == 2 ** r.h1_z2_dim
+        assert r.exists(PIN_MINUS)
+        assert r.exists(PIN_PLUS) == (model.euler_characteristic() % 2 == 0)
+        if r.exists(PIN_PLUS):
+            assert r.count(PIN_PLUS) == r.count(PIN_MINUS) == 2 ** r.h1_z2_dim
+
+
+@pytest.mark.parametrize("kind", ["pin", "spin", "PIN+"])
+def test_the_report_refuses_an_unknown_kind(kind):
+    r = obstructions(build("k2"))
+    for answer in (r.exists, r.count):
+        with pytest.raises(ValueError, match=f"unknown kind '{re.escape(kind)}'"):
+            answer(kind)
 
 
 def test_obstructions_builds_one_chord_form(monkeypatch):

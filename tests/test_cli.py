@@ -138,6 +138,23 @@ def test_an_internal_error_exits_3_with_its_traceback(capsys, monkeypatch):
     assert err.endswith("AssertionError: the two lifts must square identically\n")
 
 
+def test_a_failed_wu_solve_is_an_internal_error(capsys, monkeypatch):
+    # a symmetric form always solves its own diagonal over GF(2), so only a
+    # wrong chord form fails; build makes a new word for every family name,
+    # so the kept answer of an earlier solve cannot stand in for this one
+    from pincover import characteristic
+
+    def zero_form(model):
+        letters = model.word.letters
+        return letters, [0] * len(letters)
+
+    monkeypatch.setattr(characteristic, "chord_gram_matrix", zero_form)
+    code, out, err = run(capsys, "obstructions", "n(2,1)")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert "in _wu_class" in err and "AssertionError" in err
+
+
 def test_genus_above_the_limit_is_a_usage_error_before_any_homology(capsys, monkeypatch):
     from pincover import cli
     from pincover.surface import GENUS_LIMIT

@@ -263,8 +263,7 @@ def test_defaults_fill_the_missing_fields():
     assert LiftResult(None, None, False, None, None).detail == ""
     word = GluingWord.parse("a a")
     model = SurfaceModel("rp2-word", "family-only", word, False, 0, cross_caps=1)
-    assert (model.x_wrap, model.y_wrap, model.genus, model.cross_caps) == (
-        "straight", "straight", 0, 1)
+    assert (model.genus, model.cross_caps) == (0, 1)
     assert (model.deck, model.double, model.periodic_vars, model.twists) == (None, None, None, ())
 
 

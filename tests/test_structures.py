@@ -8,13 +8,13 @@ from pincover.pin2 import PIN_MINUS, PIN_PLUS, angle, canonical_lift, compose, i
 from pincover.structures import (
     GAMMA,
     IDENTITY,
+    PinStructureDescriptor,
     boundary_lift_table,
     descend,
     double_structure,
     enumerate_structures,
     lift_involution,
     moebius_descent,
-    periodic_vars,
     pullback,
 )
 from pincover.homology import GluingWord
@@ -34,7 +34,7 @@ def equivalence_lift(xi, eta):
         raise ValueError("structures live on different surfaces or kinds")
     target = compose(o2_inverse(eta.twist), xi.twist)
     rho = canonical_lift(target, xi.kind)
-    ok = all(is_periodic(rho, 2, var) for var in periodic_vars(xi.surface))
+    ok = all(is_periodic(rho, 2, var) for var in xi.surface.periodic_vars)
     return rho, ok
 
 
@@ -53,6 +53,12 @@ def klein_deck():
 
 # ---------------------------------------------------------------------------
 # enumeration and equivalence
+
+
+def test_a_descriptor_needs_a_lift_domain():
+    twist = pin2.rotation(angle())
+    with pytest.raises(ValueError, match="no lift domain for k2"):
+        PinStructureDescriptor(build("k2"), PIN_PLUS, twist, "xi0")
 
 
 def test_enumerate_counts():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pincover import pin2
 from pincover.homology import homology_groups, orientation_double_cover_complex
@@ -70,6 +72,43 @@ def test_moebius_seam_flips_the_other_coordinate():
     assert on_point((2, 0), moebius.reduce) == (0, 2)
     assert on_point((-F(1, 2), F(1, 3)), moebius.reduce) == (F(3, 2), F(5, 3))
     assert same_point(moebius, (0, F(1, 3)), (2, 2 - F(1, 3)))
+
+
+def side_point(side, s, period):
+    """The point s lattice units along side 0..3 (bottom, right, top, left) of
+    the square, walking its boundary counterclockwise from the origin."""
+    return ((s, 0), (period, s), (period - s, period), (0, period - s))[side]
+
+
+def glued_partner(model, side, s, period):
+    """The point that the word glues to side_point(side, s, period): the same
+    point of the letter, read on the opposite side, side + 2."""
+    (_, first), (_, second) = model.word.word[side], model.word.word[side + 2]
+    along = s if first == 1 else period - s  # in the letter's own direction
+    return side_point(side + 2, along if second == 1 else period - along, period)
+
+
+def reduce_one(model, point, period):
+    q = model.reduce(Lattice(np.array([point[0]]), np.array([point[1]]), period))
+    return int(q.x[0]), int(q.y[0])
+
+
+SQUARES = ("t2", "k2", "cyl", "moebius")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SQUARES), st.integers(2, 32), st.data())
+def test_each_square_glues_its_sides_as_its_word_says(name, period, data):
+    model = build(name)
+    word = model.word
+    glued = [side for side in (0, 1) if word.word[side][0] not in word.boundary_letters]
+    side = data.draw(st.sampled_from(glued), label="side")
+    s = data.draw(st.integers(0, period), label="s")
+    point, partner = side_point(side, s, period), glued_partner(model, side, s, period)
+    assert reduce_one(model, point, period) == reduce_one(model, partner, period)
+    interior = data.draw(st.tuples(st.integers(1, period - 1), st.integers(1, period - 1)),
+                         label="interior")
+    assert reduce_one(model, interior, period) == interior
 
 
 def test_build_families():
