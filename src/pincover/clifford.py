@@ -254,13 +254,17 @@ def bilinear_form(v: Multivector, w: Multivector) -> float:
 
 
 class PinElement(Frozen):
-    """Product of unit vectors, with the parity ("even" | "odd") and length of a
-    witnessing factorization."""
+    """Product of unit vectors, with the length of a witnessing factorization."""
 
-    __slots__ = ("value", "parity", "factor_count")
+    __slots__ = ("value", "factor_count")
+
+    @property
+    def parity(self) -> str:
+        """"even" or "odd", as the factor count is."""
+        return "odd" if self.factor_count % 2 else "even"
 
     def __neg__(self) -> "PinElement":
-        return PinElement(-self.value, self.parity, self.factor_count)
+        return PinElement(-self.value, self.factor_count)
 
 
 def _sandwich(alpha_u: Multivector, v: Multivector, u_inv: Multivector) -> Multivector:
@@ -307,7 +311,9 @@ def orthogonal_matrix(u: Multivector | PinElement) -> np.ndarray:
     coeffs = sign[left & twist[e][:, None]] * np.array(list(alpha_u.coefficients.values()))
     weights = (sign[blades & twist[right]] * coeffs[:, :, None]
                * np.array(list(u_inv.coefficients.values())))
+    # float even at n = 0, where bincount of no terms is an int array
     cols = np.bincount((blades ^ right).ravel(), weights.ravel(), n * size).reshape(n, size)
+    cols = cols.astype(float, copy=False)
     out = cols.T[e]  # entry (j, i) is column i's e_j
     tol = 1e-7 * np.maximum(1.0, np.sqrt(np.add.reduce(cols * cols, axis=1)))
     cols[:, e] = 0.0
@@ -350,8 +356,9 @@ def lift_orthogonal(M, sig: Signature) -> tuple[PinElement, PinElement]:
     for _ in range(n + 1):
         d = work - eye
         deviations = np.sqrt(np.add.reduce(d * d, axis=0))  # np.linalg.norm(d, axis=0)
-        k = int(np.argmax(deviations))  # lowest index wins exact ties
-        if deviations[k] <= 1e-12:
+        # lowest index wins exact ties; O(0) holds the identity alone
+        k = int(np.argmax(deviations)) if n else None
+        if k is None or deviations[k] <= 1e-12:
             break
         v = work[:, k] - eye[:, k]
         v = v / np.linalg.norm(v)
@@ -364,8 +371,7 @@ def lift_orthogonal(M, sig: Signature) -> tuple[PinElement, PinElement]:
 
     if _canonical_sign(u) < 0:
         u = -u
-    parity = "even" if factors % 2 == 0 else "odd"
-    first = PinElement(u, parity, factors)
+    first = PinElement(u, factors)
     return first, -first
 
 

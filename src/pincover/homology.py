@@ -627,9 +627,9 @@ def b1_mod2(cx: PolygonComplex) -> int:
 
 class CoverData(Record):
     """A double cover's complexes; edge_map sends each total edge to its base
-    edge, deck_edge_map to the total edge on the other sheet."""
+    edge."""
 
-    __slots__ = ("base", "total", "edge_map", "deck_edge_map")
+    __slots__ = ("base", "total", "edge_map")
 
 
 def orientation_double_cover_complex(word: GluingWord) -> CoverData:
@@ -650,23 +650,39 @@ def orientation_double_cover_complex(word: GluingWord) -> CoverData:
     boundary = frozenset(e for g in word.boundary_letters for e in lifts[g])
     total = PolygonComplex(faces, boundary)
     edge_map = {e: g for g, pair in lifts.items() for e in pair}
-    deck = {}
-    for e0, e1 in lifts.values():
-        deck[e0], deck[e1] = e1, e0
-    return CoverData(base, total, edge_map, deck)
+    return CoverData(base, total, edge_map)
 
 
 class InducedMaps(Record):
     """pi_* and pi^* data for an orientation double cover."""
 
-    __slots__ = ("push_z",          # H1(total, Z) -> H1(base, Z), canonical bases
-                 "base_orders",     # 0 for free coordinates, else torsion order
-                 "push_z2",         # H1(total, Z2) -> H1(base, Z2), edge-class bases
-                 "pull_z2",         # transpose: H^1(base, Z2) -> H^1(total, Z2)
-                 "kernel_pull",     # basis (rows) of Ker pi^* in H^1(base, Z2)
-                 "coker_pull_dim",
-                 "image_index_z2",  # [H1(base, Z2) : Im pi_*]
-                 "b1_mod2_base", "b1_mod2_total")
+    __slots__ = ("push_z",       # H1(total, Z) -> H1(base, Z), canonical bases
+                 "base_orders",  # 0 for free coordinates, else torsion order
+                 "pull_z2",      # H^1(base, Z2) -> H^1(total, Z2), edge-class bases
+                 "kernel_pull")  # basis (rows) of Ker pi^* in H^1(base, Z2)
+
+    @property
+    def push_z2(self) -> Z2Matrix:
+        """H1(total, Z2) -> H1(base, Z2): the transpose of pi^*."""
+        return self.pull_z2.T
+
+    @property
+    def b1_mod2_base(self) -> int:
+        return self.pull_z2.cols
+
+    @property
+    def b1_mod2_total(self) -> int:
+        return len(self.pull_z2.rows)
+
+    @property
+    def coker_pull_dim(self) -> int:
+        """dim coker pi^*, with rank pi^* = b1(2) base - dim Ker pi^*."""
+        return self.b1_mod2_total - (self.b1_mod2_base - len(self.kernel_pull.rows))
+
+    @property
+    def image_index_z2(self) -> int:
+        """[H1(base, Z2) : Im pi_*] = 2^(dim Ker pi^*)."""
+        return 2 ** len(self.kernel_pull.rows)
 
     @property
     def splitting_k(self) -> int:
@@ -739,19 +755,5 @@ def induced_maps(cover: CoverData) -> InducedMaps:
 
     # row j of pi^* is column j of pi_*: the image of the j-th cover basis cycle
     pull_z2 = Z2Matrix(tuple(base_proj(pushed_z2(row)) for row in total_b), len(base_b))
-    push_z2 = pull_z2.T
     kernel = nullspace_rows(list(pull_z2.rows), pull_z2.cols)  # phi with phi . pi_* = 0
-    dim_base = len(base_b)
-    image_rank = dim_base - len(kernel)  # rank-nullity on pi^*
-    dim_total = len(total_b)
-    return InducedMaps(
-        push_z=push,
-        base_orders=orders,
-        push_z2=push_z2,
-        pull_z2=pull_z2,
-        kernel_pull=Z2Matrix(tuple(kernel), dim_base),
-        coker_pull_dim=dim_total - image_rank,
-        image_index_z2=2 ** (dim_base - image_rank),
-        b1_mod2_base=dim_base,
-        b1_mod2_total=dim_total,
-    )
+    return InducedMaps(push, orders, pull_z2, Z2Matrix(tuple(kernel), pull_z2.cols))

@@ -110,8 +110,18 @@ class LiftResult(Frozen):
     """A solved lifting diagram of an involution for a structure: the lift and
     its square (+1 | -1) when it exists."""
 
-    __slots__ = ("structure", "involution", "exists", "lift", "square", "detail")
-    _defaults = {"detail": ""}
+    __slots__ = ("structure", "involution", "lift", "square")
+
+    @property
+    def exists(self) -> bool:
+        return self.lift is not None
+
+    @property
+    def detail(self) -> str:
+        """Why there is no lift, or "" when there is one."""
+        if self.exists:
+            return ""
+        return "no single-valued lift: the candidate changes sign under a deck shift"
 
     @property
     def descends(self) -> bool:
@@ -136,13 +146,12 @@ def lift_involution(xi: PinStructureDescriptor, tau: Involution) -> LiftResult:
     rhs = compose(o2_inverse(at(xi.twist, th, ph)), compose(jacobian(tau), xi.twist))
     lift = canonical_lift(rhs, xi.kind)
     if not all(is_periodic(lift, 2, var) for var in xi.surface.periodic_vars):
-        return LiftResult(xi, tau, False, None, None,
-                          "no single-valued lift: the candidate changes sign under a deck shift")
+        return LiftResult(xi, tau, None, None)
     square = scalar_value(mul(at(lift, th, ph), lift))
     other = -lift
     if scalar_value(mul(at(other, th, ph), other)) != square:
         raise AssertionError("the two lifts must square identically")
-    return LiftResult(xi, tau, True, lift, square)
+    return LiftResult(xi, tau, lift, square)
 
 
 def _lift_table(tau: Involution, kind: str) -> dict[str, LiftResult]:
@@ -158,8 +167,12 @@ class DescentReport(Frozen):
     __slots__ = ("base", "cover", "kind",
                  "mode",     # "geometric" | "count-only"
                  "squares",  # upstairs label -> square
-                 "qualifying", "count", "torsor_count", "exists_downstairs",
-                 "consistent")
+                 "qualifying", "count", "torsor_count", "exists_downstairs")
+
+    @property
+    def consistent(self) -> bool:
+        """The count agrees with the torsor count of the classical rule."""
+        return self.count == self.torsor_count
 
     def as_dict(self):
         return {
@@ -193,13 +206,13 @@ def descend(base: SurfaceModel, kind: str) -> DescentReport:
         # a family base has no geometric deck, and the report reads only the
         # cover's name, so no cover model is built
         return DescentReport(base.name, family_cover_name(base), kind, "count-only",
-                             {}, (), torsor, torsor, exists, True)
+                             {}, (), torsor, torsor, exists)
     lifts = _lift_table(base.deck, kind)
     squares = {label: res.square for label, res in lifts.items() if res.exists}
     qualifying = tuple(label for label, res in lifts.items() if res.descends)
     count = 2 * len(qualifying)
     return DescentReport(base.name, base.deck.domain.name, kind, "geometric",
-                         squares, qualifying, count, torsor, exists, count == torsor)
+                         squares, qualifying, count, torsor, exists)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 from . import pin2
 from .homology import GluingWord, Occurrence, PolygonComplex
@@ -331,12 +332,17 @@ class CoverDiagram(Record):
     implementation bug, not a mathematical fact).
     """
 
-    __slots__ = ("base",         # X
-                 "tilde",        # X~ (cyl)
-                 "half_double",  # X^d (k2)
-                 "master",       # X~^d (t2)
-                 "prime",        # X' (t2)
-                 "tau1", "tau2", "tau3", "tau4")
+    __slots__ = ("base", "tau4")  # X, and tau4 on X~^d
+
+    # read off X: tau1 is its deck, tau2 its double's involution and tau3 that
+    # of the double of X~; the nodes X~, X^d and X~^d are their domains
+    tau1 = property(attrgetter("base.deck"))
+    tau2 = property(attrgetter("base.double.tau"))
+    tau3 = property(attrgetter("base.deck.domain.double.tau"))
+    tilde = property(attrgetter("base.deck.domain"))
+    half_double = property(attrgetter("base.double.tau.domain"))
+    master = property(attrgetter("base.deck.domain.double.tau.domain"))
+    prime = property(lambda self: MODELS["t2"])  # X'
 
     def tau34(self, p: Lattice) -> Lattice:
         return self.master.reduce(self.tau3.apply_raw(self.tau4.apply_raw(p)))
@@ -449,13 +455,9 @@ class CoverDiagram(Record):
 
 
 def cover_diagram(x: SurfaceModel) -> CoverDiagram:
-    """The diagram of a model with both a deck and a double: tau1 is its deck,
-    tau2 its double's involution, tau3 that of the double of its cover."""
+    """The diagram of a model with both a deck and a double, with tau4 on the
+    double of its cover."""
     if x.deck is None or x.double is None:
         raise ValueError("the cover diagram is modelled for the moebius strip")
-    tilde = x.deck.domain
-    tilde_double = double(tilde)
-    master = tilde_double.total
-    tau4 = Involution("tau4", ((-1, 0), (0, 1)), (1, 1), master)
-    return CoverDiagram(x, tilde, x.double.total, master, build("t2"),
-                        x.deck, x.double.tau, tilde_double.tau, tau4)
+    master = double(x.deck.domain).total
+    return CoverDiagram(x, Involution("tau4", ((-1, 0), (0, 1)), (1, 1), master))

@@ -125,14 +125,15 @@ def test_moebius_table_reads_the_moebius_report(monkeypatch):
 
 
 def test_splitting_is_checked_against_the_classification(monkeypatch):
-    """Maps with b1(2) of the cover and dim coker pi^* both raised by 2 are
-    self-consistent, but no longer cover N_h by the genus h - 1 surface."""
+    """Maps with two zero rows added to pi^*, which raises b1(2) of the cover
+    and dim coker pi^* by 2, are self-consistent, but no longer cover N_h by
+    the genus h - 1 surface."""
     from pincover import acceptance, homology
 
     def inflated(cover):
         maps = homology.induced_maps(cover)
-        return maps._replace(b1_mod2_total=maps.b1_mod2_total + 2,
-                             coker_pull_dim=maps.coker_pull_dim + 2)
+        pull = maps.pull_z2
+        return maps._replace(pull_z2=homology.Z2Matrix(pull.rows + (0, 0), pull.cols))
 
     monkeypatch.setattr(acceptance, "induced_maps", inflated)
     passed, detail = acceptance.check_splitting(SEED)

@@ -193,6 +193,20 @@ def test_lift_identity():
         assert u.factor_count == 0
 
 
+def test_lift_of_o0_is_plus_minus_one():
+    sig = Signature(0, 0)
+    u, v = lift_orthogonal(np.zeros((0, 0)), sig)
+    assert u.value.approx_eq(Multivector.scalar(sig, 1.0))
+    assert v.value.approx_eq(Multivector.scalar(sig, -1.0))
+    assert (u.parity, u.factor_count) == ("even", 0)
+
+
+def test_orthogonal_matrix_at_n0_is_float_like_every_n():
+    for n in range(4):
+        m = orthogonal_matrix(Multivector.scalar(Signature(n, 0), 1.0))
+        assert m.dtype == np.float64 and np.array_equal(m, np.eye(n))
+
+
 def test_lift_j1_is_plus_minus_e1():
     j1 = np.diag([-1.0, 1.0, 1.0])
     for sig in (Signature(3, 0), Signature(0, 3)):

@@ -561,12 +561,18 @@ def test_rp2_induced_maps_are_zero():
     assert (maps.push_z, maps.base_orders) == ([[]], [2])
 
 
-@pytest.mark.parametrize("g", range(0, 4))
+# up to the genus of the families benchmark, against the classification: the
+# cover of N_h is the genus h - 1 surface, and dim Ker pi^* = 1
+@pytest.mark.parametrize("g", range(0, 17))
 def test_splitting_bookkeeping(g):
-    for word, expected_k in ((n_g1_word(g) if g else RP2, 2 * g),
-                             (n_g2_word(g) if g else K2, 2 * g + 1)):
+    for word, k in ((n_g1_word(g) if g else RP2, 1), (n_g2_word(g) if g else K2, 2)):
+        h = 2 * g + k
         maps = induced_maps(orientation_double_cover_complex(word))
-        assert maps.splitting_k == expected_k
+        assert maps.splitting_k == h - 1
+        assert (maps.b1_mod2_base, maps.b1_mod2_total) == (h, 2 * (h - 1))
+        assert (maps.coker_pull_dim, maps.image_index_z2) == (h - 1, 2)
+        assert maps.push_z2 == maps.pull_z2.T
+        assert z2_shape(maps.push_z2) == (h, 2 * (h - 1))
 
 
 def family_words(max_g):

@@ -255,7 +255,7 @@ def _ref_gluing_word(word, boundary_letters):
 
 
 def _ref_orientation_double_cover(word):
-    """(faces, boundary, edge_map, deck) of the cover."""
+    """(faces, boundary, edge_map) of the cover."""
     eps = {g: 1 if _ref_same_exponent(word, g) else 0 for g in word.letters}
 
     def lifted_face(sheet: int):
@@ -274,8 +274,7 @@ def _ref_orientation_double_cover(word):
     faces = [lifted_face(0), lifted_face(1)]
     boundary = frozenset(f"{g}^{s}" for g in word.boundary_letters for s in (0, 1))
     edge_map = {f"{g}^{s}": g for g in word.letters for s in (0, 1)}
-    deck = {f"{g}^{s}": f"{g}^{1 - s}" for g in word.letters for s in (0, 1)}
-    return faces, boundary, edge_map, deck
+    return faces, boundary, edge_map
 
 
 def _ref_gf2_row_reduce(a):
@@ -852,8 +851,7 @@ def _ref_lift_orthogonal(M, sig):
 
     if _canonical_sign(u) < 0:
         u = -u
-    parity = "even" if factors % 2 == 0 else "odd"
-    first = PinElement(u, parity, factors)
+    first = PinElement(u, factors)
     return first, -first
 
 
@@ -984,11 +982,10 @@ def assert_same_complex(faces, boundary=frozenset()):
 
 def assert_same_cover(word):
     cover = orientation_double_cover_complex(word)
-    faces, boundary, edge_map, deck = _ref_orientation_double_cover(word)
+    faces, boundary, edge_map = _ref_orientation_double_cover(word)
     assert cover.total.faces == faces
     assert cover.total.boundary_letters == boundary
     assert list(cover.edge_map.items()) == list(edge_map.items())
-    assert list(cover.deck_edge_map.items()) == list(deck.items())
     assert_same_complex(faces, boundary)
 
 

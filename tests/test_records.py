@@ -260,7 +260,6 @@ def test_a_bad_call_raises_type_error(call, message):
 def test_defaults_fill_the_missing_fields():
     report = Report("homology", {"surface": "k2"}, {"b1_2": 2})
     assert report.anchor == ""
-    assert LiftResult(None, None, False, None, None).detail == ""
     word = GluingWord.parse("a a")
     model = SurfaceModel("rp2-word", "family-only", word, False, 0, cross_caps=1)
     assert (model.genus, model.cross_caps) == (0, 1)
@@ -274,3 +273,23 @@ def test_defaults_must_name_fields():
             _defaults = {"size": 1, "colour": "red"}
     gc.collect()
     assert "Bad" not in {cls.__name__ for cls in _subclasses(Record)}
+
+
+# the values a record reads off its fields, and CoverData's deck map, which
+# nothing read: none is a field, by the factory of a record
+DERIVED = [
+    (MUTABLE[InducedMaps],
+     ("push_z2", "b1_mod2_base", "b1_mod2_total", "coker_pull_dim", "image_index_z2")),
+    (MUTABLE[CoverData], ("deck_edge_map",)),
+    (_klein_lift, ("exists", "detail")),
+    (FROZEN[PinElement], ("parity",)),
+    (FROZEN[DescentReport], ("consistent",)),
+    (MUTABLE[CoverDiagram], ("tilde", "half_double", "master", "prime", "tau1", "tau2", "tau3")),
+]
+
+
+@pytest.mark.parametrize("make, name", [pytest.param(make, name, id=name)
+                                         for make, names in DERIVED for name in names])
+def test_a_derived_value_cannot_be_set(make, name):
+    with pytest.raises(TypeError, match=f"field '{name}' unknown"):
+        make()._replace(**{name: None})
