@@ -11,7 +11,7 @@ from .structures import (
     lift_involution,
     moebius_descent,
 )
-from .surface import build, cover_diagram, double, orientation_double_cover
+from .surface import build, cover_diagram, double
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "lift_orthogonal",
     "moebius_descent",
     "obstructions",
-    "orientation_double_cover",
     "twisted_adjoint",
     "w1",
     "w1_cup_w1",

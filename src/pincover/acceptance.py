@@ -29,6 +29,7 @@ from .homology import (
     homology_groups,
     induced_maps,
     orientation_double_cover_complex,
+    z2_maps,
 )
 from .pin2 import KINDS, PIN_MINUS, PIN_PLUS, angle, evaluate, mul
 from .pinors import PinorField, couple_split, invariance_residual, project_invariant
@@ -208,7 +209,7 @@ def check_homology(seed: int) -> tuple[bool, str]:
         if model.orientable:
             continue
         cover = orientation_double_cover_complex(model.word)
-        maps = induced_maps(cover)
+        maps = z2_maps(cover)
         basis, _ = h1_z2_basis(cover.base)
         klass = w1(model)
         bits = sum(klass(g) << j for j, g in enumerate(cover.base.edges))
@@ -226,7 +227,7 @@ def check_splitting(seed: int) -> tuple[bool, str]:
         model = build(name)
         if model.orientable:
             continue
-        maps = induced_maps(orientation_double_cover_complex(model.word))
+        maps = z2_maps(orientation_double_cover_complex(model.word))
         # N_h is covered by the genus h - 1 surface; with dim Ker pi^* = 1
         # (criterion 7) that fixes dim coker pi^* = k and the index 2 of Im pi_*
         h = 2 * model.genus + model.cross_caps

@@ -16,7 +16,7 @@ from .homology import b1_mod2, homology_groups, induced_maps, orientation_double
 from .pinors import GRID_LIMIT, PinorField, couple_split, invariance_residual, project_invariant
 from .reporting import Report
 from .structures import descend, enumerate_structures, lift_involution, moebius_descent
-from .surface import MODELS, SURFACE_NAMES, build
+from .surface import MODELS, SURFACE_NAMES, SurfaceModel, build
 
 
 class UsageError(Exception):
@@ -35,6 +35,14 @@ def _seed(value: int) -> int:
     return value
 
 
+def _surface(name: str) -> SurfaceModel:
+    """build(name); an unknown name or a genus above the limit is a usage error."""
+    try:
+        return build(name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_surfaces(args) -> Report:
     rows = []
     for model in MODELS.values():
@@ -50,7 +58,7 @@ def cmd_surfaces(args) -> Report:
 
 
 def cmd_homology(args) -> Report:
-    cx = build(args.surface).complex
+    cx = _surface(args.surface).complex
     groups = homology_groups(cx)
     results = groups.as_dict()
     results["b1_2"] = b1_mod2(cx)
@@ -59,7 +67,7 @@ def cmd_homology(args) -> Report:
 
 
 def cmd_covermaps(args) -> Report:
-    model = build(args.surface)
+    model = _surface(args.surface)
     if model.orientable:
         raise UsageError(f"{args.surface} is orientable: no orientation double cover")
     maps = induced_maps(orientation_double_cover_complex(model.word))
@@ -80,14 +88,16 @@ def cmd_covermaps(args) -> Report:
 
 
 def cmd_obstructions(args) -> Report:
-    model = build(args.surface)
+    model = _surface(args.surface)
+    if model.boundary_components:
+        raise UsageError(f"{model.name} is not closed")
     return Report("obstructions", {"surface": args.surface},
                   obstructions(model), anchor="tables/pin-obstructions")
 
 
 def cmd_structures(args) -> Report:
     kind = _kind(args.kind)
-    model = build(args.surface)
+    model = _surface(args.surface)
     inputs = {"surface": args.surface, "kind": args.kind}
     if model.twists:
         items = [{"label": xi.label, "twist": str(xi.twist)}
@@ -110,7 +120,11 @@ def cmd_structures(args) -> Report:
 
 def cmd_descend(args) -> Report:
     kind = _kind(args.kind)
-    model = build(args.surface)
+    model = _surface(args.surface)
+    if model.orientable:
+        raise UsageError(f"{model.name} is orientable; nothing to descend to")
+    if model.boundary_components:
+        raise UsageError("descent applies to closed bases; see moebius_descent")
     return Report("descend", {"surface": args.surface, "kind": args.kind},
                   descend(model, kind), anchor="tables/descent")
 
@@ -240,7 +254,7 @@ def main(argv=None) -> int:
         report = _HANDLERS[args.command](args)
         sys.stdout.write(report.render(args.format))
         return 0
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception:  # a crash is not a failed check: its traceback, and 3

@@ -631,6 +631,11 @@ class CoverData(Record):
 
     __slots__ = ("base", "total", "edge_map")
 
+    @property
+    def edge_image(self) -> list[int]:
+        """The base edge index of each total edge, in total.edges order."""
+        return [self.base.edge_index[self.edge_map[name]] for name in self.total.edges]
+
 
 def orientation_double_cover_complex(word: GluingWord) -> CoverData:
     """Two copies of every cell; sheets swap across same-exponent edges."""
@@ -653,12 +658,10 @@ def orientation_double_cover_complex(word: GluingWord) -> CoverData:
     return CoverData(base, total, edge_map)
 
 
-class InducedMaps(Record):
-    """pi_* and pi^* data for an orientation double cover."""
+class Z2Maps(Record):
+    """pi^* mod 2 for an orientation double cover, and what follows from it."""
 
-    __slots__ = ("push_z",       # H1(total, Z) -> H1(base, Z), canonical bases
-                 "base_orders",  # 0 for free coordinates, else torsion order
-                 "pull_z2",      # H^1(base, Z2) -> H^1(total, Z2), edge-class bases
+    __slots__ = ("pull_z2",      # H^1(base, Z2) -> H^1(total, Z2), edge-class bases
                  "kernel_pull")  # basis (rows) of Ker pi^* in H^1(base, Z2)
 
     @property
@@ -688,6 +691,14 @@ class InducedMaps(Record):
     def splitting_k(self) -> int:
         """k in H^1(total, Z2) = Z2^k (+) Im pi^*."""
         return self.b1_mod2_total - (self.b1_mod2_base - 1)
+
+
+class InducedMaps(Z2Maps):
+    """pi_* and pi^* data for an orientation double cover."""
+
+    __slots__ = ("push_z",       # H1(total, Z) -> H1(base, Z), canonical bases
+                 "base_orders")  # 0 for free coordinates, else torsion order
+    _fields = ("push_z", "base_orders", *Z2Maps._fields)
 
 
 def h1_z2_basis(cx: PolygonComplex):
@@ -727,25 +738,12 @@ def h1_z2_basis(cx: PolygonComplex):
     return [cycles[i] for i in kept], project
 
 
-def induced_maps(cover: CoverData) -> InducedMaps:
-    base, total = cover.base, cover.total
-
-    # --- integral push-forward in canonical H1 bases
-    base_basis, total_basis = H1Basis(base), H1Basis(total)
-    base_idx = base.edge_index
-    image = [base_idx[cover.edge_map[name]] for name in total.edges]
-    projection = [{b: 1} for b in image]  # pi on 1-chains, as sparse columns
-    # pi_* by columns, one a cover generator (its base coordinates), and the
-    # rows read off them; with none (rp2's cover s2) each row is kept empty
-    coords = (base_basis.coordinates(_apply(projection, total_basis.representative(j)))
-              for j in range(total_basis.free_rank + len(total_basis.torsion)))
-    columns = [free + tors for free, tors in coords]
-    orders = [0] * base_basis.free_rank + list(base_basis.torsion)
-    push = [list(row) for row in zip(*columns)] or [[] for _ in orders]
-
-    # --- mod 2, in the Z2 homology bases
-    base_b, base_proj = h1_z2_basis(base)
-    total_b, _ = h1_z2_basis(total)
+def z2_maps(cover: CoverData) -> Z2Maps:
+    """pi^* on H^1(., Z2) in the h1_z2_basis bases, and its kernel: no
+    integral Smith form is built."""
+    base_b, base_proj = h1_z2_basis(cover.base)
+    total_b, _ = h1_z2_basis(cover.total)
+    image = cover.edge_image
 
     def pushed_z2(cycle: int) -> int:
         out = 0
@@ -756,4 +754,19 @@ def induced_maps(cover: CoverData) -> InducedMaps:
     # row j of pi^* is column j of pi_*: the image of the j-th cover basis cycle
     pull_z2 = Z2Matrix(tuple(base_proj(pushed_z2(row)) for row in total_b), len(base_b))
     kernel = nullspace_rows(list(pull_z2.rows), pull_z2.cols)  # phi with phi . pi_* = 0
-    return InducedMaps(push, orders, pull_z2, Z2Matrix(tuple(kernel), pull_z2.cols))
+    return Z2Maps(pull_z2, Z2Matrix(tuple(kernel), pull_z2.cols))
+
+
+def induced_maps(cover: CoverData) -> InducedMaps:
+    """z2_maps with the integral push-forward in canonical H1 bases."""
+    base_basis, total_basis = H1Basis(cover.base), H1Basis(cover.total)
+    projection = [{b: 1} for b in cover.edge_image]  # pi on 1-chains, as sparse columns
+    # pi_* by columns, one a cover generator (its base coordinates), and the
+    # rows read off them; with none (rp2's cover s2) each row is kept empty
+    coords = (base_basis.coordinates(_apply(projection, total_basis.representative(j)))
+              for j in range(total_basis.free_rank + len(total_basis.torsion)))
+    columns = [free + tors for free, tors in coords]
+    orders = [0] * base_basis.free_rank + list(base_basis.torsion)
+    push = [list(row) for row in zip(*columns)] or [[] for _ in orders]
+    z2 = z2_maps(cover)
+    return InducedMaps(push, orders, z2.pull_z2, z2.kernel_pull)

@@ -190,6 +190,14 @@ class Double(Frozen):
         return self.embedding(self.total, p)
 
 
+def double(x: SurfaceModel) -> Double:
+    if x.boundary_components < 1:
+        raise ValueError(f"{x.name} is closed")
+    if x.double is None:
+        raise ValueError(f"no double model for {x.name}")
+    return x.double
+
+
 # ---------------------------------------------------------------------------
 # the model zoo: one record per geometric model
 
@@ -238,12 +246,6 @@ def _sigma_name(g: int) -> str:
     return "s2" if g == 0 else "t2" if g == 1 else f"sigma({g})"
 
 
-def _sigma(g: int, name: str) -> SurfaceModel:
-    if g <= 1:
-        return MODELS[_sigma_name(g)]
-    return SurfaceModel(name, FAMILY_ONLY, _family_word(g), True, 0, genus=g)
-
-
 # ASCII digits, no leading zero: \d and int() also take other scripts' digits
 # and int() leading zeros, so 'n(٣,1)' or 'n(03,1)' would be answered as n(3,1)
 _NAME_RE = re.compile(r"^(?:sigma\((0|[1-9][0-9]*)\)|n\((0|[1-9][0-9]*),([12])\))$")
@@ -267,7 +269,9 @@ def build(name: str) -> SurfaceModel:
     if g > GENUS_LIMIT:
         raise ValueError(f"{name!r}: the genus is at most {GENUS_LIMIT}, got {g}")
     if sigma_g is not None:
-        return _sigma(g, key)
+        if g <= 1:
+            return MODELS[_sigma_name(g)]
+        return SurfaceModel(key, FAMILY_ONLY, _family_word(g), True, 0, genus=g)
     k = int(k)
     if g == 0:
         return MODELS["rp2" if k == 1 else "k2"]
@@ -278,45 +282,11 @@ def build(name: str) -> SurfaceModel:
 SURFACE_NAMES = [*MODELS, "sigma(g)", "n(g,1)", "n(g,2)"]
 
 
-# ---------------------------------------------------------------------------
-# orientation double covers and doubles
-
-
-class OrientationCover(Frozen):
-    """A surface's orientation double cover, with the geometric deck involution
-    when the model has one (a family's deck is None)."""
-
-    __slots__ = ("base", "total", "deck")
-
-
-def _cover_genus(x: SurfaceModel) -> int:
-    """The genus of the orientation double cover of a closed non-orientable
-    model, read from its chi alone: the cover of N_h is Sigma_{h-1}, of Euler
-    characteristic 2 chi, so its genus is 1 - chi.  It may exceed GENUS_LIMIT."""
-    return 1 - x.euler_characteristic()
-
-
 def family_cover_name(x: SurfaceModel) -> str:
-    """The name of `orientation_double_cover(x).total` for a model with no
-    deck, with no cover model built."""
-    return _sigma_name(_cover_genus(x))
-
-
-def orientation_double_cover(x: SurfaceModel) -> OrientationCover:
-    if x.orientable:
-        raise ValueError(f"{x.name} is already orientable")
-    if x.deck is None:
-        genus = _cover_genus(x)
-        return OrientationCover(x, _sigma(genus, _sigma_name(genus)), None)
-    return OrientationCover(x, x.deck.domain, x.deck)
-
-
-def double(x: SurfaceModel) -> Double:
-    if x.boundary_components < 1:
-        raise ValueError(f"{x.name} is closed")
-    if x.double is None:
-        raise ValueError(f"no double model for {x.name}")
-    return x.double
+    """The name of the orientation double cover of a closed non-orientable
+    model, with no cover model built: N_h is covered by Sigma_{h-1}, of Euler
+    characteristic 2 chi, so of genus 1 - chi, which may exceed GENUS_LIMIT."""
+    return _sigma_name(1 - x.euler_characteristic())
 
 
 # ---------------------------------------------------------------------------

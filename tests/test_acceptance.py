@@ -131,11 +131,11 @@ def test_splitting_is_checked_against_the_classification(monkeypatch):
     from pincover import acceptance, homology
 
     def inflated(cover):
-        maps = homology.induced_maps(cover)
+        maps = homology.z2_maps(cover)
         pull = maps.pull_z2
         return maps._replace(pull_z2=homology.Z2Matrix(pull.rows + (0, 0), pull.cols))
 
-    monkeypatch.setattr(acceptance, "induced_maps", inflated)
+    monkeypatch.setattr(acceptance, "z2_maps", inflated)
     passed, detail = acceptance.check_splitting(SEED)
     assert not passed
     assert detail == "rp2: (k, b1(2) base, b1(2) cover) = (2, 1, 2) for h = 1"

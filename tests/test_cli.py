@@ -138,6 +138,41 @@ def test_an_internal_error_exits_3_with_its_traceback(capsys, monkeypatch):
     assert err.endswith("AssertionError: the two lifts must square identically\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["obstructions", "moebius"], "moebius is not closed"),
+    (["obstructions", "cyl"], "cyl is not closed"),
+    (["descend", "moebius"], "descent applies to closed bases; see moebius_descent"),
+    (["descend", "t2"], "t2 is orientable; nothing to descend to"),
+    (["descend", "s2"], "s2 is orientable; nothing to descend to"),
+], ids=["obstructions-moebius", "obstructions-cyl", "descend-moebius", "descend-t2", "descend-s2"])
+def test_a_surface_the_command_does_not_take_is_refused_before_the_library(
+        capsys, monkeypatch, argv, message):
+    from pincover import cli
+
+    def no_library(*args):
+        raise AssertionError("the library ran for a refused surface")
+
+    for name in ("obstructions", "descend"):
+        monkeypatch.setattr(cli, name, no_library)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_value_error_inside_a_command_is_an_internal_error(capsys, monkeypatch):
+    # only a refused input is a usage error: a ValueError that escapes the
+    # library is a fault, with its traceback
+    from pincover import cli
+
+    def broken(args):
+        raise ValueError("vector is not a cycle")
+
+    monkeypatch.setitem(cli._HANDLERS, "homology", broken)
+    code, out, err = run(capsys, "homology", "k2")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("ValueError: vector is not a cycle\n")
+
+
 def test_a_failed_wu_solve_is_an_internal_error(capsys, monkeypatch):
     # a symmetric form always solves its own diagonal over GF(2), so only a
     # wrong chord form fails; build makes a new word for every family name,

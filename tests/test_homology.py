@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pincover import homology
-from pincover.characteristic import obstructions
+from pincover.characteristic import obstructions, w1
 from pincover.homology import (
     GluingWord,
     H1Basis,
@@ -27,11 +27,13 @@ from pincover.homology import (
     smith_normal_form,
     solve_integer,
     solve_rows,
+    z2_maps,
 )
 from pincover.structures import descend
-from pincover.surface import FAMILY_ONLY, SurfaceModel
-from test_kernel_references import GRIDS, _ref_dense_smith_normal_form, dense_factors, \
-    disconnected_gluings, gluing_faces, identity, mat_mul, pack_rows, ref_boundaries, zeros
+from pincover.surface import FAMILY_ONLY, SurfaceModel, build
+from test_kernel_references import GRIDS, _ref_dense_smith_normal_form, _ref_is_orientable, \
+    _RefPolygonComplex, closed_words, dense_factors, disconnected_gluings, gluing_faces, \
+    identity, mat_mul, pack_rows, ref_boundaries, zeros
 from test_pinned_answers import canonical_word, relabel
 
 T2 = GluingWord.parse("a b a' b'")
@@ -573,6 +575,40 @@ def test_splitting_bookkeeping(g):
         assert (maps.coker_pull_dim, maps.image_index_z2) == (h - 1, 2)
         assert maps.push_z2 == maps.pull_z2.T
         assert z2_shape(maps.push_z2) == (h, 2 * (h - 1))
+
+
+def assert_z2_maps_classify(model):
+    """z2_maps of a closed non-orientable model with one vertex and one face
+    against the classification, with nothing read off the homology code but
+    the basis the coordinates are in: chi = 1 - E + 1, so h = 2 - chi is the
+    letter count; N_h is covered by the genus h - 1 surface; and Ker pi^* is
+    {0, w1}, with w1 from the Wu solve, in coordinates as criterion 7 takes
+    them."""
+    h = len(model.word.letters)
+    cover = orientation_double_cover_complex(model.word)
+    maps = z2_maps(cover)
+    assert (maps.b1_mod2_base, maps.b1_mod2_total) == (h, 2 * (h - 1))
+    assert maps.splitting_k == maps.coker_pull_dim == h - 1
+    assert maps.image_index_z2 == 2
+    basis, _ = h1_z2_basis(cover.base)
+    klass = w1(model)
+    bits = sum(klass(g) << j for j, g in enumerate(cover.base.edges))
+    w1_coords = sum(((row & bits).bit_count() % 2) << i for i, row in enumerate(basis))
+    assert w1_coords and maps.kernel_pull.rows == (w1_coords,)
+
+
+@pytest.mark.parametrize("g", range(0, 17))
+def test_z2_maps_classify_the_families(g):
+    for k in (1, 2):
+        assert_z2_maps_classify(build(f"n({g},{k})"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_words().filter(
+    lambda word: not _ref_is_orientable([word.word])
+    and _RefPolygonComplex([word.word], frozenset()).vertex_count == 1))
+def test_z2_maps_classify_random_one_vertex_words(word):
+    assert_z2_maps_classify(SurfaceModel("w", FAMILY_ONLY, word, False, 0))
 
 
 def family_words(max_g):

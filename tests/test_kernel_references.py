@@ -69,8 +69,7 @@ from pincover.pin2 import EVEN, KINDS, ODD, PIN_PLUS, Pin2Element, angle, at, ev
 from pincover.pinors import GammaRep, PinorField, _deck_action, _involution_node_map
 from pincover.reporting import Report, _convert, _flatten
 from pincover.structures import enumerate_structures, lift_involution, tau_coordinate_forms
-from pincover.surface import FAMILY_ONLY, SurfaceModel, build, cover_diagram, double, \
-    orientation_double_cover
+from pincover.surface import FAMILY_ONLY, SurfaceModel, build, cover_diagram, double
 from test_clifford import vector_part
 from test_pinned_answers import canonical_word, relabel
 
@@ -254,7 +253,7 @@ def _ref_gluing_word(word, boundary_letters):
     return list(exponents), one_sided
 
 
-def _ref_orientation_double_cover(word):
+def _ref_orientation_double_cover_complex(word):
     """(faces, boundary, edge_map) of the cover."""
     eps = {g: 1 if _ref_same_exponent(word, g) else 0 for g in word.letters}
 
@@ -982,7 +981,7 @@ def assert_same_complex(faces, boundary=frozenset()):
 
 def assert_same_cover(word):
     cover = orientation_double_cover_complex(word)
-    faces, boundary, edge_map = _ref_orientation_double_cover(word)
+    faces, boundary, edge_map = _ref_orientation_double_cover_complex(word)
     assert cover.total.faces == faces
     assert cover.total.boundary_letters == boundary
     assert list(cover.edge_map.items()) == list(edge_map.items())
@@ -1470,7 +1469,7 @@ def test_chord_form_matches_reference_on_random_closed_words(word):
 
 # the moebius diagram's tau3 is the cylinder double's involution itself
 GRID_INVOLUTIONS = {
-    "k2-deck": orientation_double_cover(build("k2")).deck,
+    "k2-deck": build("k2").deck,
     "tau3": double(build("cyl")).tau,
     "tau4": cover_diagram(build("moebius")).tau4,
 }

@@ -16,7 +16,7 @@ from pincover.pinors import (
     project_invariant,
 )
 from pincover.structures import enumerate_structures, lift_involution, tau_coordinate_forms
-from pincover.surface import Involution, Lattice, build, cover_diagram, orientation_double_cover
+from pincover.surface import Involution, Lattice, build, cover_diagram
 from test_pin2 import minus_one
 
 TOL = 1e-9
@@ -47,7 +47,7 @@ def inner(a, b):
 
 
 def klein_deck():
-    return orientation_double_cover(build("k2")).deck
+    return build("k2").deck
 
 
 def klein_lift(xi):
@@ -186,7 +186,7 @@ def test_a_grid_under_the_sphere_deck_is_refused():
     # the rp2 deck is theta -> theta + pi on the equator chart; s2 has no
     # square for a grid to live on
     xi = enumerate_structures(build("s2"), PIN_MINUS)[0]
-    lift = lift_involution(xi, orientation_double_cover(build("rp2")).deck)
+    lift = lift_involution(xi, build("rp2").deck)
     assert lift.exists
     s = constant_field(N, [1.0, 0.0])
     with pytest.raises(ValueError, match="s2 has no square coordinates"):

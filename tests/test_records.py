@@ -19,10 +19,12 @@ from pincover.homology import (
     GradedGroups,
     InducedMaps,
     PolygonComplex,
+    Z2Maps,
     Z2Matrix,
     homology_groups,
     induced_maps,
     orientation_double_cover_complex,
+    z2_maps,
 )
 from pincover.pin2 import PIN_MINUS, PIN_PLUS, AngleForm, O2PathElement, Pin2Element, angle
 from pincover.pinors import GammaRep, PinorField, SpinorCouple
@@ -47,11 +49,9 @@ from pincover.surface import (
     Double,
     Involution,
     Lattice,
-    OrientationCover,
     SurfaceModel,
     build,
     cover_diagram,
-    orientation_double_cover,
 )
 
 
@@ -89,13 +89,13 @@ FROZEN = {
     SurfaceModel: lambda: build("n(2,1)"),
     Involution: lambda: Involution("tau", ((1, 0), (0, -1)), (1, 0), build("t2")),
     Double: lambda: Double(build("cyl").double.tau, build("cyl").double.embedding),
-    OrientationCover: lambda: orientation_double_cover(build("n(1,2)")),
     Lattice: lambda: Lattice(np.arange(2, dtype=np.int64), np.arange(2, 4, dtype=np.int64), 8),
 }
 
 MUTABLE = {
     CoverData: lambda: orientation_double_cover_complex(GluingWord.parse("x x")),
     InducedMaps: lambda: induced_maps(orientation_double_cover_complex(GluingWord.parse("x x"))),
+    Z2Maps: lambda: z2_maps(orientation_double_cover_complex(GluingWord.parse("a b a b'"))),
     Report: lambda: Report("homology", {"surface": "k2"}, {"b1_2": 2}, anchor="tables/homology"),
     CoverDiagram: lambda: cover_diagram(build("moebius")),
 }
@@ -293,3 +293,23 @@ DERIVED = [
 def test_a_derived_value_cannot_be_set(make, name):
     with pytest.raises(TypeError, match=f"field '{name}' unknown"):
         make()._replace(**{name: None})
+
+
+Z2_DERIVED = ("push_z2", "b1_mod2_base", "b1_mod2_total", "coker_pull_dim", "image_index_z2",
+              "splitting_k")
+
+
+def test_z2_maps_are_the_mod2_fields_of_induced_maps():
+    """InducedMaps is Z2Maps with the integral push-forward put first: the
+    mod-2 fields and all six values read off them are Z2Maps's, and none of
+    the six is a field of either record."""
+    assert Z2Maps._fields == ("pull_z2", "kernel_pull")
+    assert InducedMaps._fields == ("push_z", "base_orders", "pull_z2", "kernel_pull")
+    z2 = MUTABLE[Z2Maps]()
+    maps = induced_maps(orientation_double_cover_complex(GluingWord.parse("a b a b'")))
+    assert z2 == Z2Maps(maps.pull_z2, maps.kernel_pull)
+    for name in Z2_DERIVED:
+        assert name not in InducedMaps.__dict__
+        assert getattr(z2, name) == getattr(maps, name), name
+        with pytest.raises(TypeError, match=f"field '{name}' unknown"):
+            z2._replace(**{name: None})

@@ -19,7 +19,7 @@ from pincover.structures import (
 )
 from pincover.homology import GluingWord
 from pincover.surface import FAMILY_ONLY, GENUS_LIMIT, SurfaceModel, build, cover_diagram, \
-    orientation_double_cover
+    family_cover_name
 from test_pin2 import o2_matrix, project
 
 F = Fraction
@@ -48,7 +48,7 @@ def torus_structures(kind):
 
 
 def klein_deck():
-    return orientation_double_cover(build("k2")).deck
+    return build("k2").deck
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_pullback_invariance_matches_lift_existence():
 @pytest.mark.parametrize("kind,square", [(PIN_MINUS, 1), (PIN_PLUS, -1)])
 def test_sphere_deck_square(kind, square):
     s2 = build("s2")
-    tau = orientation_double_cover(build("rp2")).deck
+    tau = build("rp2").deck
     (xi,) = enumerate_structures(s2, kind)
     res = lift_involution(xi, tau)
     assert res.exists
@@ -196,7 +196,7 @@ def test_family_descend_names_the_cover_by_the_classification(k):
 def test_family_only_rp2_and_k2_keep_the_named_covers(text, cover):
     # genus 0 and 1 are the named models, not sigma(0) and sigma(1)
     base = SurfaceModel(f"hand-{cover}", FAMILY_ONLY, GluingWord.parse(text), False, 0)
-    assert orientation_double_cover(base).total.name == cover
+    assert family_cover_name(base) == cover
     for kind in KINDS:
         rep = descend(base, kind)
         assert (rep.mode, rep.cover) == ("count-only", cover)
@@ -216,7 +216,7 @@ def test_family_descend_builds_no_gluing_word(monkeypatch):
         for kind in KINDS:
             descend(base, kind)
     assert built == []
-    orientation_double_cover(bases[1])  # the counter does count a cover build
+    build(bases[1].name)  # the counter does count the word of a family build
     assert len(built) == 1
 
 
@@ -236,7 +236,7 @@ def test_lift_involution_rejects_an_involution_of_another_surface():
     # the RP^2 deck acts on S^2, not on the torus
     xi = torus_structures(PIN_PLUS)["xi0"]
     with pytest.raises(ValueError, match="rp2-deck acts on s2, not on t2"):
-        lift_involution(xi, orientation_double_cover(build("rp2")).deck)
+        lift_involution(xi, build("rp2").deck)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from pincover.surface import (
     build,
     cover_diagram,
     double,
+    family_cover_name,
     jacobian,
-    orientation_double_cover,
 )
 from test_kernel_references import _ref_is_orientable
 from test_pin2 import J2
@@ -130,8 +130,10 @@ def test_family_genus_limit():
     assert build(f"n({GENUS_LIMIT},2)").genus == GENUS_LIMIT
     assert build(f"sigma({GENUS_LIMIT})").genus == GENUS_LIMIT
     # the cover of a surface at the limit is named although its genus is above it
-    cover = orientation_double_cover(build(f"n({GENUS_LIMIT},2)")).total
-    assert (cover.name, cover.genus) == (f"sigma({2 * GENUS_LIMIT + 1})", 2 * GENUS_LIMIT + 1)
+    model = build(f"n({GENUS_LIMIT},2)")
+    assert family_cover_name(model) == f"sigma({2 * GENUS_LIMIT + 1})"
+    cover = orientation_double_cover_complex(model.word).total
+    assert cover.euler_characteristic() == 2 - 2 * (2 * GENUS_LIMIT + 1)
     for name in (f"sigma({GENUS_LIMIT + 1})", f"n({GENUS_LIMIT + 1},1)", "n(10000000000,2)"):
         with pytest.raises(ValueError, match=f"at most {GENUS_LIMIT}"):
             build(name)
@@ -152,9 +154,8 @@ def check_involution(tau, points):
 
 
 def test_klein_deck_involution():
-    cover = orientation_double_cover(build("k2"))
-    assert cover.total.name == "t2"
-    tau = cover.deck
+    tau = build("k2").deck
+    assert tau.domain.name == "t2"
     assert on_point((F(1, 4), F(1, 3)), tau.apply) == (F(5, 4), 2 - F(1, 3))
     check_involution(tau, grid_points())
     # quotient sanity: tau-orbits map to single K^2 points under (x, y) -> folding
@@ -162,9 +163,8 @@ def test_klein_deck_involution():
 
 
 def test_rp2_deck_involution():
-    cover = orientation_double_cover(build("rp2"))
-    assert cover.total.name == "s2"
-    tau = cover.deck
+    tau = build("rp2").deck
+    assert tau.domain.name == "s2"
     assert (tau.matrix, tau.shift, tau.domain) == (((1, 0), (0, 1)), (1, 0), build("s2"))
     # on the equator: theta -> theta + pi
     assert on_point((F(1, 3), 0), tau.apply_raw) == (F(4, 3), 0)
@@ -177,17 +177,16 @@ def test_rp2_deck_involution():
 
 
 def test_moebius_deck_involution():
-    cover = orientation_double_cover(build("moebius"))
-    assert cover.total.name == "cyl"
-    tau = cover.deck
+    tau = build("moebius").deck
+    assert tau.domain.name == "cyl"
     assert on_point((F(1, 4), F(1, 3)), tau.apply) == (F(5, 4), 2 - F(1, 3))
     check_involution(tau, [(x, y) for x, y in grid_points() if 0 <= y <= 2])
 
 
 def test_family_cover_has_no_geometry():
-    cover = orientation_double_cover(build("n(2,1)"))
-    assert cover.total.name == "sigma(4)"
-    assert cover.deck is None
+    model = build("n(2,1)")
+    assert family_cover_name(model) == "sigma(4)"
+    assert model.deck is None
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -202,7 +201,7 @@ def test_family_cover_genus_from_euler_characteristic_matches_homology(k):
         assert _ref_is_orientable(total.faces)
         assert total.euler_characteristic() == 2 * chi
         genus = homology_groups(total).h1[0] // 2
-        assert orientation_double_cover(model).total.name == f"sigma({1 - chi})"
+        assert family_cover_name(model) == f"sigma({1 - chi})"
         assert genus == 1 - chi == 2 * g + k - 1
 
 
@@ -243,7 +242,7 @@ def test_cover_diagram_relations():
 def test_cover_diagram_involutions_come_from_the_records():
     moebius, cyl = build("moebius"), build("cyl")
     diagram = cover_diagram(moebius)
-    for tau, record in ((diagram.tau1, orientation_double_cover(moebius).deck),
+    for tau, record in ((diagram.tau1, moebius.deck),
                         (diagram.tau2, double(moebius).tau),
                         (diagram.tau3, double(cyl).tau)):
         assert (tau.matrix, tau.shift, tau.domain) == (record.matrix, record.shift, record.domain)
